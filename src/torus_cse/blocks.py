@@ -2,9 +2,11 @@
 
 A block is an m-by-n grid of symbols 0..J-1.  Treating the block as one
 period of a doubly-periodic tiling of the plane turns every anchor cell into
-the top-left corner of arbitrarily large wrapped windows; those windows are
-what the counting layer enumerates.  Blocks are immutable and hashable so
-they can key count tables directly.
+the top-left corner of arbitrarily large wrapped windows.  ``Census`` is the
+one array routine that enumerates those windows: per-anchor window ids and
+counts per size, which primitivity, rank, the count ledger, the encoder's
+walk, verification and the generators all read.  Blocks are immutable and
+hashable so they can key count tables directly.
 
 Conventions used throughout the package:
 
@@ -236,42 +238,106 @@ class ShiftClass:
             raise RankOutOfRangeError("block is not a member of this shift class") from None
 
 
-def _shift_keys(p: Block) -> np.ndarray:
-    """(m*n, m*n) uint8 array: one row per shift, column-major flattened."""
-    arr = p.to_numpy()
-    doubled = np.tile(arr, (2, 2))
-    wins = np.lib.stride_tricks.sliding_window_view(doubled, (p.m, p.n))[: p.m, : p.n]
-    # transpose each window before flattening to get column-major order
-    return np.ascontiguousarray(wins.transpose(0, 1, 3, 2)).reshape(p.m * p.n, p.m * p.n)
+class Census:
+    """Torus window census of one grid, built size by size on demand.
+
+    For each window size (k, l), ``ids(k, l)`` is an (m, n) array whose entry
+    at 0-based anchor (i, j) is the id of the k-by-l window anchored there:
+    its position among the distinct windows of that size in the canonical
+    column-major order.  ``counts(k, l)`` holds the anchors per id, and
+    ``keys(k, l)`` the sorted distinct keys the ids were ranked by.  A size
+    comes from two smaller ones,
+
+        W(k, l) = W(k, l-1) * S(k, 1) + roll(W(k, 1), -(l-1), axis=1),
+        W(k, 1) = W(k-1, 1) * S(1, 1) + roll(W(1, 1), -(k-1), axis=0),
+
+    where S counts distinct windows, so a key pairs a window's first l-1
+    columns with its last column (or first k-1 cells with its last).  The
+    keys stay below (m*n)^2, inside int64.  Every size built is kept.
+    """
+
+    def __init__(self, grid: np.ndarray) -> None:
+        self.grid = grid = np.asarray(grid)
+        self.m, self.n = grid.shape
+        syms, inv = np.unique(grid, return_inverse=True)
+        inv = inv.reshape(self.m, self.n).astype(np.int64)
+        self._sizes = {(1, 1): (inv, syms.astype(np.int64),
+                                np.bincount(inv.ravel()).astype(np.int64))}
+
+    def _size(self, k: int, l: int):
+        if (k, l) not in self._sizes:
+            for r in range(2, k + 1):
+                self._build(r, 1)
+            for c in range(2, l + 1):
+                self._build(k, c)
+        return self._sizes[(k, l)]
+
+    def _build(self, k: int, l: int) -> None:
+        if (k, l) in self._sizes:
+            return
+        if l == 1:
+            head, last, shift, axis = (k - 1, 1), (1, 1), k - 1, 0
+        else:
+            head, last, shift, axis = (k, l - 1), (k, 1), l - 1, 1
+        last_ids, _, last_counts = self._sizes[last]
+        pair = (self._sizes[head][0] * np.int64(len(last_counts))
+                + np.roll(last_ids, -shift, axis=axis))
+        keys, inv, counts = np.unique(
+            pair.ravel(), return_inverse=True, return_counts=True)
+        self._sizes[(k, l)] = (inv.reshape(self.m, self.n).astype(np.int64),
+                               keys, counts.astype(np.int64))
+
+    def ids(self, k: int, l: int) -> np.ndarray:
+        return self._size(k, l)[0]
+
+    def keys(self, k: int, l: int) -> np.ndarray:
+        return self._size(k, l)[1]
+
+    def counts(self, k: int, l: int) -> np.ndarray:
+        return self._size(k, l)[2]
+
+    def first_anchors(self, k: int, l: int) -> np.ndarray:
+        """Row-major flat index of the first anchor showing each id."""
+        return np.unique(self.ids(k, l).ravel(), return_index=True)[1]
+
+    def windows(self, k: int, l: int) -> list[tuple[int, ...]]:
+        """Row-major cells of each id's window, read at its first anchor."""
+        first = self.first_anchors(k, l)[:, None]
+        rows = (first // self.n + np.arange(k)) % self.m
+        cols = (first % self.n + np.arange(l)) % self.n
+        cells = self.grid[rows[:, :, None], cols[:, None, :]]
+        return [tuple(w) for w in cells.reshape(len(first), k * l).tolist()]
+
+    @property
+    def primitive(self) -> bool:
+        """True when all m*n torus shifts of the grid are distinct."""
+        return len(self.counts(self.m, self.n)) == self.m * self.n
+
+    @property
+    def rank(self) -> int:
+        """Position of the grid itself among its distinct shifts."""
+        return int(self.ids(self.m, self.n)[0, 0])
+
+
+def _census(p: Block) -> Census:
+    if p.is_empty:
+        raise EmptyBlockError("empty block has no shift class")
+    return Census(p.to_numpy())
 
 
 def shift_class(p: Block) -> ShiftClass:
-    if p.is_empty:
-        raise EmptyBlockError("empty block has no shift class")
-    keys = _shift_keys(p)
-    uniq = np.unique(keys, axis=0)
-    members = []
-    for row in uniq:
-        grid = row.reshape(p.n, p.m).T  # undo column-major flattening
-        members.append(from_numpy(grid, p.alphabet))
-    return ShiftClass(tuple(members))
+    return ShiftClass(tuple(Block(p.m, p.n, cells, p.alphabet)
+                            for cells in _census(p).windows(p.m, p.n)))
 
 
 def is_primitive(p: Block) -> bool:
     """True when all m*n torus shifts of p are distinct."""
-    if p.is_empty:
-        raise EmptyBlockError("empty block has no shift class")
-    keys = _shift_keys(p)
-    return len(np.unique(keys, axis=0)) == p.size
+    return _census(p).primitive
 
 
 def rank_of(p: Block) -> int:
     """Position of p inside its canonically ordered shift class."""
-    keys = _shift_keys(p)
-    uniq = np.unique(keys, axis=0)
-    own = np.frombuffer(p.col_key, dtype=np.uint8)
-    hits = np.nonzero((uniq == own).all(axis=1))[0]
-    return int(hits[0])
+    return _census(p).rank
 
 
 def select_by_rank(q: Block, r: int) -> Block:

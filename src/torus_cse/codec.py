@@ -17,7 +17,7 @@ import numpy as np
 
 from .bits import (BitReader, BitWriter, elias_delta_decode,
                    elias_delta_encode, elias_delta_length)
-from .blocks import Block, from_numpy, is_primitive, rank_of
+from .blocks import Block, from_numpy
 from .counting import B1, B2, B3
 from .engine import Truth, Walk
 from .errors import (BadMagicError, InconsistentCountsError,
@@ -72,17 +72,26 @@ def _container(flags: int, alphabet: int, bw: BitWriter) -> bytes:
     return MAGIC + bytes([VERSION, flags, alphabet - 1]) + bw.to_bytes()
 
 
-def _needs_escape(p: Block) -> bool:
-    return p.m < 2 or p.n < 2 or not is_primitive(p)
+def _coded_truth(p: Block) -> Truth | None:
+    """The census the coded path walks, or None for an escape-path input."""
+    if p.m < 2 or p.n < 2:
+        return None
+    truth = Truth(p.to_numpy())
+    return truth if truth.primitive else None
 
 
 def compress(p: Block, strict: bool = False) -> bytes:
-    if _needs_escape(p):
+    truth = _coded_truth(p)
+    if truth is None:
         if strict:
             raise NotPrimitiveError(
                 "coded path needs a primitive grid with both dimensions >= 2")
         return _compress_escape(p)
-    return _compress_coded(p)
+    bw = BitWriter()
+    elias_delta_encode(p.m, bw)
+    elias_delta_encode(p.n, bw)
+    bw.write_bytes(_encode(p, truth))
+    return _container(0, p.alphabet, bw)
 
 
 def _compress_escape(p: Block) -> bytes:
@@ -96,23 +105,19 @@ def _compress_escape(p: Block) -> bytes:
     return _container(FLAG_ESCAPE, p.alphabet, bw)
 
 
-def _compress_coded(p: Block) -> bytes:
+def _encode(p: Block, truth: Truth, account=None) -> bytes:
+    """Range-coded counts and rank of p; `account(k, l, cls, width)` sees
+    each transmitted count."""
     rc = RangeEncoder()
 
     def sink(k, l, cls, lo, hi, value):
         rc.encode(value - lo, hi - lo + 1)
+        if account is not None:
+            account(k, l, cls, hi - lo + 1)
 
-    walk = Walk(p.m, p.n, p.alphabet, truth=Truth(p.to_numpy()),
-                sink=sink)
-    walk.run()
-    rc.encode(rank_of(p), _rank_width(p.size))
-    payload = rc.flush()
-
-    bw = BitWriter()
-    elias_delta_encode(p.m, bw)
-    elias_delta_encode(p.n, bw)
-    bw.write_bytes(payload)
-    return _container(0, p.alphabet, bw)
+    Walk(p.m, p.n, p.alphabet, truth=truth, sink=sink).run()
+    rc.encode(truth.rank, _rank_width(p.size))
+    return rc.flush()
 
 
 def decompress(data: bytes) -> Block:
@@ -159,26 +164,20 @@ def decompress(data: bytes) -> Block:
 
 def stats(p: Block) -> CodewordStats:
     """Length accounting for the coded path; rejects escape-path inputs."""
-    if _needs_escape(p):
+    truth = _coded_truth(p)
+    if truth is None:
         raise NotPrimitiveError(
             "stats cover the coded path; input would take the escape path")
-    rc = RangeEncoder()
     ideal = {B1: 0.0, B2: 0.0, B3: 0.0}
     txcnt = {B1: 0, B2: 0, B3: 0}
     per_size: dict = {}
 
-    def sink(k, l, cls, lo, hi, value):
-        rc.encode(value - lo, hi - lo + 1)
-        ideal[cls] += math.log2(hi - lo + 1)
+    def account(k, l, cls, width):
+        ideal[cls] += math.log2(width)
         txcnt[cls] += 1
         per_size[(k, l)] = per_size.get((k, l), 0) + 1
 
-    walk = Walk(p.m, p.n, p.alphabet, truth=Truth(p.to_numpy()),
-                sink=sink)
-    walk.run()
-    rc.encode(rank_of(p), _rank_width(p.size))
-    payload = rc.flush()
-
+    payload = _encode(p, truth, account)
     total_bits = (elias_delta_length(p.m) + elias_delta_length(p.n)
                   + 8 * len(payload))
     container_bytes = HEADER_LEN + (total_bits + 7) // 8

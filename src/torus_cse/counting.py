@@ -21,11 +21,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Optional
 
-import numpy as np
-
-from .blocks import Block, concat, interior_cols, interior_rows, trim
+from .blocks import Block, Census, concat, interior_cols, interior_rows, trim
 from .errors import (
     EmptyBlockError,
     LedgerIncompleteError,
@@ -93,32 +91,21 @@ class CountLedger:
     def set_table(self, k: int, l: int, table: dict[Block, int]) -> None:
         self.tables[(k, l)] = table
 
-    def sizes(self) -> Iterator[tuple[int, int]]:
-        return iter(sorted(self.tables))
-
-
-def _size_table(arr: np.ndarray, k: int, l: int, alphabet: int) -> dict[Block, int]:
-    """Positive counts for one window size via the doubled-array trick."""
-    m, n = arr.shape
-    doubled = np.tile(arr, (2, 2))
-    wins = np.lib.stride_tricks.sliding_window_view(doubled, (k, l))[:m, :n]
-    flat = wins.reshape(m * n, k * l)
-    uniq, counts = np.unique(flat, axis=0, return_counts=True)
-    out: dict[Block, int] = {}
-    for row, c in zip(uniq, counts):
-        out[Block(k, l, tuple(int(v) for v in row), alphabet)] = int(c)
-    return out
-
 
 def build_ledger(p: Block, max_k: Optional[int] = None, max_l: Optional[int] = None) -> CountLedger:
-    """Full ledger of p, optionally capped at a maximum window size."""
+    """Full ledger of p, optionally capped at a maximum window size.
+
+    Each table holds one block per census id, read at its first anchor.
+    """
     if p.is_empty:
         raise EmptyBlockError("cannot build a ledger for an empty block")
-    arr = p.to_numpy()
+    census = Census(p.to_numpy())
     led = CountLedger(p.m, p.n, p.alphabet)
     for k in range(1, (max_k or p.m) + 1):
         for l in range(1, (max_l or p.n) + 1):
-            led.set_table(k, l, _size_table(arr, k, l, p.alphabet))
+            led.set_table(k, l, {
+                Block(k, l, cells, p.alphabet): int(c)
+                for cells, c in zip(census.windows(k, l), census.counts(k, l))})
     return led
 
 
@@ -227,7 +214,6 @@ class Candidate:
 
     block: Block
     cls: str  # B1, B2 or B3
-    in_b: bool
 
 
 @dataclass(frozen=True)
@@ -265,7 +251,7 @@ def candidates(k: int, l: int, ledger: CountLedger) -> list[Candidate]:
     cap_k, cap_l = block_caps(ledger.m, ledger.n, ledger.alphabet)
     if k == 1 and l == 1:
         blocks = [Block(1, 1, (s,), ledger.alphabet) for s in range(ledger.alphabet)]
-        return [Candidate(b, B1, in_B(b, ledger)) for b in blocks]
+        return [Candidate(b, B1) for b in blocks]
     cls = B2 if (k <= cap_k and l <= cap_l) else B3
 
     found: set[Block] = set()
@@ -289,7 +275,7 @@ def candidates(k: int, l: int, ledger: CountLedger) -> list[Candidate]:
             for t in by_overlap.get(v, ()):
                 found.add(_row_join(s, t))
     ordered = sorted(found, key=lambda b: b.col_key)
-    return [Candidate(b, cls, in_B(b, ledger)) for b in ordered]
+    return [Candidate(b, cls) for b in ordered]
 
 
 def _col_join(s: Block, t: Block) -> Block:
@@ -302,16 +288,6 @@ def _row_join(s: Block, t: Block) -> Block:
     """s = e/v and t = v/g overlapping on v; result e/v/g."""
     last = Block(1, t.n, t.cells[-t.n:], t.alphabet)
     return concat(s, last, "rows")
-
-
-def column_of(b: Block, j: int) -> Block:
-    """0-based column j as a k-by-1 block."""
-    return Block(b.m, 1, tuple(b.cells[r * b.n + j] for r in range(b.m)), b.alphabet)
-
-
-def row_of(b: Block, i: int) -> Block:
-    """0-based row i as a 1-by-l block."""
-    return Block(1, b.n, b.cells[i * b.n:(i + 1) * b.n], b.alphabet)
 
 
 def largest_member_column(k: int, ledger: CountLedger) -> Block:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .blocks import Census
 from .counting import B1, B2, B3, block_caps
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
@@ -368,6 +369,11 @@ class Walk:
         else:
             x11 = self.tabs[(1, 1)].is_x
             excl = x11[f["fr"]] | x11[f["lr"]]
+        # true counts sit inside [lo, hi], so crossed bounds mean corrupt
+        # counts; pulling a crossed interval would ask the coder for width <= 0
+        if (lo > hi).any():
+            raise InconsistentCountsError(
+                f"interval bounds crossed at size ({k},{l})")
         if ((forced >= 0) & ((forced < lo) | (forced > hi))).any():
             raise InconsistentCountsError(
                 f"forced count outside its interval at size ({k},{l})")
@@ -575,60 +581,24 @@ class Walk:
         return grid
 
 
-class Truth:
-    """Window-id arrays for the encoder, built straight from the grid."""
-
-    def __init__(self, grid: np.ndarray) -> None:
-        self.grid = np.asarray(grid, dtype=np.int64)
-        self.m, self.n = self.grid.shape
-        self.W: dict[tuple[int, int], np.ndarray] = {}
-        self.spaces: dict[tuple[int, int], int] = {}
-        self.pos: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
-        syms, inv = np.unique(self.grid, return_inverse=True)
-        self.W[(1, 1)] = inv.reshape(self.grid.shape).astype(np.int64)
-        self.spaces[(1, 1)] = len(syms)
-        self.syms = syms
+class Truth(Census):
+    """The grid's torus census, read the way the encoder walk asks for it."""
 
     def single_counts(self, alphabet: int) -> np.ndarray:
         counts = np.zeros(alphabet, dtype=np.int64)
-        present = np.bincount(self.W[(1, 1)].ravel())
-        counts[self.syms] = present
+        counts[self.keys(1, 1)] = self.counts(1, 1)
         return counts
-
-    def _ensure(self, k, l) -> None:
-        if (k, l) in self.W:
-            return
-        if l == 1:
-            self._ensure(k - 1, 1)
-            pair = (self.W[(k - 1, 1)] * np.int64(self.spaces[(1, 1)])
-                    + np.roll(self.W[(1, 1)], -(k - 1), axis=0))
-        elif k == 1:
-            self._ensure(1, l - 1)
-            pair = (self.W[(1, l - 1)] * np.int64(self.spaces[(1, 1)])
-                    + np.roll(self.W[(1, 1)], -(l - 1), axis=1))
-        else:
-            self._ensure(k, l - 1)
-            self._ensure(k, 1)
-            pair = (self.W[(k, l - 1)] * np.int64(self.spaces[(k, 1)])
-                    + np.roll(self.W[(k, 1)], -(l - 1), axis=1))
-        keys, inv, counts = np.unique(
-            pair.ravel(), return_inverse=True, return_counts=True)
-        self.W[(k, l)] = inv.reshape(self.m, self.n).astype(np.int64)
-        self.spaces[(k, l)] = len(keys)
-        self.pos[(k, l)] = (keys, counts.astype(np.int64))
 
     def counts_for(self, k, l, probe) -> np.ndarray:
         """True counts for candidate probes keyed like the walk's tables."""
-        self._ensure(k, l)
-        keys, counts = self.pos[(k, l)]
-        idx, ok = _find(keys, probe)
-        return np.where(ok, counts[np.maximum(idx, 0)], np.int64(0))
+        idx, ok = _find(self.keys(k, l), probe)
+        return np.where(ok, self.counts(k, l)[np.maximum(idx, 0)], np.int64(0))
 
     def check_table(self, k, l, tab: _Table) -> None:
         """The walked table must replicate the grid's own window census."""
-        if (k, l) not in self.pos:
+        if (k, l) not in self._sizes:  # checking would build the size
             return
-        keys, counts = self.pos[(k, l)]
+        keys, counts = self.keys(k, l), self.counts(k, l)
         if tab.n != len(keys) or not np.array_equal(tab.count, counts):
             raise InconsistentCountsError(
                 f"walked table diverges from the grid at size ({k},{l})")

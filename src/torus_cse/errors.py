@@ -69,10 +69,6 @@ class NonPositiveError(TorusCseError):
     pass
 
 
-class ValueOutOfIntervalError(TorusCseError):
-    pass
-
-
 class BadMagicError(TorusCseError):
     pass
 

@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from .blocks import Census
 from .errors import BadSpecError
 
 _TOL = 1e-9
@@ -96,11 +97,6 @@ def entropy_bits(spec: SourceSpec, grid: Optional[np.ndarray] = None) -> tuple[f
         return h, "analytical"
     if grid is None:
         grid = generate(spec)
-    m, n = grid.shape
-    doubled = np.tile(grid, (2, 2))
-    wins = np.lib.stride_tricks.sliding_window_view(doubled, (2, 2))[:m, :n]
-    flat = wins.reshape(m * n, 4)
-    _, counts = np.unique(flat, axis=0, return_counts=True)
-    freq = counts / (m * n)
+    freq = Census(grid).counts(2, 2) / grid.size
     h2 = -(freq * np.log2(freq)).sum()
     return float(h2 / 4.0), "estimated"

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Block, from_numpy, is_primitive
+from .blocks import Block, Census, from_numpy, is_primitive
 from .codec import compress, decompress
 from .counting import build_ledger, verify_identities
 from .errors import TorusCseError
@@ -108,18 +108,7 @@ def check_count_identities(p: Block) -> list[str]:
     return verify_identities(build_ledger(p))
 
 
-def _axis_ids(grid: np.ndarray, k: int, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """Window ids per anchor and counts per id, one size, direct census."""
-    m, n = grid.shape
-    doubled = np.tile(grid, (2, 2))
-    wins = np.lib.stride_tricks.sliding_window_view(doubled, (k, l))[:m, :n]
-    flat = wins.reshape(m * n, k * l)
-    _, inv, cnt = np.unique(flat, axis=0, return_inverse=True,
-                            return_counts=True)
-    return inv.reshape(m, n), cnt
-
-
-def _axis_soundness(grid: np.ndarray, axis_name: str, bad: list[str]) -> int:
+def _axis_soundness(census: Census, axis_name: str, bad: list[str]) -> int:
     """Feasibility checks for every same-axis join of occurring slabs.
 
     Candidates here always have both slabs occurring; joins whose other-
@@ -127,24 +116,20 @@ def _axis_soundness(grid: np.ndarray, axis_name: str, bad: list[str]) -> int:
     running this on the grid and on its transpose covers every case the
     coder distinguishes.
     """
-    m, n = grid.shape
+    m, n = census.m, census.n
     mn = m * n
     checked = 0
     for k in range(1, m + 1):
-        prev2_cnt = None
-        prev_ids, prev_cnt = _axis_ids(grid, k, 1)
-        prev2_ids = None
         for l in range(2, n + 1):
+            prev_ids, prev_cnt = census.ids(k, l - 1), census.counts(k, l - 1)
             s = len(prev_cnt)
-            keys = prev_ids * s + np.roll(prev_ids, -1, axis=1)
-            uk, inv, uc = np.unique(keys.ravel(), return_inverse=True,
-                                    return_counts=True)
             if l == 2:
                 a = np.repeat(np.arange(s), s)
                 b = np.tile(np.arange(s), s)
                 co = np.full(s * s, mn, dtype=np.int64)
             else:
-                first_anchor = np.unique(prev_ids.ravel(), return_index=True)[1]
+                prev2_ids, prev2_cnt = census.ids(k, l - 2), census.counts(k, l - 2)
+                first_anchor = census.first_anchors(k, l - 1)
                 pre = prev2_ids.ravel()[first_anchor]
                 suf = np.roll(prev2_ids, -1, axis=1).ravel()[first_anchor]
                 parts_a, parts_b, parts_o = [], [], []
@@ -164,6 +149,10 @@ def _axis_soundness(grid: np.ndarray, axis_name: str, bad: list[str]) -> int:
                 co = np.concatenate(parts_o)
             ca = prev_cnt[a]
             cb = prev_cnt[b]
+            # the (k, l) ids ascend with their (first, last) slab-id pairs
+            joins = (prev_ids * s + np.roll(prev_ids, -1, axis=1)).ravel()
+            uk = joins[census.first_anchors(k, l)]
+            uc = census.counts(k, l)
             pos = np.searchsorted(uk, a * s + b)
             pos[pos >= len(uk)] = 0
             true = np.where(uk[pos] == a * s + b, uc[pos], 0)
@@ -182,17 +171,15 @@ def _axis_soundness(grid: np.ndarray, axis_name: str, bad: list[str]) -> int:
                 bad.append(f"{axis_name} ({k},{l}): condition failed but "
                            f"count {true[i]} != min {hi[i]}")
             checked += len(a)
-            prev2_ids, prev2_cnt = prev_ids, prev_cnt
-            prev_ids, prev_cnt = inv.reshape(m, n), uc
     return checked
 
 
 def check_interval_soundness(p: Block) -> tuple[int, list[str]]:
     """Every candidate count inside its feasibility interval, both axes."""
-    grid = p.to_numpy().astype(np.int64)
+    grid = p.to_numpy()
     bad: list[str] = []
-    checked = _axis_soundness(grid, "cols", bad)
-    checked += _axis_soundness(grid.T.copy(), "rows", bad)
+    checked = _axis_soundness(Census(grid), "cols", bad)
+    checked += _axis_soundness(Census(grid.T), "rows", bad)
     return checked, bad
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from torus_cse.errors import (
     RankOutOfRangeError,
     SymbolOutOfRangeError,
 )
+from torus_cse.oracle import _is_primitive_cells
 
 P2 = make_block([[0, 1], [1, 1]], 2)
 P4 = make_block([[0, 1, 1], [1, 1, 1]], 2)
@@ -229,3 +232,26 @@ class TestShiftClasses:
         p = make_block(rows, 2)
         keys = [m.col_key for m in shift_class(p)]
         assert keys == sorted(keys)
+
+
+def _agrees_with_oracle(p):
+    """Census-backed shift reads against direct wrapped reads."""
+    reads = sorted({torus_subblock(p, i, j, p.m, p.n)
+                    for i in range(1, p.m + 1) for j in range(1, p.n + 1)},
+                   key=lambda b: b.col_key)
+    assert is_primitive(p) == _is_primitive_cells(p.cells, p.m, p.n)
+    assert shift_class(p).members == tuple(reads)
+    assert rank_of(p) == reads.index(p)
+
+
+@pytest.mark.parametrize("m,n", [(3, 3), (3, 4)])
+def test_shift_census_matches_oracle_exhaustive_binary(m, n):
+    for cells in itertools.product(range(2), repeat=m * n):
+        _agrees_with_oracle(Block(m, n, cells, 2))
+
+
+def test_shift_census_matches_oracle_seeded_quaternary():
+    rng = np.random.default_rng(4)
+    for _ in range(40):
+        m, n = (int(v) for v in rng.integers(1, 7, size=2))
+        _agrees_with_oracle(from_numpy(rng.integers(0, 4, size=(m, n)), 4))

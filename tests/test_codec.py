@@ -1,5 +1,6 @@
 """Container round-trips, frozen layouts, and fault injection."""
 
+import hashlib
 import itertools
 import math
 
@@ -232,10 +233,65 @@ def test_bit_flips_fail_loudly_or_decode_to_some_block():
 
 
 def test_truncations_fail_loudly_or_decode_to_some_block():
-    c = compress(make_block([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
-    for cut in range(HEADER_LEN, len(c)):
-        try:
-            out = decompress(c[:cut])
-        except TorusCseError:
-            continue
-        assert isinstance(out, Block)
+    corpus = [make_block([[0, 1, 1], [1, 0, 1], [1, 1, 0]])]
+    for side in range(4, 9):
+        # at side 6, a cut to 44 bytes leaves a crossed interval to pull
+        rng = np.random.default_rng(19)
+        corpus.append(from_numpy(
+            rng.choice(2, size=(side, side), p=[0.7, 0.3]), alphabet=2))
+    for p in corpus:
+        c = compress(p)
+        for cut in range(HEADER_LEN, len(c)):
+            try:
+                out = decompress(c[:cut])
+            except TorusCseError:
+                continue
+            assert isinstance(out, Block)
+
+
+def test_crossed_interval_names_its_size():
+    rng = np.random.default_rng(19)
+    c = compress(from_numpy(rng.choice(2, size=(6, 6), p=[0.7, 0.3]),
+                            alphabet=2))
+    with pytest.raises(InconsistentCountsError, match=r"size \(\d+,\d+\)"):
+        decompress(c[:44])
+
+
+# ---- golden containers ----
+
+def _golden_corpus():
+    rng = np.random.default_rng(20170124)
+    shapes = [(2, 4, 4), (2, 5, 7), (2, 9, 6), (2, 12, 12), (4, 4, 5),
+              (4, 7, 7), (16, 5, 4), (16, 3, 9)]
+    out = [from_numpy(rng.integers(0, j, size=(m, n)), j) for j, m, n in shapes]
+    tile = np.tile(rng.integers(0, 2, size=(2, 4)), (4, 2))
+    out.append(from_numpy(tile, 2))
+    tile[3, 5] ^= 1
+    out.append(from_numpy(tile, 2))
+    out.append(from_numpy(rng.integers(0, 4, size=(1, 9)), 4))
+    return out
+
+
+# (escape flag, SHA-256) of each golden container.  These pin the v1 bytes:
+# a refactor must reproduce them, and a format change bumps VERSION.
+GOLDEN = [
+    (True, "b1c0f7445b6046799b8a510a32facc9158b65dfe001dfa3d9c008520bea02b3f"),
+    (False, "c93a3ace10f10b69ab3d7f4b27764283933cb079e8576c224e77d3e41934f8f0"),
+    (False, "b94014c18a0ce930c6be8136f6b39a363d770b6b34c90d396a420c8577241b12"),
+    (False, "4b04d73dd21dbe2d370420f8eaa3b356343b1028658dc5d900dfa3bb88c7d71c"),
+    (False, "e115295e904d916e3e807467150376f873210c18b259d08e821c01b59d125a90"),
+    (False, "c286fa5926d33d226e8b70c5086b6259fa04949d533aacc5463c8b55bb25fd6b"),
+    (False, "f3926b9744dbf8a7cef46e5462c0213c118bee6cc5b8a788278ae14afb715a84"),
+    (False, "4934698526b8905e5f50400b1619ed6d65e6fdd843c3f3d4fd77576b5ada75a9"),
+    (True, "83552d35d10552143130699670f0d53415d6793007e6b296497f1037c814075f"),
+    (False, "6b70ae123c56ad54245a70f55125f5e632f985587b6f7439ae3941e24c4cd597"),
+    (True, "b9734ac71bb498f6177d108b043bd55c0ed5659c7b7d9619055bcb40e1276b9f"),
+]
+
+
+def test_golden_container_digests():
+    got = []
+    for p in _golden_corpus():
+        c = compress(p)
+        got.append((bool(c[7] & FLAG_ESCAPE), hashlib.sha256(c).hexdigest()))
+    assert got == GOLDEN

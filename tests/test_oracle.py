@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from torus_cse.blocks import make_block, shift_class
+from torus_cse.blocks import from_numpy, make_block, shift_class
 from torus_cse.codec import stats
 from torus_cse.counting import build_ledger
 from torus_cse.errors import OversizeQueryError, TooLargeError
@@ -34,7 +35,13 @@ def test_enumeration_guard():
 
 
 def test_census_agrees_with_counting():
-    for p in [P2, P23, make_block([[0, 1], [2, 0]], alphabet=3)]:
+    rng = np.random.default_rng(8)
+    corpus = [P2, P23, make_block([[0, 1], [2, 0]], alphabet=3),
+              from_numpy(rng.integers(0, 4, size=(3, 5)), alphabet=4),
+              from_numpy(rng.integers(0, 3, size=(5, 2)), alphabet=3),
+              from_numpy(rng.integers(0, 16, size=(4, 6)), alphabet=16),
+              from_numpy(rng.integers(0, 2, size=(2, 7)), alphabet=2)]
+    for p in corpus:
         led = build_ledger(p)
         for k in range(1, p.m + 1):
             for l in range(1, p.n + 1):
