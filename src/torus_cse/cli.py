@@ -16,7 +16,8 @@ from typing import Optional
 from .baseline1d import compare
 from .bits import elias_delta_length
 from .blocks import Block, from_numpy, is_primitive
-from .codec import FLAG_ESCAPE, HEADER_LEN, compress, decompress, stats
+from .codec import (FLAG_ESCAPE, HEADER_LEN, CodewordStats,
+                    compress_with_stats, decompress, stats)
 from .errors import (BadSpecError, NotPrimitiveError, TorusCseError,
                      UnknownExtensionError)
 from .generate import SourceSpec, alphabet_of, entropy_bits, generate
@@ -24,10 +25,9 @@ from .gridio import read_grid, write_grid
 from .verify import run_exhaustive, run_lemmas, run_random
 
 
-def _stats_dict(p: Block) -> dict:
-    try:
-        s = stats(p)
-    except NotPrimitiveError:
+def _stats_dict(p: Block, s: CodewordStats | None) -> dict:
+    """The stats JSON of p; `s` is None for an escape-path input."""
+    if s is None:
         cell_bits = max(1, (p.alphabet - 1).bit_length())
         bits = (elias_delta_length(p.m) + elias_delta_length(p.n)
                 + p.size * cell_bits)
@@ -48,12 +48,12 @@ def _stats_dict(p: Block) -> dict:
 
 def _cmd_compress(args) -> int:
     p = read_grid(args.input)
-    data = compress(p, strict=args.strict)
+    data, s = compress_with_stats(p, strict=args.strict)
     with open(args.output, "wb") as fh:
         fh.write(data)
     if args.stats_json:
         with open(args.stats_json, "w", encoding="ascii") as fh:
-            json.dump(_stats_dict(p), fh, indent=2)
+            json.dump(_stats_dict(p, s), fh, indent=2)
             fh.write("\n")
     mode = "escape" if data[7] & FLAG_ESCAPE else "coded"
     print(f"{args.input} -> {args.output}: {len(data)} bytes ({mode})")
@@ -71,7 +71,11 @@ def _cmd_decompress(args) -> int:
 
 def _cmd_stats(args) -> int:
     p = read_grid(args.input)
-    print(json.dumps(_stats_dict(p), indent=2))
+    try:
+        s = stats(p)
+    except NotPrimitiveError:
+        s = None
+    print(json.dumps(_stats_dict(p, s), indent=2))
     return 0
 
 

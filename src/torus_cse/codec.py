@@ -81,17 +81,20 @@ def _coded_truth(p: Block) -> Truth | None:
 
 
 def compress(p: Block, strict: bool = False) -> bytes:
+    return compress_with_stats(p, strict)[0]
+
+
+def compress_with_stats(p: Block, strict: bool = False
+                        ) -> tuple[bytes, CodewordStats | None]:
+    """The container of p and, on the coded path, the length accounting of
+    the same encoder walk (None for an escape container)."""
     truth = _coded_truth(p)
     if truth is None:
         if strict:
             raise NotPrimitiveError(
                 "coded path needs a primitive grid with both dimensions >= 2")
-        return _compress_escape(p)
-    bw = BitWriter()
-    elias_delta_encode(p.m, bw)
-    elias_delta_encode(p.n, bw)
-    bw.write_bytes(_encode(p, truth))
-    return _container(0, p.alphabet, bw)
+        return _compress_escape(p), None
+    return _encode(p, truth)
 
 
 def _compress_escape(p: Block) -> bytes:
@@ -105,19 +108,37 @@ def _compress_escape(p: Block) -> bytes:
     return _container(FLAG_ESCAPE, p.alphabet, bw)
 
 
-def _encode(p: Block, truth: Truth, account=None) -> bytes:
-    """Range-coded counts and rank of p; `account(k, l, cls, width)` sees
-    each transmitted count."""
+def _encode(p: Block, truth: Truth) -> tuple[bytes, CodewordStats]:
+    """Coded container of p and the ideal-codelength attribution of its
+    counts, from one encoder walk."""
     rc = RangeEncoder()
+    ideal = {B1: 0.0, B2: 0.0, B3: 0.0}
+    txcnt = {B1: 0, B2: 0, B3: 0}
+    per_size: dict = {}
 
     def sink(k, l, cls, lo, hi, value):
-        rc.encode(value - lo, hi - lo + 1)
-        if account is not None:
-            account(k, l, cls, hi - lo + 1)
+        width = hi - lo + 1
+        rc.encode(value - lo, width)
+        ideal[cls] += math.log2(width)
+        txcnt[cls] += 1
+        per_size[(k, l)] = per_size.get((k, l), 0) + 1
 
     Walk(p.m, p.n, p.alphabet, truth=truth, sink=sink).run()
     rc.encode(truth.rank, _rank_width(p.size))
-    return rc.flush()
+    payload = rc.flush()
+    bw = BitWriter()
+    elias_delta_encode(p.m, bw)
+    elias_delta_encode(p.n, bw)
+    bw.write_bytes(payload)
+    container = _container(0, p.alphabet, bw)
+    total_bits = (elias_delta_length(p.m) + elias_delta_length(p.n)
+                  + 8 * len(payload))
+    l1, l2, l3 = ideal[B1], ideal[B2], ideal[B3]
+    return container, CodewordStats(
+        m=p.m, n=p.n, alphabet=p.alphabet,
+        l0=total_bits - (l1 + l2 + l3), l1=l1, l2=l2, l3=l3,
+        total_bits=total_bits, container_bytes=len(container),
+        transmitted=dict(txcnt), per_size=per_size)
 
 
 def decompress(data: bytes) -> Block:
@@ -168,22 +189,4 @@ def stats(p: Block) -> CodewordStats:
     if truth is None:
         raise NotPrimitiveError(
             "stats cover the coded path; input would take the escape path")
-    ideal = {B1: 0.0, B2: 0.0, B3: 0.0}
-    txcnt = {B1: 0, B2: 0, B3: 0}
-    per_size: dict = {}
-
-    def account(k, l, cls, width):
-        ideal[cls] += math.log2(width)
-        txcnt[cls] += 1
-        per_size[(k, l)] = per_size.get((k, l), 0) + 1
-
-    payload = _encode(p, truth, account)
-    total_bits = (elias_delta_length(p.m) + elias_delta_length(p.n)
-                  + 8 * len(payload))
-    container_bytes = HEADER_LEN + (total_bits + 7) // 8
-    l1, l2, l3 = ideal[B1], ideal[B2], ideal[B3]
-    return CodewordStats(
-        m=p.m, n=p.n, alphabet=p.alphabet,
-        l0=total_bits - (l1 + l2 + l3), l1=l1, l2=l2, l3=l3,
-        total_bits=total_bits, container_bytes=container_bytes,
-        transmitted=dict(txcnt), per_size=per_size)
+    return _encode(p, truth)[1]

@@ -7,9 +7,17 @@ candidate construction, dispositions and count resolution become numpy
 array programs.  The decoder runs the exact same table builds as the
 encoder, which keeps the two in lockstep by construction.
 
-Once every window of some ancestor size occurs exactly once, all larger
-sizes extend uniquely and carry no transmissions, so the walk switches to
-a cheap join-only path for them.
+Once every window of (k, l-2) or (k-2, l) occurs exactly once, (k, l) and
+every larger size extend uniquely and carry no transmissions: the walk stops
+at this settled frontier and builds no table beyond it.  The sizes it does
+build form a down-set, so no built size ever reads a skipped one.
+
+The decoder reads the grid off one built size instead, the readout size: the
+first (K, L) with K, L >= 2 whose windows are all distinct and whose torus
+shift links are known, because (K, L-1) is all-distinct or L = n, and
+(K-1, L) is all-distinct or K = m.  Its right and down links lay out every
+anchor's id, and so one torus shift of the grid.  The (m, n) ids of that
+shift's `Census` then say which shift carries the transmitted rank.
 """
 
 from __future__ import annotations
@@ -57,6 +65,13 @@ def _find(sorted_keys: np.ndarray, probe: np.ndarray):
     return np.where(ok, idx_c, -1), ok
 
 
+def _inverse(perm: np.ndarray) -> np.ndarray:
+    """Inverse of an id permutation; -1 where an id is never hit."""
+    inv = np.full(len(perm), -1, dtype=np.int64)
+    inv[perm] = np.arange(len(perm), dtype=np.int64)
+    return inv
+
+
 def _native_lookup(tab: _Table, a: np.ndarray, b: np.ndarray, space: int):
     return _find(tab.key, a * np.int64(space) + b)
 
@@ -101,14 +116,31 @@ class Walk:
         self.cnts: dict[tuple[int, int], np.ndarray] = {}
         self.max1: dict[tuple[int, int], bool] = {}
         self.sym = None  # (1,1) id -> symbol value
+        # ((K, L), table) of the first size whose shift links are known
+        self.readout: tuple[tuple[int, int], _Table] | None = None
 
     # ---- driving ----
 
     def run(self) -> None:
         for k in range(1, self.m + 1):
             for l in range(1, self.n + 1):
-                self._build_size(k, l)
+                if self._settled(k, l):
+                    break  # so is every size right of it in row k
+                if k == 1 and l == 1:
+                    self._build_11()
+                else:
+                    self._full(k, l)
             self._prune_row(k)
+
+    def _settled(self, k: int, l: int) -> bool:
+        """True when (k, l-2) or (k-2, l) has every window once.
+
+        Such a size extends uniquely and transmits nothing, so no table is
+        built for it.  Settled sizes are never entered in `max1`, so a
+        missing entry reads as settled.
+        """
+        return ((l >= 3 and self.max1.get((k, l - 2), True))
+                or (k >= 3 and self.max1.get((k - 2, l), True)))
 
     def _cls(self, k: int, l: int) -> str:
         if k == 1 and l == 1:
@@ -153,20 +185,12 @@ class Walk:
     def _install(self, size, tab: _Table) -> None:
         self.tabs[size] = tab
         self.cnts[size] = tab.count
-        self.max1[size] = bool(tab.count.max() == 1)
-
-    # ---- size dispatch ----
-
-    def _build_size(self, k: int, l: int) -> None:
-        if k == 1 and l == 1:
-            self._build_11()
-            return
-        if l >= 3 and self.max1[(k, l - 2)]:
-            self._tail_cols(k, l)
-        elif k >= 3 and self.max1[(k - 2, l)]:
-            self._tail_rows(k, l)
-        else:
-            self._full(k, l)
+        self.max1[size] = distinct = bool(tab.count.max() == 1)
+        k, l = size
+        if (distinct and self.readout is None and k >= 2 and l >= 2
+                and (l == self.n or self.max1[(k, l - 1)])
+                and (k == self.m or self.max1[(k - 1, l)])):
+            self.readout = (size, tab)
 
     # ---- candidate field construction ----
 
@@ -472,56 +496,6 @@ class Walk:
                     f"family sums off at size ({k},{l})")
         return values
 
-    # ---- settled-zone fast path ----
-
-    def _tail_cols(self, k, l) -> None:
-        s_tab = self.tabs[(k, l - 1)]
-        ns = s_tab.n
-        starts = np.searchsorted(s_tab.pi_c, s_tab.sc, side="left")
-        ends = np.searchsorted(s_tab.pi_c, s_tab.sc, side="right")
-        if not (ends - starts == 1).all():
-            raise InconsistentCountsError(
-                f"non-unique extension in the settled zone at size ({k},{l})")
-        cand_s = np.arange(ns, dtype=np.int64)
-        f = self._fields_cols(k, l, cand_s, starts)
-        if len(f["pi_c"]) != ns:
-            raise InconsistentCountsError(
-                f"settled-zone slab missing at size ({k},{l})")
-        self._tail_finish(k, l, f, ns)
-
-    def _tail_rows(self, k, l) -> None:
-        u_tab = self.tabs[(k - 1, l)]
-        nu = u_tab.n
-        if l == 1:
-            order, group_of = None, u_tab.pi_r
-        else:
-            rk_sorted, order = u_tab.rowkey(self.tabs[(1, l)].n)
-            group_of = u_tab.pi_r[order]
-        starts = np.searchsorted(group_of, u_tab.sg, side="left")
-        ends = np.searchsorted(group_of, u_tab.sg, side="right")
-        if not (ends - starts == 1).all():
-            raise InconsistentCountsError(
-                f"non-unique extension in the settled zone at size ({k},{l})")
-        cand_d = order[starts] if order is not None else starts
-        cand_u = np.arange(nu, dtype=np.int64)
-        f = self._fields_rows(k, l, cand_u, cand_d)
-        if len(f["pi_r"]) != nu:
-            raise InconsistentCountsError(
-                f"settled-zone slab missing at size ({k},{l})")
-        if l >= 2:
-            probe = self._probe_of(k, l, f)
-            order = np.argsort(probe, kind="stable")
-            for name in f:
-                f[name] = f[name][order]
-        self._tail_finish(k, l, f, nu)
-
-    def _tail_finish(self, k, l, f, n) -> None:
-        tab = _Table(n)
-        tab.count = np.ones(n, dtype=np.int64)
-        for name in f:
-            setattr(tab, name, f[name])
-        self._finish_table(k, l, tab, self._probe_of(k, l, f))
-
     # ---- table finishing ----
 
     def _finish_table(self, k, l, tab: _Table, key) -> None:
@@ -551,34 +525,61 @@ class Walk:
 
     # ---- final reconstruction (decoder) ----
 
+    def _shift_links(self):
+        """Per id of the readout size, the ids one column right and one row
+        down on the torus.
+
+        Dropping the first column of a window gives the id its right
+        neighbour has after dropping its last column; while (K, L-1) has
+        every window once, `pi_c` inverts to map it back.  At L = n the
+        neighbour instead wraps onto the window's own first column, so its
+        key (sc, fc) is looked up directly.  Rows work the same way.
+        """
+        (K, L), tab = self.readout
+        if L == self.n:
+            right = _native_lookup(tab, tab.sc, tab.fc, self.tabs[(K, 1)].n)[0]
+        else:
+            right = _inverse(tab.pi_c)[tab.sc]
+        if K == self.m:
+            down = _row_lookup(tab, tab.sg, tab.fr, self.tabs[(1, L)].n)[0]
+        else:
+            down = _inverse(tab.pi_r)[tab.sg]
+        return right, down
+
     def member_grid(self, rank: int) -> np.ndarray:
+        """The member of the shift class whose (m, n) census id is `rank`.
+
+        Anchor ids are laid out from id 0 along the readout size's shift
+        links, each anchor's cell is the top-left symbol of its window, and
+        the torus shift that puts id `rank` at the origin is returned.
+        """
         m, n = self.m, self.n
-        final = self.tabs[(m, n)]
-        if final.n != self.mn:
-            raise InconsistentCountsError(
-                "full-size table does not enumerate one window per anchor")
         if not 0 <= rank < self.mn:
             raise InconsistentCountsError(f"rank {rank} out of range")
-        cols = []
-        cur = int(rank)
-        for l in range(n, 1, -1):
-            t = self.tabs[(m, l)]
-            cols.append(int(t.lc[cur]))
-            cur = int(t.pi_c[cur])
-        cols.append(cur)
-        cols.reverse()
-        grid = np.empty((m, n), dtype=np.int64)
-        for j, cid in enumerate(cols):
-            cur = cid
-            syms = []
-            for k in range(m, 1, -1):
-                t = self.tabs[(k, 1)]
-                syms.append(int(t.lr[cur]))
-                cur = int(t.pi_r[cur])
-            syms.append(cur)
-            syms.reverse()
-            grid[:, j] = self.sym[np.array(syms, dtype=np.int64)]
-        return grid
+        if self.readout is None:
+            raise InconsistentCountsError(
+                "no size has every window once with known shift links")
+        (K, L), tab = self.readout
+        right, down = self._shift_links()
+        ids = np.empty((m, n), dtype=np.int64)
+        ids[0, 0] = 0
+        for i in range(1, m):
+            ids[i, 0] = down[ids[i - 1, 0]]
+        for j in range(1, n):
+            ids[:, j] = right[ids[:, j - 1]]
+        if not (np.array_equal(np.sort(ids, axis=None), np.arange(self.mn))
+                and np.array_equal(right[ids], np.roll(ids, -1, axis=1))
+                and np.array_equal(down[ids], np.roll(ids, -1, axis=0))):
+            raise InconsistentCountsError(
+                f"shift links do not tile the torus at size ({K},{L})")
+        grid = self.sym[self.tabs[(K, 1)].fr[tab.fc[ids]]]
+        at = np.flatnonzero(Census(grid).ids(m, n) == rank)
+        if len(at) != 1:
+            raise InconsistentCountsError(
+                f"rank {rank} does not pick one shift of the grid read at "
+                f"size ({K},{L})")
+        i, j = divmod(int(at[0]), n)
+        return np.roll(grid, (-i, -j), axis=(0, 1))
 
 
 class Truth(Census):

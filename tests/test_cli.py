@@ -6,6 +6,7 @@ import pytest
 from torus_cse.blocks import from_numpy, make_block
 from torus_cse.cli import main
 from torus_cse.codec import compress, stats
+from torus_cse.engine import Walk
 from torus_cse.gridio import write_grid
 
 SCHEMA = {"escape", "m", "n", "J", "l0", "l1", "l2", "l3",
@@ -52,6 +53,26 @@ def test_stats_matches_library(tmp_path, capsys):
     assert doc["l1"] == s.l1 and doc["l3"] == s.l3
     assert doc["total_bits"] == s.total_bits
     assert doc["transmitted"] == {"b1": 1, "b2": 0, "b3": 4}
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1, 1, 0, 1], [1, 1, 0, 0, 0], [0, 0, 1, 1, 1], [1, 0, 0, 1, 0]],
+    [[0, 1], [0, 1]],  # escape path
+])
+def test_compress_stats_json_walks_once(tmp_path, capsys, monkeypatch, rows):
+    p = make_block(rows)
+    src, box, sj = (tmp_path / name for name in ("g.txt", "g.tcse", "g.json"))
+    write_grid(str(src), p)
+    runs = []
+    run = Walk.run
+    monkeypatch.setattr(Walk, "run", lambda walk: runs.append(1) or run(walk))
+    assert main(["compress", "-i", str(src), "-o", str(box),
+                 "--stats-json", str(sj)]) == 0
+    assert len(runs) == (0 if box.read_bytes()[7] & 0x01 else 1)
+    assert box.read_bytes() == compress(p)
+    capsys.readouterr()
+    assert main(["stats", "-i", str(src)]) == 0
+    assert sj.read_text() == capsys.readouterr().out
 
 
 def test_stats_escape_path(tmp_path, capsys):

@@ -13,6 +13,7 @@ from torus_cse.bits import elias_delta_length
 from torus_cse.blocks import Block, from_numpy, is_primitive, make_block
 from torus_cse.codec import (FLAG_ESCAPE, HEADER_LEN, MAGIC, VERSION,
                              CodewordStats, compress, decompress, stats)
+from torus_cse.engine import Truth, Walk
 from torus_cse.errors import (BadMagicError, InconsistentCountsError,
                               NotPrimitiveError, TorusCseError,
                               TruncatedStreamError, UnsupportedVersionError)
@@ -215,11 +216,22 @@ def test_decompress_rejects_escape_symbol_overflow():
 
 # ---- fault injection ----
 
+def _interior_readout_block():
+    """12x12 Bernoulli(0.3) grid that the decoder reads off size (4,6),
+    so its consistency checks run on tables short of the full size."""
+    g = np.random.default_rng(0).choice(2, size=(12, 12), p=[0.7, 0.3])
+    walk = Walk(12, 12, 2, truth=Truth(g), sink=lambda *a: None)
+    walk.run()
+    assert walk.readout[0] == (4, 6)
+    return from_numpy(g, alphabet=2)
+
+
 def test_bit_flips_fail_loudly_or_decode_to_some_block():
     corpus = [P2,
               make_block([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
               from_numpy(np.random.default_rng(51).integers(0, 2, size=(6, 6)),
-                         alphabet=2)]
+                         alphabet=2),
+              _interior_readout_block()]
     for p in corpus:
         c = compress(p)
         for bit in range(8 * len(c)):
@@ -239,6 +251,7 @@ def test_truncations_fail_loudly_or_decode_to_some_block():
         rng = np.random.default_rng(19)
         corpus.append(from_numpy(
             rng.choice(2, size=(side, side), p=[0.7, 0.3]), alphabet=2))
+    corpus.append(_interior_readout_block())
     for p in corpus:
         c = compress(p)
         for cut in range(HEADER_LEN, len(c)):

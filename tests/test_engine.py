@@ -182,3 +182,83 @@ def test_transmissions_stop_once_settled():
     assert is_primitive(from_numpy(g, alphabet=2))
     records = encode_records(g, 2)
     assert all(k * l < 100 for k, l, *_ in records)
+
+
+# ---- settled frontier and readout size ----
+
+def frontier_walk(g, alphabet):
+    """Encoder walk of g, checked against the grid's census: a table is
+    built at exactly the sizes that are not settled, a readout size is
+    recorded, and the grid reads back off it."""
+    m, n = g.shape
+    truth = Truth(g)
+    walk = Walk(m, n, alphabet, truth=truth, sink=lambda *a: None)
+    walk.run()
+
+    def once(k, l):
+        return bool(truth.counts(k, l).max() == 1)
+
+    full = {(k, l) for k in range(1, m + 1) for l in range(1, n + 1)
+            if not ((l >= 3 and once(k, l - 2)) or (k >= 3 and once(k - 2, l)))}
+    assert set(walk.max1) == full
+    assert walk.readout is not None
+    assert walk.readout[0] in full
+    assert np.array_equal(walk.member_grid(truth.rank), g)
+    return walk
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4)])
+def test_readout_exhaustive_binary(m, n):
+    checked = 0
+    for g in all_primitive_grids(m, n):
+        frontier_walk(g, 2)
+        checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("alphabet", [2, 4, 16])
+def test_readout_seeded(alphabet):
+    rng = np.random.default_rng(alphabet)
+    checked = 0
+    for m in (2, 5, 9, 16):
+        for n in (3, 8, 13, 16):
+            g = rng.integers(0, alphabet, size=(m, n))
+            if is_primitive(from_numpy(g, alphabet=alphabet)):
+                frontier_walk(g, alphabet)
+                checked += 1
+    assert checked >= 12
+
+
+def test_near_periodic_tile_reads_out_at_full_size():
+    rng = np.random.default_rng(8)
+    g = np.tile(rng.integers(0, 2, size=(4, 8)), (8, 4))
+    g[5, 19] ^= 1  # breaks every nontrivial shift symmetry
+    walk = frontier_walk(g, 2)
+    assert walk.readout[0] == (32, 32)
+
+
+def interior_readout_walk():
+    g = np.random.default_rng(0).choice(2, size=(12, 12), p=[0.7, 0.3])
+    truth = Truth(g)
+    walk = Walk(12, 12, 2, truth=truth, sink=lambda *a: None)
+    walk.run()
+    K, L = walk.readout[0]
+    assert K < 12 and L < 12
+    return g, truth, walk
+
+
+def test_member_grid_every_rank_from_interior_readout():
+    g, truth, walk = interior_readout_walk()
+    ids = truth.ids(12, 12)
+    for i in range(12):
+        for j in range(12):
+            want = np.roll(g, (-i, -j), axis=(0, 1))
+            assert np.array_equal(walk.member_grid(int(ids[i, j])), want)
+
+
+def test_member_grid_rejects_links_that_do_not_tile():
+    _, truth, walk = interior_readout_walk()
+    tab = walk.readout[1]
+    tab.sc[[0, 1]] = tab.sc[[1, 0]]
+    with pytest.raises(InconsistentCountsError, match=r"size \(\d+,\d+\)"):
+        walk.member_grid(truth.rank)
