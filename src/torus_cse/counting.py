@@ -1,9 +1,10 @@
 """Occurrence counting for torus windows, and the candidate machinery.
 
 The ledger maps every window size (k, l) with 1 <= k <= m, 1 <= l <= n to the
-finite table of windows that actually occur, with their anchor counts.  Three
-exact identities tie the tables together and are what the decoder later
-exploits:
+finite table of windows that actually occur, with their anchor counts, read
+off the grid's ``Census``.  Three exact identities tie the tables together and
+are what the decoder later exploits (``verify.check_count_identities`` checks
+them on the census ids):
 
 * the counts at any single size sum to m*n;
 * dropping the last column groups a size's counts into families that sum to
@@ -12,18 +13,18 @@ exploits:
 
 ``candidates`` enumerates, for one size, every window whose count could be
 nonzero judging only from smaller sizes: joins of overlapping positive slabs
-along either axis.  The codec walks exactly this set, so enumerating it from
-finalized smaller tables (never from the block itself) keeps the encoder and
-decoder in lockstep.
+along either axis.  The reference walk in ``oracle`` and the id-space walk in
+``engine`` both visit exactly this set; enumerating it from finalized smaller
+tables (never from the block itself) keeps the encoder and decoder in
+lockstep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
-from .blocks import Block, Census, concat, interior_cols, interior_rows, trim
+from .blocks import Block, Census, concat, trim
 from .errors import (
     EmptyBlockError,
     LedgerIncompleteError,
@@ -73,9 +74,6 @@ class CountLedger:
     def total(self) -> int:
         return self.m * self.n
 
-    def is_finalized(self, k: int, l: int) -> bool:
-        return (k, l) in self.tables
-
     def table(self, k: int, l: int) -> dict[Block, int]:
         try:
             return self.tables[(k, l)]
@@ -92,94 +90,18 @@ class CountLedger:
         self.tables[(k, l)] = table
 
 
-def build_ledger(p: Block, max_k: Optional[int] = None, max_l: Optional[int] = None) -> CountLedger:
-    """Full ledger of p, optionally capped at a maximum window size.
-
-    Each table holds one block per census id, read at its first anchor.
-    """
+def build_ledger(p: Block) -> CountLedger:
+    """Full ledger of p: one block per census id, read at its first anchor."""
     if p.is_empty:
         raise EmptyBlockError("cannot build a ledger for an empty block")
     census = Census(p.to_numpy())
     led = CountLedger(p.m, p.n, p.alphabet)
-    for k in range(1, (max_k or p.m) + 1):
-        for l in range(1, (max_l or p.n) + 1):
+    for k in range(1, p.m + 1):
+        for l in range(1, p.n + 1):
             led.set_table(k, l, {
                 Block(k, l, cells, p.alphabet): int(c)
                 for cells, c in zip(census.windows(k, l), census.counts(k, l))})
     return led
-
-
-def verify_identities(ledger: CountLedger) -> list[str]:
-    """Check the sum and directional identities; returns violation messages."""
-    bad: list[str] = []
-    total = ledger.total
-    for (k, l), table in sorted(ledger.tables.items()):
-        s = sum(table.values())
-        if s != total:
-            bad.append(f"size ({k},{l}): counts sum to {s}, expected {total}")
-        if l + 1 <= ledger.n and ledger.is_finalized(k, l + 1):
-            ext = ledger.table(k, l + 1)
-            right: dict[Block, int] = {}
-            left: dict[Block, int] = {}
-            for b, c in ext.items():
-                right[trim(b, "last_col")] = right.get(trim(b, "last_col"), 0) + c
-                left[trim(b, "first_col")] = left.get(trim(b, "first_col"), 0) + c
-            for v, c in table.items():
-                if right.get(v, 0) != c:
-                    bad.append(f"size ({k},{l}): right column extension sum breaks at {v!r}")
-                if left.get(v, 0) != c:
-                    bad.append(f"size ({k},{l}): left column extension sum breaks at {v!r}")
-        if k + 1 <= ledger.m and ledger.is_finalized(k + 1, l):
-            ext = ledger.table(k + 1, l)
-            below: dict[Block, int] = {}
-            above: dict[Block, int] = {}
-            for b, c in ext.items():
-                below[trim(b, "last_row")] = below.get(trim(b, "last_row"), 0) + c
-                above[trim(b, "first_row")] = above.get(trim(b, "first_row"), 0) + c
-            for v, c in table.items():
-                if below.get(v, 0) != c:
-                    bad.append(f"size ({k},{l}): bottom row extension sum breaks at {v!r}")
-                if above.get(v, 0) != c:
-                    bad.append(f"size ({k},{l}): top row extension sum breaks at {v!r}")
-    return bad
-
-
-def in_B(b: Block, ledger: CountLedger) -> bool:
-    """Membership test: both interior trims of b occur (empty trims always do)."""
-    if b.is_empty:
-        return True
-    mid_rows = interior_rows(b)
-    if not mid_rows.is_empty and ledger.count_of(mid_rows) == 0:
-        return False
-    mid_cols = interior_cols(b)
-    if not mid_cols.is_empty and ledger.count_of(mid_cols) == 0:
-        return False
-    return True
-
-
-def is_core(w: Block, axis: str, ledger: CountLedger) -> bool:
-    """True when w extends in at least two ways on each side along axis.
-
-    axis='cols' asks for two distinct occurring left column extensions and
-    two distinct right ones; axis='rows' is the analogue with rows.
-    """
-    if axis not in ("cols", "rows"):
-        raise OversizeQueryError(f"unknown axis {axis!r}")
-    if axis == "cols":
-        k = w.m if w.m else None
-        if k is None:
-            raise EmptyBlockError("column extensions need a fixed height")
-        ext_table = ledger.table(k, w.n + 1)
-        lefts = {b.col_key[:k] for b in ext_table if trim(b, "first_col") == w}
-        rights = {b.col_key[-k:] for b in ext_table if trim(b, "last_col") == w}
-        return len(lefts) >= 2 and len(rights) >= 2
-    l = w.n if w.n else None
-    if l is None:
-        raise EmptyBlockError("row extensions need a fixed width")
-    ext_table = ledger.table(w.m + 1, l)
-    tops = {b.cells[:l] for b in ext_table if trim(b, "first_row") == w}
-    bottoms = {b.cells[-l:] for b in ext_table if trim(b, "last_row") == w}
-    return len(tops) >= 2 and len(bottoms) >= 2
 
 
 def block_caps(m: int, n: int, alphabet: int) -> tuple[int, int]:

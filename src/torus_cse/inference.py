@@ -1,4 +1,4 @@
-"""Transmit/derive planning and count reconstruction, one size at a time.
+"""Disposition rules: how each window's count reaches the decoder.
 
 Every window b at a size with width >= 2 splits as a:w:c where a and c are
 its first and last columns and w the overlap; the two slab counts N(a:w) and
@@ -7,35 +7,22 @@ Heights >= 2 give the row-wise analogue.  A window's count is transmitted
 (uniformly inside the intersected interval) only when, on every available
 axis, all four slack terms are positive and the window avoids the extremal
 first/last slab; otherwise the count is forced, zero, or recoverable from
-family sums.  ``finalize_size`` runs the resulting propagation to a fixpoint,
-which is exactly what the decoder replays.
+family sums.
 
-This module is the content-level reference: blocks are real objects and every
-rule is written out directly.  It is quadratic-ish and meant for small inputs
-and for validating the id-based engine.
+The rules are written out on real ``Block`` objects, judged from a
+``CountLedger`` of smaller sizes.  ``oracle`` applies them along the whole
+candidate walk to give the reference list of transmitted counts that the
+id-based ``engine`` is tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
-from .blocks import Block, interior_cols, interior_rows, is_primitive, rank_of, trim
-from .counting import (
-    CountLedger,
-    build_ledger,
-    candidates,
-    coding_order,
-    largest_member_column,
-    largest_member_row,
-)
-from .errors import (
-    AxisUnavailableError,
-    EmptyBlockError,
-    InconsistentCountsError,
-    NotPrimitiveError,
-    UnderdeterminedCountsError,
-)
+from .blocks import Block, interior_cols, interior_rows, trim
+from .counting import CountLedger, largest_member_column, largest_member_row
+from .errors import AxisUnavailableError, EmptyBlockError
 
 
 @dataclass(frozen=True)
@@ -96,13 +83,6 @@ def feasible_interval(b: Block, ledger: CountLedger, axis: str) -> Interval:
     return Interval(max(0, first + second - overlap), min(first, second))
 
 
-def transmit_condition(b: Block, ledger: CountLedger, axis: str) -> bool:
-    """All four slack terms positive: both slabs occur and neither saturates
-    the overlap."""
-    first, second, overlap = (_col_parts if axis == "cols" else _row_parts)(b, ledger)
-    return min(first, second, overlap - first, overlap - second) >= 1
-
-
 def transmit_interval(b: Block, ledger: CountLedger) -> Interval:
     """Intersection of the feasibility intervals over the available axes."""
     if b.m == 1 and b.n == 1:
@@ -156,189 +136,3 @@ def _column(b: Block, j: int) -> Block:
 
 def _row(b: Block, i: int) -> Block:
     return Block(1, b.n, b.cells[i * b.n:(i + 1) * b.n], b.alphabet)
-
-
-def finalize_size(
-    entries: list[tuple[Block, Disposition, Optional[int]]],
-    ledger: CountLedger,
-) -> dict[Block, int]:
-    """Resolve every count at one size from known values and family sums.
-
-    entries pair each candidate with its disposition and, where the value is
-    already pinned (transmitted, forced, zero), that value.  Derive entries
-    arrive as None and are recovered by propagating two facts to a fixpoint:
-    counts sharing a width-(l-1) or height-(k-1) slab sum to that slab's
-    count, and every count stays inside its static feasibility interval.
-    """
-    total = ledger.total
-    values: dict[Block, Optional[int]] = {}
-    bounds: dict[Block, Interval] = {}
-    for b, disp, v in entries:
-        if disp.kind in (TRANSMIT, FORCED, ZERO):
-            if v is None:
-                raise InconsistentCountsError(f"missing value for {disp.kind} entry")
-            iv = disp.interval if disp.kind == TRANSMIT else None
-            if iv is not None and v not in iv:
-                raise InconsistentCountsError(f"value {v} outside {iv}")
-            values[b] = v
-        else:
-            iv0 = transmit_interval(b, ledger)
-            # the two axis intervals can intersect to a single point even
-            # when neither axis alone pins the count
-            values[b] = iv0.lo if iv0.lo == iv0.hi else None
-            bounds[b] = iv0
-
-    if not entries:
-        raise InconsistentCountsError("no candidates at a size that must occur")
-    blocks = [b for b, _, _ in entries]
-    k, l = blocks[0].m, blocks[0].n
-
-    families: list[tuple[int, list[Block]]] = []
-    if k == 1 and l == 1:
-        families.append((total, blocks))
-    if l >= 2:
-        for edge in ("last_col", "first_col"):
-            groups: dict[Block, list[Block]] = {}
-            for b in blocks:
-                groups.setdefault(trim(b, edge), []).append(b)
-            for parent, members in groups.items():
-                families.append((ledger.count_of(parent), members))
-    if k >= 2:
-        for edge in ("last_row", "first_row"):
-            groups = {}
-            for b in blocks:
-                groups.setdefault(trim(b, edge), []).append(b)
-            for parent, members in groups.items():
-                families.append((ledger.count_of(parent), members))
-
-    changed = True
-    while changed:
-        changed = False
-        for target, members in families:
-            residual = target
-            unknowns: list[Block] = []
-            for b in members:
-                v = values[b]
-                if v is None:
-                    unknowns.append(b)
-                else:
-                    residual -= v
-            if not unknowns:
-                if residual != 0:
-                    raise InconsistentCountsError(
-                        f"family at size ({k},{l}) sums off by {residual}")
-                continue
-            if residual < 0:
-                raise InconsistentCountsError(f"family at size ({k},{l}) oversubscribed")
-            lo_sum = sum(bounds[b].lo for b in unknowns)
-            hi_sum = sum(bounds[b].hi for b in unknowns)
-            if not lo_sum <= residual <= hi_sum:
-                raise InconsistentCountsError(
-                    f"family at size ({k},{l}) cannot reach residual {residual}")
-            for b in unknowns:
-                iv = bounds[b]
-                new_lo = max(iv.lo, residual - (hi_sum - iv.hi))
-                new_hi = min(iv.hi, residual - (lo_sum - iv.lo))
-                if new_lo > new_hi:
-                    raise InconsistentCountsError(
-                        f"bounds crossed for a window at size ({k},{l})")
-                if (new_lo, new_hi) != (iv.lo, iv.hi):
-                    bounds[b] = Interval(new_lo, new_hi)
-                    changed = True
-                if new_lo == new_hi and values[b] is None:
-                    values[b] = new_lo
-                    changed = True
-
-    open_blocks = [b for b, v in values.items() if v is None]
-    if open_blocks:
-        raise UnderdeterminedCountsError(
-            f"{len(open_blocks)} counts unresolved at size ({k},{l})")
-    return {b: v for b, v in values.items() if v}
-
-
-@dataclass(frozen=True)
-class TransmitRecord:
-    """One range-coded value: which window, inside which interval."""
-
-    size: tuple[int, int]
-    block: Block
-    cls: str
-    interval: Interval
-    value: int
-
-
-@dataclass
-class BlockPlan:
-    """Everything the reference encoder decides for one block."""
-
-    m: int
-    n: int
-    alphabet: int
-    rank: int
-    transmitted: list[TransmitRecord]
-
-    def values(self) -> list[int]:
-        return [t.value for t in self.transmitted]
-
-
-def _check_plan_input(p: Block) -> None:
-    if p.m < 2 or p.n < 2:
-        raise NotPrimitiveError("planning needs both dimensions >= 2")
-    if not is_primitive(p):
-        raise NotPrimitiveError("block is not primitive")
-
-
-def plan_block(p: Block) -> BlockPlan:
-    """Walk all sizes of p, recording the transmitted values in order.
-
-    The walk keeps a second ledger grown only from decoder-visible
-    information and asserts at every size that the reconstruction matches
-    the direct counts, so a planning bug fails loudly here rather than as a
-    silent mismatch later.
-    """
-    _check_plan_input(p)
-    truth = build_ledger(p)
-    order = coding_order(p.m, p.n, p.alphabet)
-    seen = CountLedger(p.m, p.n, p.alphabet)
-    out: list[TransmitRecord] = []
-    for k, l in order.sizes:
-        entries: list[tuple[Block, Disposition, Optional[int]]] = []
-        for cand in candidates(k, l, seen):
-            disp = disposition(cand.block, seen)
-            if disp.kind == TRANSMIT:
-                v = truth.count_of(cand.block)
-                assert disp.interval is not None and v in disp.interval
-                out.append(TransmitRecord((k, l), cand.block, order.cls_of(k, l),
-                                          disp.interval, v))
-                entries.append((cand.block, disp, v))
-            elif disp.kind in (FORCED, ZERO):
-                entries.append((cand.block, disp, disp.value))
-            else:
-                entries.append((cand.block, disp, None))
-        table = finalize_size(entries, seen)
-        if table != truth.table(k, l):
-            raise InconsistentCountsError(f"size ({k},{l}) reconstruction drifted")
-        seen.set_table(k, l, table)
-    return BlockPlan(p.m, p.n, p.alphabet, rank_of(p), out)
-
-
-def rebuild_block(m: int, n: int, alphabet: int, values: Iterator[int], rank: int) -> Block:
-    """Decoder-side replay: identical walk, values pulled from the stream."""
-    order = coding_order(m, n, alphabet)
-    seen = CountLedger(m, n, alphabet)
-    for k, l in order.sizes:
-        entries: list[tuple[Block, Disposition, Optional[int]]] = []
-        for cand in candidates(k, l, seen):
-            disp = disposition(cand.block, seen)
-            if disp.kind == TRANSMIT:
-                entries.append((cand.block, disp, next(values)))
-            elif disp.kind in (FORCED, ZERO):
-                entries.append((cand.block, disp, disp.value))
-            else:
-                entries.append((cand.block, disp, None))
-        seen.set_table(k, l, finalize_size(entries, seen))
-    members = sorted(seen.table(m, n), key=lambda b: b.col_key)
-    if len(members) != m * n:
-        raise InconsistentCountsError(
-            f"expected {m * n} full-size windows, reconstructed {len(members)}")
-    return members[rank]

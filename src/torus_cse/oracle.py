@@ -1,8 +1,13 @@
-"""Brute-force ground truth at enumerable sizes.
+"""Brute-force ground truth at enumerable sizes, and the reference walk.
 
 Everything here trades speed for independence: windows are counted by
 direct wrapped comparison, classes by filtering the full J^(mn) universe.
 The enumeration guard refuses anything past ~1M candidate blocks.
+
+``transmitted_records`` is the one reference spec of what the codec sends:
+the candidate walk over every size, with each candidate's disposition and
+value read off the block's own ledger.  The id-based ``engine`` is tested
+against it record for record.
 """
 
 from __future__ import annotations
@@ -15,9 +20,9 @@ from typing import Iterator, Optional
 
 from .blocks import Block
 from .counting import B1, B2, B3, build_ledger, candidates, coding_order
-from .errors import (InconsistentCountsError, OversizeQueryError,
-                     TooLargeError)
-from .inference import TRANSMIT, disposition
+from .errors import (InconsistentCountsError, NotPrimitiveError,
+                     OversizeQueryError, TooLargeError)
+from .inference import TRANSMIT, Disposition, disposition
 
 B0 = "B0"
 
@@ -118,24 +123,41 @@ def lemma1_check(p: Block, k: int, l: int) -> bool:
 # ---- candidate schedule and prefix classes ----
 
 def _schedule(p: Block, passive_last: bool):
-    """B(p) walk order: (block, cls, transmitted) triples, empty block first.
+    """B(p) walk order: (block, cls, disposition) triples, empty block first.
 
-    passive_last moves every non-transmitted candidate behind the
-    transmitted ones of its own size; whatever a derived count needs is
-    still in place by then, so both orders constrain the same sets.
+    Every disposition is judged from the true ledger.  A size's rules read
+    only smaller sizes, so this is what a decoder that has rebuilt those
+    sizes decides too.  passive_last moves every non-transmitted candidate
+    behind the transmitted ones of its own size; whatever a derived count
+    needs is still in place by then, so both orders constrain the same sets.
     """
     led = build_ledger(p)
     order = coding_order(p.m, p.n, p.alphabet)
-    out: list[tuple[Optional[Block], str, bool]] = [(None, B0, False)]
+    out: list[tuple[Optional[Block], str, Optional[Disposition]]] = [
+        (None, B0, None)]
     for k, l in order.sizes:
-        size_steps = []
-        for cand in candidates(k, l, led):
-            d = disposition(cand.block, led)
-            size_steps.append((cand.block, cand.cls, d.kind == TRANSMIT))
+        size_steps = [(cand.block, cand.cls, disposition(cand.block, led))
+                      for cand in candidates(k, l, led)]
         if passive_last:
-            size_steps.sort(key=lambda step: not step[2])
+            size_steps.sort(key=lambda step: step[2].kind != TRANSMIT)
         out.extend(size_steps)
     return led, out
+
+
+def transmitted_records(p: Block) -> list[tuple[int, int, str, int, int, int]]:
+    """Reference list of p's range-coded counts, in walk order.
+
+    Each record is (k, l, cls, lo, hi, value): the window size, its class,
+    the inclusive interval the count is coded in, and the true count.  No
+    enumeration guard applies; the walk reads only p's own ledger.
+    """
+    if p.m < 2 or p.n < 2:
+        raise NotPrimitiveError("coding needs both dimensions >= 2")
+    if not _is_primitive_cells(p.cells, p.m, p.n):
+        raise NotPrimitiveError("block is not primitive")
+    led, sched = _schedule(p, passive_last=False)
+    return [(b.m, b.n, cls, d.interval.lo, d.interval.hi, led.count_of(b))
+            for b, cls, d in sched if d is not None and d.kind == TRANSMIT]
 
 
 def prefix_blocks(p: Block) -> tuple[Optional[Block], ...]:
@@ -174,7 +196,8 @@ def _run_prefix(p: Block, upto: Optional[int], passive_last: bool):
     steps: list[RatioStep] = []
     censuses: dict[tuple, dict[tuple, int]] = {}
     cen_size: Optional[tuple[int, int]] = None
-    for b, cls, transmitted in sched[:upto]:
+    for b, cls, d in sched[:upto]:
+        transmitted = d is not None and d.kind == TRANSMIT
         if b is None:
             # empty window: every torus scores mn, nothing to filter
             steps.append(RatioStep(None, cls, transmitted,

@@ -2,20 +2,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_cse.blocks import Block, empty_block, make_block
+from torus_cse.blocks import Census, empty_block, make_block
 from torus_cse.counting import (
+    CountLedger,
     block_caps,
     build_ledger,
     candidates,
     coding_order,
     count,
-    in_B,
-    is_core,
     largest_member_column,
     largest_member_row,
-    verify_identities,
 )
 from torus_cse.errors import LedgerIncompleteError, OversizeQueryError
+from torus_cse.verify import census_identities, check_count_identities
 
 P2 = make_block([[0, 1], [1, 1]], 2)
 P4 = make_block([[0, 1, 1], [1, 1, 1]], 2)
@@ -90,50 +89,28 @@ class TestLedger:
         assert led.count_of(empty_block(0, 1, 2)) == 4
 
     def test_unfinalized_size_raises(self):
-        led = build_ledger(P4, max_k=1, max_l=2)
         with pytest.raises(LedgerIncompleteError):
-            led.table(2, 1)
+            CountLedger(2, 3, 2).table(2, 1)
 
+    # the identities are checked on the census ids the ledger is read from
     def test_identities_hold(self):
-        assert verify_identities(build_ledger(P4)) == []
+        assert check_count_identities(P4) == []
 
     def test_identities_catch_corruption(self):
-        led = build_ledger(P2)
-        tbl = led.table(1, 1)
-        tbl[make_block([[0]], 2)] += 1
-        msgs = verify_identities(led)
+        census = Census(P2.to_numpy())
+        census.counts(1, 1)[0] += 1
+        msgs = census_identities(census)
         assert any("sum" in m for m in msgs)
+        census = Census(P4.to_numpy())
+        census.counts(2, 2)[0] += 1
+        msgs = census_identities(census)
+        assert "size (1,2): bottom row extension sum breaks at id 0" in msgs
+        assert "size (2,1): right column extension sum breaks at id 0" in msgs
 
     @given(grids(4, 4))
     @settings(max_examples=25, deadline=None)
     def test_identities_on_random_blocks(self, rows):
-        assert verify_identities(build_ledger(make_block(rows, 2))) == []
-
-
-class TestMembershipAndCores:
-    def test_small_blocks_always_members(self):
-        led = build_ledger(P2)
-        for b in led.table(2, 2):
-            assert in_B(b, led)
-        assert in_B(make_block([[0]], 2), led)
-
-    def test_interior_gate(self):
-        # interior single of the probe never occurs on the all-ones torus
-        led = build_ledger(make_block([[1, 1], [1, 1]], 2))
-        assert not in_B(make_block([[1], [0], [1]], 2), led)
-        assert in_B(make_block([[1], [1], [1]], 2), led)
-
-    def test_core_needs_two_sided_branching(self):
-        led = build_ledger(P4)
-        # only [1,0] extends [0] on the left, so [0] is not a column core
-        assert not is_core(make_block([[0]], 2), "cols", led)
-        assert is_core(make_block([[1]], 2), "cols", led)
-
-    def test_empty_core_counts_distinct_columns(self):
-        led = build_ledger(P2)
-        assert is_core(empty_block(1, 0, 2), "cols", led)
-        led_const = build_ledger(make_block([[0, 0], [0, 0]], 2))
-        assert not is_core(empty_block(1, 0, 2), "cols", led_const)
+        assert check_count_identities(make_block(rows, 2)) == []
 
 
 class TestOrderAndCaps:

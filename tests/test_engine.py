@@ -1,4 +1,4 @@
-"""Array walker vs the reference planner, and decoder-side replay."""
+"""Array walker vs the oracle's reference walk, and decoder-side replay."""
 
 import itertools
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from torus_cse.blocks import from_numpy, is_primitive, rank_of
 from torus_cse.engine import Truth, Walk
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
-from torus_cse.inference import plan_block
+from torus_cse.oracle import transmitted_records
 
 
 def encode_records(grid, alphabet):
@@ -46,19 +46,38 @@ def all_primitive_grids(m, n, alphabet=2):
             yield g
 
 
-@pytest.mark.parametrize("m,n", [(2, 2), (2, 3), (3, 2), (3, 3)])
-def test_matches_reference_exhaustive_binary(m, n):
+@pytest.mark.parametrize("m,n,alphabet,step", [
+    (2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 2, 1), (3, 3, 2, 1),
+    (2, 4, 2, 1), (4, 2, 2, 1), (2, 3, 4, 31),
+], ids=["2-2", "2-3", "3-2", "3-3", "2-4", "4-2", "2-3-J4-every31"])
+def test_matches_reference_exhaustive_binary(m, n, alphabet, step):
     checked = 0
-    for g in all_primitive_grids(m, n):
-        p = from_numpy(g, alphabet=2)
-        got = encode_records(g, 2)
-        want = [(t.size[0], t.size[1], t.cls, t.interval.lo, t.interval.hi, t.value)
-                for t in plan_block(p).transmitted]
-        assert got == want
-        back = decode_grid(m, n, 2, got, rank_of(p))
+    for g in itertools.islice(all_primitive_grids(m, n, alphabet), 0, None, step):
+        p = from_numpy(g, alphabet=alphabet)
+        got = encode_records(g, alphabet)
+        assert got == transmitted_records(p)
+        back = decode_grid(m, n, alphabet, got, rank_of(p))
         assert np.array_equal(back, g)
         checked += 1
     assert checked > 0
+
+
+@pytest.mark.parametrize("shape,alphabet,seed", [
+    ((8, 8), 2, 1),
+    ((6, 9), 4, 2),
+    ((9, 7), 16, 13),
+])
+def test_matches_reference_past_the_frontier(shape, alphabet, seed):
+    # the engine builds only the sizes below the settled frontier; the
+    # reference walks every size, so any transmission past the frontier
+    # would show up as a missing record
+    g = np.random.default_rng(seed).integers(0, alphabet, size=shape)
+    p = from_numpy(g, alphabet=alphabet)
+    assert is_primitive(p), "seed chosen to give a primitive block"
+    walk = Walk(*shape, alphabet, truth=Truth(g), sink=lambda *a: None)
+    walk.run()
+    assert len(walk.max1) < shape[0] * shape[1]
+    assert encode_records(g, alphabet) == transmitted_records(p)
 
 
 def test_roundtrip_ternary_2x2_exhaustive():
@@ -82,9 +101,7 @@ def test_roundtrip_random_small(data):
     if not is_primitive(p):
         return
     records = encode_records(g, alphabet)
-    want = [(t.size[0], t.size[1], t.cls, t.interval.lo, t.interval.hi, t.value)
-            for t in plan_block(p).transmitted]
-    assert records == want
+    assert records == transmitted_records(p)
     assert np.array_equal(decode_grid(m, n, alphabet, records, rank_of(p)), g)
 
 

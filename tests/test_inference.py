@@ -1,15 +1,14 @@
-"""Feasibility intervals, dispositions, and full coding-plan round-trips."""
+"""Feasibility intervals, dispositions, the oracle's transmitted records, and
+the engine decoder replaying them."""
 
 import itertools
 
 import pytest
 
-from torus_cse.blocks import is_primitive, make_block, rank_of
-from torus_cse.errors import (
-    InconsistentCountsError,
-    NotPrimitiveError,
-)
+from torus_cse.blocks import from_numpy, is_primitive, make_block, rank_of
 from torus_cse.counting import B1, B3, build_ledger, coding_order
+from torus_cse.errors import NotPrimitiveError
+from torus_cse.engine import Walk
 from torus_cse.inference import (
     DERIVE,
     FORCED,
@@ -18,12 +17,9 @@ from torus_cse.inference import (
     Interval,
     disposition,
     feasible_interval,
-    finalize_size,
-    plan_block,
-    rebuild_block,
-    transmit_condition,
     transmit_interval,
 )
+from torus_cse.oracle import transmitted_records
 
 P2 = make_block([[0, 1], [1, 1]])
 P4 = make_block([[0, 1, 1], [1, 1, 1]])
@@ -38,6 +34,21 @@ def all_blocks(m, n, alphabet=2):
 
 def primitive_blocks(m, n, alphabet=2):
     return [p for p in all_blocks(m, n, alphabet) if is_primitive(p)]
+
+
+def rebuild(p):
+    """Decode the reference walk's transmitted values with the engine decoder."""
+    stream = iter(transmitted_records(p))
+
+    def pull(k, l, cls, lo, hi):
+        rk, rl, rcls, rlo, rhi, value = next(stream)
+        assert (rk, rl, rcls, rlo, rhi) == (k, l, cls, lo, hi)
+        return value
+
+    walk = Walk(p.m, p.n, p.alphabet, pull=pull)
+    walk.run()
+    assert next(stream, None) is None, "decoder consumed too few values"
+    return from_numpy(walk.member_grid(rank_of(p)), alphabet=p.alphabet)
 
 
 class TestIntervals:
@@ -61,11 +72,6 @@ class TestIntervals:
     def test_single_cell_interval_spans_total(self):
         led = build_ledger(P2)
         assert transmit_interval(make_block([[0]]), led) == Interval(0, 3)
-
-    def test_condition_matches_slack(self):
-        led = build_ledger(P4)
-        assert not transmit_condition(make_block([[1, 0, 1]]), led, "cols")
-        assert transmit_condition(make_block([[0, 1, 0]]), led, "cols")
 
 
 class TestDispositions:
@@ -93,84 +99,45 @@ class TestDispositions:
         assert d == Disposition(TRANSMIT, interval=Interval(0, 1))
 
 
-class TestFinalize:
-    def test_single_unknown_family(self):
-        led = build_ledger(P2)
-        entries = [
-            (make_block([[0, 0]]), Disposition(TRANSMIT, interval=Interval(0, 1)), 0),
-            (make_block([[0, 1]]), Disposition(DERIVE, axis="cols"), None),
-            (make_block([[1, 0]]), Disposition(DERIVE, axis="cols"), None),
-            (make_block([[1, 1]]), Disposition(DERIVE, axis="cols"), None),
-        ]
-        table = finalize_size(entries, led)
-        assert table == {
-            make_block([[0, 1]]): 1,
-            make_block([[1, 0]]): 1,
-            make_block([[1, 1]]): 2,
-        }
-
-    def test_oversubscribed_family_rejected(self):
-        led = build_ledger(P2)
-        # both members of the trim-last-col family under N([[0]])=1 claim 1
-        entries = [
-            (make_block([[0, 0]]), Disposition(TRANSMIT, interval=Interval(0, 1)), 1),
-            (make_block([[0, 1]]), Disposition(TRANSMIT, interval=Interval(0, 1)), 1),
-            (make_block([[1, 0]]), Disposition(DERIVE, axis="cols"), None),
-            (make_block([[1, 1]]), Disposition(DERIVE, axis="cols"), None),
-        ]
-        with pytest.raises(InconsistentCountsError):
-            finalize_size(entries, led)
-
-    def test_value_outside_interval_rejected(self):
-        led = build_ledger(P2)
-        entries = [
-            (make_block([[0, 0]]), Disposition(TRANSMIT, interval=Interval(0, 1)), 2),
-        ]
-        with pytest.raises(InconsistentCountsError):
-            finalize_size(entries, led)
-
-
 class TestPlan:
+    # the oracle's reference walk: (k, l, cls, lo, hi, value) per transmission
     def test_p2_transmitted_sequence(self):
-        plan = plan_block(P2)
-        got = [(r.size, r.block, r.cls, r.interval, r.value)
-               for r in plan.transmitted]
-        assert got == [
-            ((1, 1), make_block([[0]]), B1, Interval(0, 3), 1),
-            ((1, 2), make_block([[0, 0]]), B3, Interval(0, 1), 0),
-            ((2, 1), make_block([[0], [0]]), B3, Interval(0, 1), 0),
-            ((2, 2), make_block([[0, 1], [1, 0]]), B3, Interval(0, 1), 0),
-            ((2, 2), make_block([[1, 0], [0, 1]]), B3, Interval(0, 1), 0),
+        assert transmitted_records(P2) == [
+            (1, 1, B1, 0, 3, 1),
+            (1, 2, B3, 0, 1, 0),
+            (2, 1, B3, 0, 1, 0),
+            (2, 2, B3, 0, 1, 0),
+            (2, 2, B3, 0, 1, 0),
         ]
-        assert plan.rank == rank_of(P2)
 
     def test_p4_early_sizes(self):
-        plan = plan_block(P4)
         by_size = {}
-        for r in plan.transmitted:
-            by_size.setdefault(r.size, []).append(r)
-        assert [(r.block, r.value) for r in by_size[(1, 1)]] == [
-            (make_block([[0]]), 1)]
-        assert [(r.block, r.value) for r in by_size[(1, 2)]] == [
-            (make_block([[0, 0]]), 0)]
-        assert [(r.block, r.value) for r in by_size[(1, 3)]] == [
-            (make_block([[0, 1, 0]]), 0)]
+        for k, l, cls, lo, hi, v in transmitted_records(P4):
+            by_size.setdefault((k, l), []).append((cls, lo, hi, v))
+        assert by_size[(1, 1)] == [(B1, 0, 5, 1)]
+        assert by_size[(1, 2)] == [(B3, 0, 1, 0)]
+        assert by_size[(1, 3)] == [(B3, 0, 1, 0)]
+        # the one (1,3) transmission is the window [0 1 0]
+        led = build_ledger(P4)
+        assert disposition(make_block([[0, 1, 0]]), led) == Disposition(
+            TRANSMIT, interval=Interval(0, 1))
+        assert led.count_of(make_block([[0, 1, 0]])) == 0
 
     def test_rejects_non_primitive(self):
         with pytest.raises(NotPrimitiveError):
-            plan_block(make_block([[0, 1], [0, 1]]))
+            transmitted_records(make_block([[0, 1], [0, 1]]))
         with pytest.raises(NotPrimitiveError):
-            plan_block(make_block([[0, 1]]))
+            transmitted_records(make_block([[0, 1]]))
 
     def test_plan_values_lie_in_intervals(self):
         for p in primitive_blocks(2, 3):
-            for r in plan_block(p).transmitted:
-                assert r.value in r.interval
+            for _, _, _, lo, hi, v in transmitted_records(p):
+                assert lo <= v <= hi
 
     def test_b1_count_is_alphabet_minus_one(self):
         for p in primitive_blocks(2, 2, alphabet=3)[:20]:
-            plan = plan_block(p)
-            assert sum(1 for r in plan.transmitted if r.cls == B1) == 2
+            records = transmitted_records(p)
+            assert sum(1 for r in records if r[2] == B1) == 2
 
 
 class TestRoundTrip:
@@ -179,9 +146,7 @@ class TestRoundTrip:
         m, n = shape
         seen = 0
         for p in primitive_blocks(m, n):
-            plan = plan_block(p)
-            got = rebuild_block(m, n, 2, iter(plan.values()), plan.rank)
-            assert got == p
+            assert rebuild(p) == p
             seen += 1
         assert seen > 0
 
@@ -190,24 +155,20 @@ class TestRoundTrip:
         m, n = shape
         pool = primitive_blocks(m, n)
         for p in pool[::7]:
-            plan = plan_block(p)
-            assert rebuild_block(m, n, 2, iter(plan.values()), plan.rank) == p
+            assert rebuild(p) == p
 
     def test_exhaustive_ternary_2x2(self):
         for p in primitive_blocks(2, 2, alphabet=3):
-            plan = plan_block(p)
-            assert rebuild_block(2, 2, 3, iter(plan.values()), plan.rank) == p
+            assert rebuild(p) == p
 
     def test_sampled_quaternary_2x3(self):
         pool = primitive_blocks(2, 3, alphabet=4)
         for p in pool[::31]:
-            plan = plan_block(p)
-            assert rebuild_block(2, 3, 4, iter(plan.values()), plan.rank) == p
+            assert rebuild(p) == p
 
 
 class TestOrderCoverage:
     def test_coding_order_covers_plan_sizes(self):
-        plan = plan_block(P4)
         order = coding_order(2, 3, 2)
-        sizes = {r.size for r in plan.transmitted}
+        sizes = {(k, l) for k, l, *_ in transmitted_records(P4)}
         assert sizes <= set(order.sizes)
