@@ -27,11 +27,14 @@ class BitWriter:
         self.write_bits(bit, 1)
 
     def write_bytes(self, data: bytes) -> None:
+        """Append whole bytes, at any bit alignment, in one step."""
         if self._nacc == 0:
             self._done.extend(data)
-        else:
-            for b in data:
-                self.write_bits(b, 8)
+            return
+        # the pending bits lead; the last _nacc bits of data stay pending
+        acc = (self._acc << (8 * len(data))) | int.from_bytes(data, "big")
+        self._done.extend((acc >> self._nacc).to_bytes(len(data), "big"))
+        self._acc = acc & ((1 << self._nacc) - 1)
 
     @property
     def bit_length(self) -> int:
@@ -73,10 +76,22 @@ class BitReader:
     def read_bit(self) -> int:
         return self.read_bits(1)
 
-    def read_byte_padded(self) -> int:
-        """Next 8 bits, acting as if the stream had infinite trailing zeros."""
-        take = min(8, self.remaining)
-        return self.read_bits(take) << (8 - take) if take else 0
+    def tail_bytes(self) -> bytes:
+        """The unread bits realigned to bytes, the last one zero-padded.
+
+        The cursor does not move.
+        """
+        left = self.remaining
+        if left <= 0:
+            return b""
+        first = self._pos >> 3
+        span = self._data[first:(self._nbits + 7) >> 3]
+        # drop the bits read before the cursor and any past bit_length
+        tail = ((int.from_bytes(span, "big") >> (8 * len(span) - self._nbits
+                                                  + 8 * first))
+                & ((1 << left) - 1))
+        nbytes = (left + 7) >> 3
+        return (tail << (8 * nbytes - left)).to_bytes(nbytes, "big")
 
 
 def elias_delta_length(v: int) -> int:

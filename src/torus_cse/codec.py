@@ -11,7 +11,9 @@ total function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from functools import partial, reduce
 
 import numpy as np
 
@@ -102,9 +104,14 @@ def _compress_escape(p: Block) -> bytes:
     elias_delta_encode(p.m, bw)
     elias_delta_encode(p.n, bw)
     cb = _cell_bits(p.alphabet)
-    for row in p.rows:
-        for cell in row:
-            bw.write_bits(cell, cb)
+    # every cell's cb bits, most significant first, row-major
+    bits = (p.to_numpy().reshape(-1, 1) >> np.arange(cb - 1, -1, -1,
+                                                       dtype=np.uint8)) & 1
+    packed = np.packbits(bits).tobytes()
+    whole, rest = divmod(cb * p.size, 8)
+    bw.write_bytes(packed[:whole])
+    if rest:
+        bw.write_bits(packed[whole] >> (8 - rest), rest)
     return _container(FLAG_ESCAPE, p.alphabet, bw)
 
 
@@ -116,15 +123,16 @@ def _encode(p: Block, truth: Truth) -> tuple[bytes, CodewordStats]:
     txcnt = {B1: 0, B2: 0, B3: 0}
     per_size: dict = {}
 
-    def sink(k, l, cls, lo, hi, value):
-        width = hi - lo + 1
-        rc.encode(value - lo, width)
-        ideal[cls] += math.log2(width)
-        txcnt[cls] += 1
-        per_size[(k, l)] = per_size.get((k, l), 0) + 1
+    def sink(k, l, cls, lo, hi, values):
+        widths = (hi - lo + 1).tolist()
+        rc.encode((values - lo).tolist(), widths)
+        # summed one width at a time, in coding order
+        ideal[cls] = reduce(operator.add, map(math.log2, widths), ideal[cls])
+        txcnt[cls] += len(widths)
+        per_size[(k, l)] = per_size.get((k, l), 0) + len(widths)
 
     Walk(p.m, p.n, p.alphabet, truth=truth, sink=sink).run()
-    rc.encode(truth.rank, _rank_width(p.size))
+    rc.encode([truth.rank], [_rank_width(p.size)])
     payload = rc.flush()
     bw = BitWriter()
     elias_delta_encode(p.m, bw)
@@ -163,23 +171,31 @@ def decompress(data: bytes) -> Block:
 
     if flags & FLAG_ESCAPE:
         cb = _cell_bits(alphabet)
-        cells = [rd.read_bits(cb) for _ in range(m * n)]
-        if any(c >= alphabet for c in cells):
+        need = cb * m * n
+        if rd.remaining < need:
+            raise TruncatedStreamError(
+                f"escape payload needs {need} bits, {rd.remaining} left")
+        bits = np.unpackbits(np.frombuffer(rd.tail_bytes(), dtype=np.uint8),
+                             count=need)
+        # each cell's cb bits, left-aligned in one byte
+        grid = (np.packbits(bits.reshape(m * n, cb), axis=1)[:, 0]
+                >> (8 - cb)).reshape(m, n)
+        if grid.max() >= alphabet:
             raise InconsistentCountsError("escape cell outside the alphabet")
-        grid = np.array(cells, dtype=np.int64).reshape(m, n)
         return from_numpy(grid, alphabet)
 
     if m < 2 or n < 2:
         raise InconsistentCountsError(
             "coded payload needs both dimensions at least 2")
-    dec = RangeDecoder(rd.read_byte_padded)
+    # the range decoder reads zeros past the end of the payload
+    dec = RangeDecoder(partial(next, iter(rd.tail_bytes()), 0))
 
     def pull(k, l, cls, lo, hi):
-        return lo + dec.decode(hi - lo + 1)
+        return lo + np.array(dec.decode((hi - lo + 1).tolist()), dtype=np.int64)
 
     walk = Walk(m, n, alphabet, pull=pull)
     walk.run()
-    rank = dec.decode(_rank_width(m * n))
+    [rank] = dec.decode([_rank_width(m * n)])
     return from_numpy(walk.member_grid(rank), alphabet)
 
 

@@ -18,6 +18,15 @@ shift links are known, because (K, L-1) is all-distinct or L = n, and
 (K-1, L) is all-distinct or K = m.  Its right and down links lay out every
 anchor's id, and so one torus shift of the grid.  The (m, n) ids of that
 shift's `Census` then say which shift carries the transmitted rank.
+
+Transmitted counts cross the walk's boundary a size at a time.  The encoder
+calls `sink(k, l, cls, lo, hi, values)` and the decoder calls
+`pull(k, l, cls, lo, hi) -> values`, with int64 arrays in canonical
+candidate order: once for the J-1 single-symbol counts at (1, 1), then once
+per size that transmits at least one count.  The decoder checks a pulled
+batch against its intervals in one step; a batch of the wrong length or
+with a value outside [lo, hi] raises `InconsistentCountsError` naming the
+size.
 """
 
 from __future__ import annotations
@@ -82,20 +91,24 @@ def _row_lookup(tab: _Table, a: np.ndarray, b: np.ndarray, space: int):
     return np.where(ok, perm[np.maximum(ids, 0)], -1), ok
 
 
-def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray):
+def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,
+                   ngroups: int):
     """Per probe, the contiguous run of positions whose group matches.
 
-    `group_of` must be ascending.  Returns (left index repeated per match,
-    matched positions mapped through `order` when given).
+    `group_of` must be ascending over the dense ids 0..ngroups-1, so each
+    group's run starts at the exclusive cumsum of the group sizes.  Returns
+    (left index repeated per match, matched positions mapped through
+    `order` when given).
     """
-    starts = np.searchsorted(group_of, probes, side="left")
-    ends = np.searchsorted(group_of, probes, side="right")
-    runs = ends - starts
+    sizes = np.bincount(group_of, minlength=ngroups)
+    first = np.cumsum(sizes) - sizes
+    runs = sizes[probes]
+    starts = first[probes]
     total = int(runs.sum())
     left = np.repeat(np.arange(len(probes), dtype=np.int64), runs)
     if total == 0:
         return left, np.zeros(0, dtype=np.int64)
-    offs = np.concatenate(([0], np.cumsum(runs)[:-1]))
+    offs = np.cumsum(runs) - runs
     member = np.arange(total, dtype=np.int64) - offs[left] + starts[left]
     return left, order[member] if order is not None else member
 
@@ -159,14 +172,14 @@ class Walk:
 
     def _build_11(self) -> None:
         mn, J = self.mn, self.J
+        lo = np.zeros(J - 1, dtype=np.int64)
+        hi = np.full(J - 1, mn - 1, dtype=np.int64)
         if self.truth is not None:
             counts = self.truth.single_counts(J)
-            for s in range(J - 1):
-                self.sink(1, 1, B1, 0, mn - 1, int(counts[s]))
+            self.sink(1, 1, B1, lo, hi, counts[:-1])
         else:
             counts = np.zeros(J, dtype=np.int64)
-            for s in range(J - 1):
-                counts[s] = self.pull(1, 1, B1, 0, mn - 1)
+            counts[:-1] = self._pulled(1, 1, B1, lo, hi)
             counts[J - 1] = mn - counts[:-1].sum()
         if counts[J - 1] < 0 or counts[J - 1] > mn - 1:
             raise InconsistentCountsError("single counts do not sum to the area")
@@ -273,7 +286,8 @@ class Walk:
             cand_s = np.repeat(np.arange(ns, dtype=np.int64), ns)
             cand_t = np.tile(np.arange(ns, dtype=np.int64), ns)
             return cand_s, cand_t
-        return _expand_groups(None, s_tab.pi_c, s_tab.sc)
+        return _expand_groups(None, s_tab.pi_c, s_tab.sc,
+                              len(self.cnts[(k, l - 2)]))
 
     def _row_pairs(self, k, l):
         u_tab = self.tabs[(k - 1, l)]
@@ -282,10 +296,11 @@ class Walk:
             cand_u = np.repeat(np.arange(nu, dtype=np.int64), nu)
             cand_d = np.tile(np.arange(nu, dtype=np.int64), nu)
             return cand_u, cand_d
+        nv = len(self.cnts[(k - 2, l)])
         if l == 1:
-            return _expand_groups(None, u_tab.pi_r, u_tab.sg)
+            return _expand_groups(None, u_tab.pi_r, u_tab.sg, nv)
         rk_sorted, perm = u_tab.rowkey(self.tabs[(1, l)].n)
-        return _expand_groups(perm, u_tab.pi_r[perm], u_tab.sg)
+        return _expand_groups(perm, u_tab.pi_r[perm], u_tab.sg, nv)
 
     def _orientation(self, k, l) -> str:
         if l == 1:
@@ -403,29 +418,37 @@ class Walk:
                 f"forced count outside its interval at size ({k},{l})")
         return lo, hi, forced, excl & (col_ok & row_ok)
 
+    def _pulled(self, k, l, cls, lo, hi) -> np.ndarray:
+        """One size's transmitted counts from `pull`, checked in one step."""
+        values = np.asarray(self.pull(k, l, cls, lo, hi), dtype=np.int64)
+        if values.shape != lo.shape:
+            raise InconsistentCountsError(
+                f"pulled {values.size} counts for {lo.size} at size ({k},{l})")
+        if ((values < lo) | (values > hi)).any():
+            raise InconsistentCountsError(
+                f"decoded count outside its interval at size ({k},{l})")
+        return values
+
     def _resolve(self, k, l, f, probe, lo, hi, forced, excl):
         """Fill in every candidate count; transmit the undetermined ones."""
         cls = self._cls(k, l)
         transmit = (forced < 0) & ~excl
         t_idx = np.flatnonzero(transmit)
 
+        lo_t, hi_t = lo[t_idx], hi[t_idx]
         if self.truth is not None:
             true_vals = self.truth.counts_for(k, l, probe)
-            bad = (true_vals[t_idx] < lo[t_idx]) | (true_vals[t_idx] > hi[t_idx])
-            if bad.any():
+            sent = true_vals[t_idx]
+            if ((sent < lo_t) | (sent > hi_t)).any():
                 raise InconsistentCountsError(
                     f"true count escapes its interval at size ({k},{l})")
-            for i in t_idx:
-                self.sink(k, l, cls, int(lo[i]), int(hi[i]), int(true_vals[i]))
+            if len(t_idx):
+                self.sink(k, l, cls, lo_t, hi_t, sent)
             return true_vals
 
         values = np.where(forced >= 0, forced, np.int64(-1))
-        for i in t_idx:
-            v = self.pull(k, l, cls, int(lo[i]), int(hi[i]))
-            if not lo[i] <= v <= hi[i]:
-                raise InconsistentCountsError(
-                    f"decoded count outside its interval at size ({k},{l})")
-            values[i] = v
+        if len(t_idx):
+            values[t_idx] = self._pulled(k, l, cls, lo_t, hi_t)
 
         # the rest are derived: narrow [lo, hi] through the slab families;
         # a cross-axis intersection can pin a count before any family pass

@@ -1,8 +1,9 @@
 """Brute-force ground truth at enumerable sizes, and the reference walk.
 
 Everything here trades speed for independence: windows are counted by
-direct wrapped comparison, classes by filtering the full J^(mn) universe.
-The enumeration guard refuses anything past ~1M candidate blocks.
+direct wrapped comparison, and classes come from grouping the full J^(mn)
+primitive universe by its brute-force census, once per shape and window
+size.  The enumeration guard refuses anything past ~1M candidate blocks.
 
 ``transmitted_records`` is the one reference spec of what the codec sends:
 the candidate walk over every size, with each candidate's disposition and
@@ -15,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional
 
@@ -86,21 +88,36 @@ class TypeClass:
         return q in self.members
 
 
+@lru_cache(maxsize=1)
+def _primitive_universe(m: int, n: int, alphabet: int) -> tuple[Block, ...]:
+    return tuple(primitive_blocks(m, n, alphabet))
+
+
+def _census_key(cells, m, n, k, l) -> tuple:
+    return tuple(sorted(_census(cells, m, n, k, l).items()))
+
+
+@lru_cache(maxsize=16)
+def _census_classes(m: int, n: int, alphabet: int, k: int, l: int
+                    ) -> dict[tuple, tuple[Block, ...]]:
+    """The primitive universe of one shape grouped by its (k, l) census."""
+    groups: dict[tuple, list[Block]] = {}
+    for q in _primitive_universe(m, n, alphabet):
+        groups.setdefault(_census_key(q.cells, m, n, k, l), []).append(q)
+    return {key: tuple(members) for key, members in groups.items()}
+
+
 def type_class(p: Block, k: int, l: int) -> TypeClass:
     """Members match p's full (k, l) count table; (0, 0) means unconstrained."""
     _guard(p.m, p.n, p.alphabet)
-    constrained = k >= 1 and l >= 1
-    if constrained and (k > p.m or l > p.n):
+    if not (k >= 1 and l >= 1):
+        members = _primitive_universe(p.m, p.n, p.alphabet)
+    elif k > p.m or l > p.n:
         raise OversizeQueryError(f"window {k}x{l} exceeds block {p.m}x{p.n}")
-    ref = _census(p.cells, p.m, p.n, k, l) if constrained else None
-    members = []
-    for cells in product(range(p.alphabet), repeat=p.size):
-        if not _is_primitive_cells(cells, p.m, p.n):
-            continue
-        if ref is not None and _census(cells, p.m, p.n, k, l) != ref:
-            continue
-        members.append(Block(p.m, p.n, cells, p.alphabet))
-    return TypeClass(p, ("size", k, l), tuple(members))
+    else:
+        members = _census_classes(p.m, p.n, p.alphabet, k, l).get(
+            _census_key(p.cells, p.m, p.n, k, l), ())
+    return TypeClass(p, ("size", k, l), members)
 
 
 def lemma1_check(p: Block, k: int, l: int) -> bool:

@@ -4,6 +4,10 @@
 carry propagation.  Encoding value v in an interval of width w costs
 log2(w) bits up to rounding; the flush tail plus rounding stays under
 8 bits total for the widths this codec uses (asserted by tests).
+
+Both sides code a batch per call: `encode(values, widths)` and
+`decode(widths)` run over parallel sequences of Python ints, so a batch
+produces the same bytes as the same steps split into any other batches.
 """
 
 from __future__ import annotations
@@ -24,28 +28,35 @@ class RangeEncoder:
         self._out = bytearray()
         self._flushed = False
 
-    def encode(self, value: int, width: int) -> None:
-        """Narrow the interval to slot `value` of `width` equal parts."""
+    def encode(self, values, widths) -> None:
+        """Narrow the interval to slot `values[i]` of `widths[i]` equal
+        parts, for each i in order."""
         if self._flushed:
             raise RuntimeError("encode after flush")
-        if not 0 <= value < width:
-            raise ValueError(f"value {value} outside width {width}")
-        if width == 1:
-            return
-        if width > _BOT:
-            raise ValueError(f"width {width} exceeds coder capacity")
-        r = self._range // width
-        self._low += value * r
-        if value == width - 1:
-            self._range -= value * r
-        else:
-            self._range = r
-        while self._range < _BOT:
-            self._shift()
-            self._range <<= 8
+        low, rng = self._low, self._range
+        try:
+            for value, width in zip(values, widths, strict=True):
+                if not 0 <= value < width:
+                    raise ValueError(f"value {value} outside width {width}")
+                if width == 1:
+                    continue
+                if width > _BOT:
+                    raise ValueError(f"width {width} exceeds coder capacity")
+                r = rng // width
+                low += value * r
+                if value == width - 1:
+                    rng -= value * r
+                else:
+                    rng = r
+                while rng < _BOT:
+                    low = self._shift(low)
+                    rng <<= 8
+        finally:
+            # steps before a rejected one stay coded, as with single steps
+            self._low, self._range = low, rng
 
-    def _shift(self) -> None:
-        low = self._low
+    def _shift(self, low: int) -> int:
+        """Settle the top byte of `low`; returns `low` shifted past it."""
         if low < _TOPBYTE or low > _MASK:
             carry = low >> _BITS
             if self._started:
@@ -53,8 +64,7 @@ class RangeEncoder:
             elif carry:
                 raise AssertionError("carry into empty stream")
             if self._pending:
-                fill = (0xFF + carry) & 0xFF
-                self._out.extend(fill for _ in range(self._pending))
+                self._out.extend(bytes([(0xFF + carry) & 0xFF]) * self._pending)
                 self._pending = 0
             self._cache = (low >> (_BITS - 8)) & 0xFF
             self._started = True
@@ -62,18 +72,17 @@ class RangeEncoder:
             # top byte is 0xFF: hold it back until a carry can no longer
             # ripple through
             self._pending += 1
-        self._low = (low << 8) & _MASK
+        return (low << 8) & _MASK
 
     def flush(self) -> bytes:
         """Pick a short representative of the final interval and drain it."""
         if not self._flushed:
             self._flushed = True
             g = min(self._range.bit_length() - 1, _BITS - 1)
-            self._low = ((self._low + (1 << g) - 1) >> g) << g
-            self._shift()
-            self._shift()
+            low = ((self._low + (1 << g) - 1) >> g) << g
+            self._low = self._shift(self._shift(low))
             if self._pending:
-                self._out.extend(0xFF for _ in range(self._pending))
+                self._out.extend(b"\xff" * self._pending)
                 self._pending = 0
         return bytes(self._out)
 
@@ -88,21 +97,32 @@ class RangeDecoder:
             code = (code << 8) | next_byte()
         self._code = code
 
-    def decode(self, width: int) -> int:
-        if width == 1:
-            return 0
-        if not 1 <= width <= _BOT:
-            raise ValueError(f"width {width} exceeds coder capacity")
-        r = self._range // width
-        v = self._code // r
-        if v >= width:
-            v = width - 1
-        self._code -= v * r
-        if v == width - 1:
-            self._range -= v * r
-        else:
-            self._range = r
-        while self._range < _BOT:
-            self._code = ((self._code << 8) | self._next()) & _MASK
-            self._range <<= 8
-        return v
+    def decode(self, widths) -> list[int]:
+        """One value per width, in order, each in [0, width)."""
+        nxt = self._next
+        rng, code = self._range, self._code
+        out: list[int] = []
+        append = out.append
+        try:
+            for width in widths:
+                if width == 1:
+                    append(0)
+                    continue
+                if not 1 <= width <= _BOT:
+                    raise ValueError(f"width {width} exceeds coder capacity")
+                r = rng // width
+                v = code // r
+                if v >= width:
+                    v = width - 1
+                code -= v * r
+                if v == width - 1:
+                    rng -= v * r
+                else:
+                    rng = r
+                while rng < _BOT:
+                    code = ((code << 8) | nxt()) & _MASK
+                    rng <<= 8
+                append(v)
+        finally:
+            self._range, self._code = rng, code
+        return out

@@ -58,9 +58,34 @@ class TestBits:
             r.read_bit()
 
     def test_padded_byte_reads(self):
-        r = BitReader(bytes([0b10100000]), 3)
-        assert r.read_byte_padded() == 0b10100000
-        assert r.read_byte_padded() == 0
+        r = BitReader(bytes([0b10111111]), 3)
+        assert r.tail_bytes() == bytes([0b10100000])
+        r.read_bits(3)
+        assert r.tail_bytes() == b""
+
+    @pytest.mark.parametrize("bit_length", [None, 45, 40, 33])
+    @pytest.mark.parametrize("start", range(8))
+    def test_tail_bytes_match_padded_byte_reads(self, start, bit_length):
+        data = bytes([0xA5, 0x3C, 0xFF, 0x01, 0x96, 0x7E])
+        r = BitReader(data, bit_length)
+        r.read_bits(start)
+        tail = r.tail_bytes()
+        want = bytearray()
+        while r.remaining:
+            take = min(8, r.remaining)
+            want.append(r.read_bits(take) << (8 - take))
+        assert tail == bytes(want)
+
+    @given(st.integers(0, 7), st.binary(max_size=40))
+    def test_unaligned_write_bytes_matches_byte_writes(self, lead, data):
+        one, many = BitWriter(), BitWriter()
+        for w in (one, many):
+            w.write_bits((1 << lead) - 1, lead)
+        one.write_bytes(data)
+        for b in data:
+            many.write_bits(b, 8)
+        assert one.bit_length == many.bit_length
+        assert one.to_bytes() == many.to_bytes()
 
     def test_value_must_fit(self):
         with pytest.raises(ValueError):
@@ -111,21 +136,31 @@ class TestEliasDelta:
         assert [elias_delta_decode(r) for _ in vals] == vals
 
 
-def roundtrip(steps):
-    enc = RangeEncoder()
-    for v, w in steps:
-        enc.encode(v, w)
-    data = enc.flush()
+def feed(data):
     pos = [0]
 
-    def feed():
+    def next_byte():
         b = data[pos[0]] if pos[0] < len(data) else 0
         pos[0] += 1
         return b
 
-    dec = RangeDecoder(feed)
-    got = [dec.decode(w) for _, w in steps]
+    return next_byte
+
+
+def roundtrip(steps):
+    """Code each step as a one-element batch."""
+    enc = RangeEncoder()
+    for v, w in steps:
+        enc.encode([v], [w])
+    data = enc.flush()
+    dec = RangeDecoder(feed(data))
+    got = [v for _, w in steps for v in dec.decode([w])]
     return data, got
+
+
+def split_points(draw, n):
+    cuts = draw(st.lists(st.integers(0, n), max_size=8))
+    return sorted(set(cuts) | {0, n})
 
 
 class TestRangeCoder:
@@ -178,16 +213,26 @@ class TestRangeCoder:
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
-            RangeEncoder().encode(5, 5)
+            RangeEncoder().encode([5], [5])
         with pytest.raises(ValueError):
-            RangeEncoder().encode(0, 1 << 41)
+            RangeEncoder().encode([0], [1 << 41])
+        with pytest.raises(ValueError):
+            RangeDecoder(feed(b"")).decode([1 << 41])
+
+    def test_rejects_out_of_range_inside_a_batch(self):
+        with pytest.raises(ValueError):
+            RangeEncoder().encode([1, 2, 5, 0], [3, 4, 5, 6])
+        with pytest.raises(ValueError):
+            RangeEncoder().encode([1, 0, 2], [3, (1 << 40) + 1, 4])
+        with pytest.raises(ValueError):
+            RangeDecoder(feed(b"\x12\x34")).decode([3, 7, (1 << 40) + 1, 2])
 
     def test_encode_after_flush_rejected(self):
         enc = RangeEncoder()
-        enc.encode(1, 2)
+        enc.encode([1], [2])
         enc.flush()
         with pytest.raises(RuntimeError):
-            enc.encode(1, 2)
+            enc.encode([1], [2])
 
     @given(
         st.lists(
@@ -202,3 +247,27 @@ class TestRangeCoder:
         assert got == [v for v, _ in steps]
         content = sum(math.log2(w) for _, w in steps)
         assert 8 * len(data) <= content + 8
+
+    @given(
+        st.lists(
+            st.integers(1, 1 << 22).flatmap(
+                lambda w: st.tuples(st.integers(0, w - 1), st.just(w))
+            ),
+            max_size=60,
+        ),
+        st.data(),
+    )
+    def test_any_batch_split_codes_the_same_bytes(self, steps, data):
+        values = [v for v, _ in steps]
+        widths = [w for _, w in steps]
+        enc_cuts = split_points(data.draw, len(steps))
+        dec_cuts = split_points(data.draw, len(steps))
+        enc = RangeEncoder()
+        for a, b in zip(enc_cuts, enc_cuts[1:]):
+            enc.encode(values[a:b], widths[a:b])
+        batched = enc.flush()
+        assert batched == roundtrip(steps)[0]
+        dec = RangeDecoder(feed(batched))
+        got = [v for a, b in zip(dec_cuts, dec_cuts[1:])
+               for v in dec.decode(widths[a:b])]
+        assert got == values

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_cse.bits import elias_delta_length
+from torus_cse.bits import BitWriter, elias_delta_encode, elias_delta_length
 from torus_cse.blocks import Block, from_numpy, is_primitive, make_block
 from torus_cse.codec import (FLAG_ESCAPE, HEADER_LEN, MAGIC, VERSION,
                              CodewordStats, compress, decompress, stats)
@@ -95,6 +95,33 @@ def test_escape_length_formula():
         bits = (elias_delta_length(p.m) + elias_delta_length(p.n)
                 + p.size * cell_bits)
         assert len(c) == HEADER_LEN + (bits + 7) // 8
+
+
+def escape_reference(p):
+    """The escape container written one cell at a time."""
+    bw = BitWriter()
+    elias_delta_encode(p.m, bw)
+    elias_delta_encode(p.n, bw)
+    cb = max(1, (p.alphabet - 1).bit_length())
+    for cell in p.cells:
+        bw.write_bits(cell, cb)
+    return MAGIC + bytes([VERSION, FLAG_ESCAPE, p.alphabet - 1]) + bw.to_bytes()
+
+
+@pytest.mark.parametrize("alphabet", [2, 3, 5, 16, 17, 200, 256])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 7), (5, 1), (3, 5), (6, 6)])
+def test_escape_bytes_match_cell_by_cell_writes(shape, alphabet):
+    rng = np.random.default_rng(alphabet * 100 + shape[0] * 10 + shape[1])
+    tile = rng.integers(0, alphabet, size=(1, shape[1]))
+    # a repeated row makes every grid of two or more rows non-primitive
+    p = from_numpy(np.repeat(tile, shape[0], axis=0), alphabet=alphabet)
+    c = compress(p)
+    assert c[7] & FLAG_ESCAPE
+    assert c == escape_reference(p)
+    assert decompress(c) == p
+    for cut in range(HEADER_LEN, len(c)):
+        with pytest.raises(TruncatedStreamError):
+            decompress(c[:cut])
 
 
 def test_alphabet_byte_tracks_block():
@@ -186,7 +213,6 @@ def test_decompress_rejects_zero_alphabet():
 def test_decompress_rejects_oversize_dims():
     # escape container claiming a 2^15 x 2^15 grid: the cell payload is
     # absent, so the decoder must bail on the area check before reading it
-    from torus_cse.bits import BitWriter, elias_delta_encode
     bw = BitWriter()
     elias_delta_encode(1 << 15, bw)
     elias_delta_encode(1 << 15, bw)
@@ -197,7 +223,6 @@ def test_decompress_rejects_oversize_dims():
 
 def test_decompress_rejects_coded_degenerate_dims():
     # coded container (no escape flag) with m = 1 is malformed
-    from torus_cse.bits import BitWriter, elias_delta_encode
     bw = BitWriter()
     elias_delta_encode(1, bw)
     elias_delta_encode(4, bw)

@@ -14,10 +14,13 @@ from torus_cse.oracle import transmitted_records
 
 
 def encode_records(grid, alphabet):
+    """The walk's sink batches, flattened to one tuple per count."""
     records = []
 
-    def sink(k, l, cls, lo, hi, value):
-        records.append((k, l, cls, lo, hi, value))
+    def sink(k, l, cls, lo, hi, values):
+        assert len(lo) == len(hi) == len(values) > 0
+        records.extend((k, l, cls, int(a), int(b), int(v))
+                       for a, b, v in zip(lo, hi, values))
 
     walk = Walk(grid.shape[0], grid.shape[1], alphabet,
                 truth=Truth(grid), sink=sink)
@@ -25,13 +28,22 @@ def encode_records(grid, alphabet):
     return records
 
 
-def decode_grid(m, n, alphabet, records, rank):
+def pull_from(records, check=True):
+    """A pull that answers each batch with the next records, one per count."""
     stream = iter(records)
 
     def pull(k, l, cls, lo, hi):
-        rk, rl, rcls, rlo, rhi, value = next(stream)
-        assert (rk, rl, rcls, rlo, rhi) == (k, l, cls, lo, hi)
-        return value
+        batch = [next(stream) for _ in range(len(lo))]
+        if check:
+            assert [r[:5] for r in batch] == [
+                (k, l, cls, int(a), int(b)) for a, b in zip(lo, hi)]
+        return [r[5] for r in batch]
+
+    return stream, pull
+
+
+def decode_grid(m, n, alphabet, records, rank):
+    stream, pull = pull_from(records)
 
     walk = Walk(m, n, alphabet, pull=pull)
     walk.run()
@@ -130,6 +142,30 @@ def test_out_of_interval_value_rejected():
         decode_grid(3, 3, 2, bad, 0)
 
 
+@pytest.mark.parametrize("change", ["short", "long", "below", "above"])
+def test_bad_pulled_batch_names_its_size(change):
+    g = np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]], dtype=np.int64)
+    records = encode_records(g, 2)
+    target = next(r[:2] for r in records if r[:2] != (1, 1))
+    stream, pull = pull_from(records)
+
+    def bad_pull(k, l, cls, lo, hi):
+        values = pull(k, l, cls, lo, hi)
+        if (k, l) != target:
+            return values
+        if change == "short":
+            return values[:-1]
+        if change == "long":
+            return values + [int(lo[0])]
+        return [int(lo[0]) - 1 if change == "below" else int(hi[0]) + 1,
+                *values[1:]]
+
+    walk = Walk(3, 3, 2, pull=bad_pull)
+    with pytest.raises(InconsistentCountsError,
+                       match=rf"size \({target[0]},{target[1]}\)"):
+        walk.run()
+
+
 def test_corrupt_value_handled_gracefully():
     # Replacing one transmitted value with another in-interval one must
     # never make the walk crash in an uncontrolled way: either the family
@@ -138,8 +174,7 @@ def test_corrupt_value_handled_gracefully():
     # census.  Tamper evidence proper lives at the container layer, where a
     # bit flip derails the range coder itself.
     def lenient_decode(m, n, alphabet, records, rank):
-        stream = iter(r[5] for r in records)
-        walk = Walk(m, n, alphabet, pull=lambda k, l, cls, lo, hi: next(stream))
+        walk = Walk(m, n, alphabet, pull=pull_from(records, check=False)[1])
         walk.run()
         return walk.member_grid(rank)
 
@@ -171,8 +206,7 @@ def test_corrupt_value_handled_gracefully():
 
 def test_member_grid_rank_bounds():
     g = np.array([[0, 1], [1, 1]], dtype=np.int64)
-    stream = iter(encode_records(g, 2))
-    walk = Walk(2, 2, 2, pull=lambda k, l, cls, lo, hi: next(stream)[5])
+    walk = Walk(2, 2, 2, pull=pull_from(encode_records(g, 2))[1])
     walk.run()
     with pytest.raises(InconsistentCountsError):
         walk.member_grid(4)

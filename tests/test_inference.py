@@ -41,9 +41,10 @@ def rebuild(p):
     stream = iter(transmitted_records(p))
 
     def pull(k, l, cls, lo, hi):
-        rk, rl, rcls, rlo, rhi, value = next(stream)
-        assert (rk, rl, rcls, rlo, rhi) == (k, l, cls, lo, hi)
-        return value
+        batch = [next(stream) for _ in range(len(lo))]
+        assert [r[:5] for r in batch] == [
+            (k, l, cls, int(a), int(b)) for a, b in zip(lo, hi)]
+        return [r[5] for r in batch]
 
     walk = Walk(p.m, p.n, p.alphabet, pull=pull)
     walk.run()
