@@ -5,7 +5,8 @@ bit payload.  Coded payload: delta codes of m and n, the range-coded count
 section, and the shift rank; escape payload (flag bit 0): delta codes of m
 and n followed by the raw cells row-major.  Escape covers non-primitive
 grids and grids thinner than 2 in either dimension, so compression is a
-total function.
+total function.  Either payload ends inside the container's last byte, whose
+spare bits are zero; the decoder rejects a container with more or fewer bits.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .blocks import Block, from_numpy
 from .counting import B1, B2, B3
 from .engine import Truth, Walk
 from .errors import (BadMagicError, InconsistentCountsError,
-                     NotPrimitiveError, TruncatedStreamError,
+                     NotPrimitiveError, TrailingDataError, TruncatedStreamError,
                      UnsupportedVersionError)
 from .rangecoder import RangeDecoder, RangeEncoder
 
@@ -38,6 +39,15 @@ _MAX_CELLS = 1 << 22
 
 def _cell_bits(alphabet: int) -> int:
     return max(1, (alphabet - 1).bit_length())
+
+
+def _check_end(what: str, left: int, spare) -> None:
+    """The `left` bits after the payload must be its last byte's zero
+    padding; `spare` holds them, then zeros."""
+    if left < 0:
+        raise TruncatedStreamError(f"{what} payload lacks {-left} bits")
+    if left >= 8 or any(spare):
+        raise TrailingDataError(f"{left} bits follow the {what} payload")
 
 
 def _rank_width(mn: int) -> int:
@@ -169,14 +179,13 @@ def decompress(data: bytes) -> Block:
     if m * n > _MAX_CELLS:
         raise InconsistentCountsError(f"dimensions {m}x{n} out of range")
 
+    tail = rd.tail_bytes()
     if flags & FLAG_ESCAPE:
         cb = _cell_bits(alphabet)
         need = cb * m * n
-        if rd.remaining < need:
-            raise TruncatedStreamError(
-                f"escape payload needs {need} bits, {rd.remaining} left")
-        bits = np.unpackbits(np.frombuffer(rd.tail_bytes(), dtype=np.uint8),
-                             count=need)
+        bits = np.unpackbits(np.frombuffer(tail, dtype=np.uint8))
+        _check_end("escape", rd.remaining - need, bits[need:])
+        bits = bits[:need]
         # each cell's cb bits, left-aligned in one byte
         grid = (np.packbits(bits.reshape(m * n, cb), axis=1)[:, 0]
                 >> (8 - cb)).reshape(m, n)
@@ -188,7 +197,7 @@ def decompress(data: bytes) -> Block:
         raise InconsistentCountsError(
             "coded payload needs both dimensions at least 2")
     # the range decoder reads zeros past the end of the payload
-    dec = RangeDecoder(partial(next, iter(rd.tail_bytes()), 0))
+    dec = RangeDecoder(partial(next, iter(tail), 0))
 
     def pull(k, l, cls, lo, hi):
         return lo + np.array(dec.decode((hi - lo + 1).tolist()), dtype=np.int64)
@@ -196,6 +205,9 @@ def decompress(data: bytes) -> Block:
     walk = Walk(m, n, alphabet, pull=pull)
     walk.run()
     [rank] = dec.decode([_rank_width(m * n)])
+    # the decoder pulls 5 bytes more than the encoder's flush wrote
+    used = dec.pulled - 5
+    _check_end("coded", rd.remaining - 8 * used, tail[used:])
     return from_numpy(walk.member_grid(rank), alphabet)
 
 

@@ -27,6 +27,13 @@ per size that transmits at least one count.  The decoder checks a pulled
 batch against its intervals in one step; a batch of the wrong length or
 with a value outside [lo, hi] raises `InconsistentCountsError` naming the
 size.
+
+Every other untransmitted, unforced count is derived from the slab-family
+residuals: per family (shared first or last column slab, first or last row
+slab), the slab's count less the counts already known, narrowed over the
+unknown candidates alone until each is pinned.  A size with nothing to
+derive skips this.  The family sums over every candidate, checked last, are
+the consistency gate that catches a lie at any size.
 """
 
 from __future__ import annotations
@@ -430,7 +437,14 @@ class Walk:
         return values
 
     def _resolve(self, k, l, f, probe, lo, hi, forced, excl):
-        """Fill in every candidate count; transmit the undetermined ones."""
+        """Fill in every candidate count; transmit the undetermined ones.
+
+        The decoder derives the counts that are neither transmitted nor
+        forced from the residuals of the four slab families over the
+        unknowns alone, and stops as soon as none is left.  The family sums
+        over every candidate, checked last, are the consistency gate; they
+        alone cover a size with nothing to derive.
+        """
         cls = self._cls(k, l)
         transmit = (forced < 0) & ~excl
         t_idx = np.flatnonzero(transmit)
@@ -449,11 +463,7 @@ class Walk:
         values = np.where(forced >= 0, forced, np.int64(-1))
         if len(t_idx):
             values[t_idx] = self._pulled(k, l, cls, lo_t, hi_t)
-
-        # the rest are derived: narrow [lo, hi] through the slab families;
         # a cross-axis intersection can pin a count before any family pass
-        lo = lo.copy()
-        hi = hi.copy()
         deg = (values < 0) & (lo == hi)
         values[deg] = lo[deg]
 
@@ -465,51 +475,9 @@ class Walk:
             fams.append((f["pi_r"], self.cnts[(k - 1, l)]))
             fams.append((f["sg"], self.cnts[(k - 1, l)]))
 
-        for _ in range(_MAX_PASSES):
-            changed = False
-            for g, targets in fams:
-                known = values >= 0
-                G = len(targets)
-                ksum = np.bincount(g[known], weights=values[known],
-                                   minlength=G).astype(np.int64)
-                res = targets - ksum
-                ucnt = np.bincount(g[~known], minlength=G)
-                if ((ucnt == 0) & (res != 0)).any() or (res < 0).any():
-                    raise InconsistentCountsError(
-                        f"family sums off at size ({k},{l})")
-                u = np.flatnonzero(~known)
-                if len(u) == 0:
-                    continue
-                gu = g[u]
-                lo_s = np.bincount(gu, weights=lo[u],
-                                   minlength=G).astype(np.int64)
-                hi_s = np.bincount(gu, weights=hi[u],
-                                   minlength=G).astype(np.int64)
-                live = ucnt > 0
-                if ((res[live] < lo_s[live]) | (res[live] > hi_s[live])).any():
-                    raise InconsistentCountsError(
-                        f"family cannot reach its residual at size ({k},{l})")
-                new_lo = np.maximum(lo[u], res[gu] - (hi_s[gu] - hi[u]))
-                new_hi = np.minimum(hi[u], res[gu] - (lo_s[gu] - lo[u]))
-                if (new_lo > new_hi).any():
-                    raise InconsistentCountsError(
-                        f"interval bounds crossed at size ({k},{l})")
-                if (new_lo > lo[u]).any() or (new_hi < hi[u]).any():
-                    changed = True
-                lo[u] = new_lo
-                hi[u] = new_hi
-                settle = new_lo == new_hi
-                if settle.any():
-                    values[u[settle]] = new_lo[settle]
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise UnderdeterminedCountsError(
-                f"count propagation did not settle at size ({k},{l})")
-        if (values < 0).any():
-            raise UnderdeterminedCountsError(
-                f"{int((values < 0).sum())} counts unresolved at size ({k},{l})")
+        u = np.flatnonzero(values < 0)
+        if len(u):
+            self._derive(k, l, fams, values, u, lo[u], hi[u])
 
         for g, targets in fams:
             sums = np.bincount(g, weights=values,
@@ -518,6 +486,66 @@ class Walk:
                 raise InconsistentCountsError(
                     f"family sums off at size ({k},{l})")
         return values
+
+    @staticmethod
+    def _derive(k, l, fams, values, u, lo, hi) -> None:
+        """Narrow the unknown counts `u` of `values` in [lo, hi] through
+        the slab families until every one is pinned.
+
+        Each family's residual (its group targets less the known counts) is
+        taken once; a count pinned later leaves `u` and comes off the
+        residual of every family, so each pass touches the unknowns only.
+        """
+        known = np.maximum(values, 0)  # an unknown (-1) weighs nothing
+        res = [targets - np.bincount(g, weights=known,
+                                     minlength=len(targets)).astype(np.int64)
+               for g, targets in fams]
+        gs = [g[u] for g, _ in fams]
+        for _ in range(_MAX_PASSES):
+            changed = False
+            for i in range(len(fams)):
+                gu, r = gs[i], res[i]
+                G = len(r)
+                ucnt = np.bincount(gu, minlength=G)
+                if ((ucnt == 0) & (r != 0)).any() or (r < 0).any():
+                    raise InconsistentCountsError(
+                        f"family sums off at size ({k},{l})")
+                lo_s = np.bincount(gu, weights=lo, minlength=G).astype(np.int64)
+                hi_s = np.bincount(gu, weights=hi, minlength=G).astype(np.int64)
+                # a group without unknowns has r == 0 == lo_s == hi_s here
+                if ((r < lo_s) | (r > hi_s)).any():
+                    raise InconsistentCountsError(
+                        f"family cannot reach its residual at size ({k},{l})")
+                rg = r[gu]
+                new_lo = np.maximum(lo, rg - (hi_s[gu] - hi))
+                new_hi = np.minimum(hi, rg - (lo_s[gu] - lo))
+                if (new_lo > new_hi).any():
+                    raise InconsistentCountsError(
+                        f"interval bounds crossed at size ({k},{l})")
+                if (new_lo > lo).any() or (new_hi < hi).any():
+                    changed = True
+                lo, hi = new_lo, new_hi
+                settle = lo == hi
+                if settle.all():
+                    values[u] = lo
+                    return
+                if settle.any():
+                    pinned = lo[settle]
+                    values[u[settle]] = pinned
+                    for j, gj in enumerate(gs):
+                        res[j] = res[j] - np.bincount(
+                            gj[settle], weights=pinned,
+                            minlength=len(res[j])).astype(np.int64)
+                    rest = ~settle
+                    u, lo, hi = u[rest], lo[rest], hi[rest]
+                    gs = [gj[rest] for gj in gs]
+            if not changed:
+                break
+        else:
+            raise UnderdeterminedCountsError(
+                f"count propagation did not settle at size ({k},{l})")
+        raise UnderdeterminedCountsError(
+            f"{len(u)} counts unresolved at size ({k},{l})")
 
     # ---- table finishing ----
 

@@ -81,6 +81,10 @@ class TruncatedStreamError(TorusCseError):
     pass
 
 
+class TrailingDataError(TorusCseError):
+    """Bits past the end of a container's payload: set padding or extra bytes."""
+
+
 # -- oracle / baseline / cli ----------------------------------------------
 
 class TooLargeError(TorusCseError):

@@ -89,9 +89,13 @@ class RangeEncoder:
 
 class RangeDecoder:
     def __init__(self, next_byte) -> None:
-        """`next_byte()` supplies the stream, returning 0 past its end."""
+        """`next_byte()` supplies the stream, returning 0 past its end.
+
+        `pulled` counts the calls made so far.
+        """
         self._next = next_byte
         self._range = _MASK
+        self.pulled = _BITS // 8
         code = 0
         for _ in range(_BITS // 8):
             code = (code << 8) | next_byte()
@@ -100,7 +104,7 @@ class RangeDecoder:
     def decode(self, widths) -> list[int]:
         """One value per width, in order, each in [0, width)."""
         nxt = self._next
-        rng, code = self._range, self._code
+        rng, code, pulled = self._range, self._code, self.pulled
         out: list[int] = []
         append = out.append
         try:
@@ -122,7 +126,8 @@ class RangeDecoder:
                 while rng < _BOT:
                     code = ((code << 8) | nxt()) & _MASK
                     rng <<= 8
+                    pulled += 1
                 append(v)
         finally:
-            self._range, self._code = rng, code
+            self._range, self._code, self.pulled = rng, code, pulled
         return out

@@ -16,7 +16,8 @@ from torus_cse.codec import (FLAG_ESCAPE, HEADER_LEN, MAGIC, VERSION,
 from torus_cse.engine import Truth, Walk
 from torus_cse.errors import (BadMagicError, InconsistentCountsError,
                               NotPrimitiveError, TorusCseError,
-                              TruncatedStreamError, UnsupportedVersionError)
+                              TrailingDataError, TruncatedStreamError,
+                              UnsupportedVersionError)
 
 P2 = make_block([[0, 1], [1, 1]])
 
@@ -251,13 +252,27 @@ def _interior_readout_block():
     return from_numpy(g, alphabet=2)
 
 
+def _flip_corpus():
+    return [P2,
+            make_block([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+            from_numpy(np.random.default_rng(51).integers(0, 2, size=(6, 6)),
+                       alphabet=2),
+            _interior_readout_block()]
+
+
+def _truncation_corpus():
+    corpus = [make_block([[0, 1, 1], [1, 0, 1], [1, 1, 0]])]
+    for side in range(4, 9):
+        # at side 6, a cut to 44 bytes leaves a crossed interval to pull
+        rng = np.random.default_rng(19)
+        corpus.append(from_numpy(
+            rng.choice(2, size=(side, side), p=[0.7, 0.3]), alphabet=2))
+    corpus.append(_interior_readout_block())
+    return corpus
+
+
 def test_bit_flips_fail_loudly_or_decode_to_some_block():
-    corpus = [P2,
-              make_block([[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
-              from_numpy(np.random.default_rng(51).integers(0, 2, size=(6, 6)),
-                         alphabet=2),
-              _interior_readout_block()]
-    for p in corpus:
+    for p in _flip_corpus():
         c = compress(p)
         for bit in range(8 * len(c)):
             bad = bytearray(c)
@@ -269,22 +284,35 @@ def test_bit_flips_fail_loudly_or_decode_to_some_block():
             assert isinstance(out, Block)
 
 
-def test_truncations_fail_loudly_or_decode_to_some_block():
-    corpus = [make_block([[0, 1, 1], [1, 0, 1], [1, 1, 0]])]
-    for side in range(4, 9):
-        # at side 6, a cut to 44 bytes leaves a crossed interval to pull
-        rng = np.random.default_rng(19)
-        corpus.append(from_numpy(
-            rng.choice(2, size=(side, side), p=[0.7, 0.3]), alphabet=2))
-    corpus.append(_interior_readout_block())
-    for p in corpus:
+def test_truncations_fail_loudly():
+    # the end-of-stream check sees every cut: too few bits for the bytes the
+    # range decoder pulled, or a walk that breaks first
+    for p in _truncation_corpus():
         c = compress(p)
         for cut in range(HEADER_LEN, len(c)):
-            try:
-                out = decompress(c[:cut])
-            except TorusCseError:
-                continue
-            assert isinstance(out, Block)
+            with pytest.raises(TorusCseError):
+                decompress(c[:cut])
+
+
+@pytest.mark.parametrize("extra", [
+    0x00, 0xFF, int(np.random.default_rng(61).integers(1, 255))],
+    ids=["0x00", "0xff", "seeded"])
+def test_appended_byte_fails_loudly(extra):
+    coded = {c for c in map(compress, _flip_corpus() + _truncation_corpus())
+             if not c[7] & FLAG_ESCAPE}
+    escape = [c for c in map(compress, _golden_corpus()) if c[7] & FLAG_ESCAPE]
+    assert len(coded) >= 6 and len(escape) == 3
+    for c in sorted(coded) + escape:
+        with pytest.raises(TorusCseError):
+            decompress(c + bytes([extra]))
+
+
+def test_set_padding_bit_rejected():
+    # the frozen escape container of test_escape_container_frozen_bytes,
+    # with the last of its four padding bits set
+    data = MAGIC + bytes([VERSION, FLAG_ESCAPE, 1, 0x44, 0x51])
+    with pytest.raises(TrailingDataError):
+        decompress(data)
 
 
 def test_crossed_interval_names_its_size():

@@ -1,5 +1,6 @@
 """Array walker vs the oracle's reference walk, and decoder-side replay."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from torus_cse.blocks import from_numpy, is_primitive, rank_of
 from torus_cse.engine import Truth, Walk
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
-from torus_cse.oracle import transmitted_records
+from torus_cse.inference import DERIVE
+from torus_cse.oracle import _schedule, transmitted_records
 
 
 def encode_records(grid, alphabet):
@@ -202,6 +204,86 @@ def test_corrupt_value_handled_gracefully():
             assert back.shape == (4, 4)
     assert hits > 50
     assert detected > 0
+
+
+class LoggingWalk(Walk):
+    """A decoder walk that keeps every table's counts as it is installed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.log = []
+
+    def _install(self, size, tab):
+        self.log.append((size, tab.count.tolist()))
+        super()._install(size, tab)
+
+
+def lie_outcomes():
+    """Per one-value lie on seeded grids, what the decoder walk makes of it.
+
+    Each lie swaps one transmitted value for lo + hi - value.  The outcome
+    is the exception's type and message, or every table the walk built plus
+    the number of values it left unread.
+    """
+    rng = np.random.default_rng(20170124)
+    for shape in [(4, 4), (5, 5), (4, 6), (6, 6)]:
+        for alphabet in (2, 3, 4):
+            g = rng.integers(0, alphabet, size=shape)
+            if not is_primitive(from_numpy(g, alphabet=alphabet)):
+                continue
+            records = encode_records(g, alphabet)
+            for idx, (k, l, cls, lo, hi, value) in enumerate(records):
+                if hi == lo:
+                    continue
+                bad = list(records)
+                bad[idx] = (k, l, cls, lo, hi, lo + hi - value)
+                stream, pull = pull_from(bad, check=False)
+                walk = LoggingWalk(*shape, alphabet, pull=pull)
+                try:
+                    walk.run()
+                except (InconsistentCountsError, UnderdeterminedCountsError,
+                        StopIteration) as e:
+                    yield (type(e).__name__, str(e))
+                else:
+                    yield ("ok", walk.log, len(list(stream)))
+
+
+# SHA-256 over the repr of every `lie_outcomes` entry.  How the decoder
+# derives counts may change; what each lie leads to may not.
+LIE_OUTCOMES_SHA256 = (
+    "bf90d338171a79168c96e8a3844cf1e1a67c338ba667cc83610d34a52526582f")
+
+
+def test_lie_outcomes_golden():
+    h = hashlib.sha256()
+    kinds = set()
+    for outcome in lie_outcomes():
+        h.update(repr(outcome).encode())
+        kinds.add(outcome[1].split(" at ")[0] if outcome[0] != "ok" else "ok")
+    assert {"ok", "family sums off",
+            "family cannot reach its residual"} <= kinds
+    assert h.hexdigest() == LIE_OUTCOMES_SHA256
+
+
+def test_lie_at_size_without_derived_counts_breaks_family_sums():
+    # only the family sums over every candidate can catch a lie at a size
+    # where every unknown count is transmitted
+    g = np.random.default_rng(0).integers(0, 2, size=(4, 4))
+    p = from_numpy(g, alphabet=2)
+    _, sched = _schedule(p, passive_last=False)
+    derives = {(b.m, b.n) for b, _, d in sched
+               if d is not None and d.kind == DERIVE}
+    records = encode_records(g, 2)
+    idx = next(i for i, (k, l, _, lo, hi, v) in enumerate(records)
+               if (k, l) not in derives and k * l > 1 and 2 * v != lo + hi)
+    k, l, cls, lo, hi, value = records[idx]
+    bad = list(records)
+    bad[idx] = (k, l, cls, lo, hi, lo + hi - value)
+    assert (k, l) == (4, 3)
+    walk = Walk(4, 4, 2, pull=pull_from(bad, check=False)[1])
+    with pytest.raises(InconsistentCountsError,
+                       match=rf"family sums off at size \({k},{l}\)"):
+        walk.run()
 
 
 def test_member_grid_rank_bounds():
