@@ -25,40 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .blocks import Block, Census, concat, trim
-from .errors import (
-    EmptyBlockError,
-    LedgerIncompleteError,
-    OversizeQueryError,
-)
-
-
-def count(u: Block, p: Block) -> int:
-    """Number of 1-based anchors of p whose wrapped window equals u."""
-    if p.is_empty:
-        raise EmptyBlockError("cannot count windows of an empty block")
-    if u.is_empty:
-        return p.size
-    if u.m > p.m or u.n > p.n:
-        raise OversizeQueryError(f"window {u.m}x{u.n} exceeds block {p.m}x{p.n}")
-    m, n = p.m, p.n
-    k, l = u.m, u.n
-    total = 0
-    target = u.cells
-    for i in range(m):
-        for j in range(n):
-            match = True
-            for r in range(k):
-                row_base = ((i + r) % m) * n
-                urow = r * l
-                for c in range(l):
-                    if p.cells[row_base + (j + c) % n] != target[urow + c]:
-                        match = False
-                        break
-                if not match:
-                    break
-            if match:
-                total += 1
-    return total
+from .errors import EmptyBlockError, LedgerIncompleteError
 
 
 @dataclass
@@ -147,11 +114,6 @@ class CodingOrder:
     cap_k: int
     cap_l: int
     sizes: tuple[tuple[int, int], ...]
-
-    def cls_of(self, k: int, l: int) -> str:
-        if k == 1 and l == 1:
-            return B1
-        return B2 if (k <= self.cap_k and l <= self.cap_l) else B3
 
 
 def coding_order(m: int, n: int, alphabet: int) -> CodingOrder:

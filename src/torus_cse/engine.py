@@ -7,6 +7,12 @@ candidate construction, dispositions and count resolution become numpy
 array programs.  The decoder runs the exact same table builds as the
 encoder, which keeps the two in lockstep by construction.
 
+The empty window is a size too: one shared table with a single id, counted
+at all m*n anchors, stands for every (k, 0) and (0, l).  Column strips
+(k, 1) link their column slabs to it and rows (1, l) their row slabs, so a
+width-2 or height-2 size pairs its slabs and reads its overlap count exactly
+like every larger size.
+
 Once every window of (k, l-2) or (k-2, l) occurs exactly once, (k, l) and
 every larger size extend uniquely and carry no transmissions: the walk stops
 at this settled frontier and builds no table beyond it.  The sizes it does
@@ -28,12 +34,14 @@ batch against its intervals in one step; a batch of the wrong length or
 with a value outside [lo, hi] raises `InconsistentCountsError` naming the
 size.
 
-Every other untransmitted, unforced count is derived from the slab-family
-residuals: per family (shared first or last column slab, first or last row
-slab), the slab's count less the counts already known, narrowed over the
-unknown candidates alone until each is pinned.  A size with nothing to
-derive skips this.  The family sums over every candidate, checked last, are
-the consistency gate that catches a lie at any size.
+A count whose interval is one point is known to both sides; that covers
+every count with a slab that fills its overlap.  Every other untransmitted
+count is derived from the slab-family residuals: per family (shared first
+or last column slab, first or last row slab), the slab's count less the
+counts already known, narrowed over the unknown candidates alone until
+each is pinned.  A size with nothing to derive skips this.  The family sums
+over every candidate, checked last, are the consistency gate that catches a
+lie at any size.
 """
 
 from __future__ import annotations
@@ -79,6 +87,11 @@ def _find(sorted_keys: np.ndarray, probe: np.ndarray):
     idx_c = np.minimum(idx, len(sorted_keys) - 1)
     ok = (idx < len(sorted_keys)) & (sorted_keys[idx_c] == probe)
     return np.where(ok, idx_c, -1), ok
+
+
+def _to_empty(n: int) -> np.ndarray:
+    """Zero-stride links from n ids to the empty window's one id."""
+    return np.broadcast_to(np.int64(0), (n,))
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -132,8 +145,11 @@ class Walk:
         self.truth = truth
         self.pull = pull
         self.sink = sink
-        self.tabs: dict[tuple[int, int], _Table] = {}
-        self.cnts: dict[tuple[int, int], np.ndarray] = {}
+        empty = _Table(1)
+        empty.count = np.array([self.mn], dtype=np.int64)
+        self.tabs: dict[tuple[int, int], _Table] = {
+            **{(k, 0): empty for k in range(1, m + 1)},
+            **{(0, l): empty for l in range(1, n + 1)}}
         self.max1: dict[tuple[int, int], bool] = {}
         self.sym = None  # (1,1) id -> symbol value
         # ((K, L), table) of the first size whose shift links are known
@@ -173,7 +189,6 @@ class Walk:
         if r >= 2:
             for l in range(2, self.n + 1):
                 self.tabs.pop((r, l), None)
-                self.cnts.pop((r, l), None)
 
     # ---- (1,1) ----
 
@@ -198,13 +213,13 @@ class Walk:
         self.sym = pos.astype(np.int64)
         ar = np.arange(len(pos), dtype=np.int64)
         t.fc = t.lc = t.fr = t.lr = ar
+        t.pi_c = t.sc = t.pi_r = t.sg = _to_empty(t.n)
         t.is_x = self.sym == J - 1
         t.key = ar
         self._install((1, 1), t)
 
     def _install(self, size, tab: _Table) -> None:
         self.tabs[size] = tab
-        self.cnts[size] = tab.count
         self.max1[size] = distinct = bool(tab.count.max() == 1)
         k, l = size
         if (distinct and self.readout is None and k >= 2 and l >= 2
@@ -217,9 +232,8 @@ class Walk:
     def _fields_cols(self, k, l, cand_s, cand_t):
         """Slab ids for col-joined candidates; drops ones with a zero row slab."""
         s_tab = self.tabs[(k, l - 1)]
-        out = {"pi_c": cand_s, "sc": cand_t}
-        out["lc"] = cand_t if l == 2 else s_tab.lc[cand_t]
-        out["fc"] = cand_s if l == 2 else s_tab.fc[cand_s]
+        out = {"pi_c": cand_s, "sc": cand_t,
+               "lc": s_tab.lc[cand_t], "fc": s_tab.fc[cand_s]}
         if k == 1:
             return out
         strip = self.tabs[(k, 1)]
@@ -253,9 +267,8 @@ class Walk:
     def _fields_rows(self, k, l, cand_u, cand_d):
         """Slab ids for row-joined candidates; drops ones with a zero col slab."""
         u_tab = self.tabs[(k - 1, l)]
-        out = {"pi_r": cand_u, "sg": cand_d}
-        out["lr"] = cand_d if k == 2 else u_tab.lr[cand_d]
-        out["fr"] = cand_u if k == 2 else u_tab.fr[cand_u]
+        out = {"pi_r": cand_u, "sg": cand_d,
+               "lr": u_tab.lr[cand_d], "fr": u_tab.fr[cand_u]}
         if l == 1:
             return out
         row1 = self.tabs[(1, l)]
@@ -288,22 +301,12 @@ class Walk:
 
     def _col_pairs(self, k, l):
         s_tab = self.tabs[(k, l - 1)]
-        if l == 2:
-            ns = s_tab.n
-            cand_s = np.repeat(np.arange(ns, dtype=np.int64), ns)
-            cand_t = np.tile(np.arange(ns, dtype=np.int64), ns)
-            return cand_s, cand_t
         return _expand_groups(None, s_tab.pi_c, s_tab.sc,
-                              len(self.cnts[(k, l - 2)]))
+                              self.tabs[(k, l - 2)].n)
 
     def _row_pairs(self, k, l):
         u_tab = self.tabs[(k - 1, l)]
-        if k == 2:
-            nu = u_tab.n
-            cand_u = np.repeat(np.arange(nu, dtype=np.int64), nu)
-            cand_d = np.tile(np.arange(nu, dtype=np.int64), nu)
-            return cand_u, cand_d
-        nv = len(self.cnts[(k - 2, l)])
+        nv = self.tabs[(k - 2, l)].n
         if l == 1:
             return _expand_groups(None, u_tab.pi_r, u_tab.sg, nv)
         rk_sorted, perm = u_tab.rowkey(self.tabs[(1, l)].n)
@@ -315,27 +318,19 @@ class Walk:
         if k == 1:
             return "cols"
         s_tab = self.tabs[(k, l - 1)]
-        if l == 2:
-            col_est = s_tab.n * s_tab.n
-        else:
-            nw = len(self.cnts[(k, l - 2)])
-            col_est = int(np.dot(np.bincount(s_tab.sc, minlength=nw),
-                                 np.bincount(s_tab.pi_c, minlength=nw)))
+        nw = self.tabs[(k, l - 2)].n
+        col_est = int(np.dot(np.bincount(s_tab.sc, minlength=nw),
+                             np.bincount(s_tab.pi_c, minlength=nw)))
         u_tab = self.tabs[(k - 1, l)]
-        if k == 2:
-            row_est = u_tab.n * u_tab.n
-        else:
-            nv = len(self.cnts[(k - 2, l)])
-            row_est = int(np.dot(np.bincount(u_tab.sg, minlength=nv),
-                                 np.bincount(u_tab.pi_r, minlength=nv)))
+        nv = self.tabs[(k - 2, l)].n
+        row_est = int(np.dot(np.bincount(u_tab.sg, minlength=nv),
+                             np.bincount(u_tab.pi_r, minlength=nv)))
         return "cols" if col_est <= row_est else "rows"
 
     def _probe_of(self, k, l, f):
         if l == 1:
-            space = self.tabs[(1, 1)].n
-            return f["pi_r"] * np.int64(space) + f["lr"]
-        space = self.tabs[(k, 1)].n if k >= 2 else self.tabs[(1, 1)].n
-        return f["pi_c"] * np.int64(space) + f["lc"]
+            return f["pi_r"] * np.int64(self.tabs[(1, 1)].n) + f["lr"]
+        return f["pi_c"] * np.int64(self.tabs[(k, 1)].n) + f["lc"]
 
     # ---- full path ----
 
@@ -355,8 +350,8 @@ class Walk:
             probe = probe[order]
         ncand = len(probe)
 
-        lo, hi, forced, excl = self._dispositions(k, l, f, ncand)
-        values = self._resolve(k, l, f, probe, lo, hi, forced, excl)
+        lo, hi, transmit = self._dispositions(k, l, f, ncand)
+        values = self._resolve(k, l, f, probe, lo, hi, transmit)
 
         mask = values > 0
         tab = _Table(int(mask.sum()))
@@ -366,64 +361,42 @@ class Walk:
         self._finish_table(k, l, tab, probe[mask])
 
     def _dispositions(self, k, l, f, ncand):
-        mn = self.mn
+        """Each candidate's interval [lo, hi] and whether it is transmitted.
+
+        Per axis, two slabs with counts a and b and an overlap with count w
+        bound the count to [a + b - w, min(a, b)]; the overlap of a width-2
+        or height-2 size is the empty window.  A slab that fills its overlap
+        (a >= w) makes that axis's bounds meet or cross, so once crossed
+        bounds are rejected the count's interval is the one point min(a, b).
+        A count is transmitted when no slab fills its overlap and no edge
+        column or row is its strip's largest member.
+        """
         if ncand == 0:
             raise InconsistentCountsError(f"no candidates at size ({k},{l})")
+        axes = []
+        if l >= 2:
+            s_tab = self.tabs[(k, l - 1)]
+            axes.append((s_tab.count[f["pi_c"]], s_tab.count[f["sc"]],
+                         self.tabs[(k, l - 2)].count[s_tab.sc[f["pi_c"]]],
+                         self.tabs[(k, 1)].is_x, f["fc"], f["lc"]))
+        if k >= 2:
+            u_tab = self.tabs[(k - 1, l)]
+            axes.append((u_tab.count[f["pi_r"]], u_tab.count[f["sg"]],
+                         self.tabs[(k - 2, l)].count[u_tab.pi_r[f["sg"]]],
+                         self.tabs[(1, l)].is_x, f["fr"], f["lr"]))
         lo = np.zeros(ncand, dtype=np.int64)
-        hi = np.full(ncand, mn, dtype=np.int64)
-        col_ok = np.ones(ncand, dtype=bool)
-        row_ok = np.ones(ncand, dtype=bool)
-        forced = np.full(ncand, -1, dtype=np.int64)
-        if l >= 2:
-            c1 = self.cnts[(k, l - 1)][f["pi_c"]]
-            c2 = self.cnts[(k, l - 1)][f["sc"]]
-            if l == 2:
-                nw = np.int64(mn)
-            else:
-                w = self.tabs[(k, l - 1)].sc[f["pi_c"]]
-                nw = self.cnts[(k, l - 2)][w]
-            lo = np.maximum(lo, c1 + c2 - nw)
-            hi = np.minimum(hi, np.minimum(c1, c2))
-            col_ok = (nw - c1 >= 1) & (nw - c2 >= 1)
-            forced_col = np.minimum(c1, c2)
-        if k >= 2:
-            r1 = self.cnts[(k - 1, l)][f["pi_r"]]
-            r2 = self.cnts[(k - 1, l)][f["sg"]]
-            if k == 2:
-                nv = np.int64(mn)
-            else:
-                v = self.tabs[(k - 1, l)].pi_r[f["sg"]]
-                nv = self.cnts[(k - 2, l)][v]
-            lo = np.maximum(lo, r1 + r2 - nv)
-            hi = np.minimum(hi, np.minimum(r1, r2))
-            row_ok = (nv - r1 >= 1) & (nv - r2 >= 1)
-            forced_row = np.minimum(r1, r2)
-        lo = np.maximum(lo, 0)
-
-        # precedence: column condition first, then row, then exclusion
-        if k >= 2:
-            forced = np.where(~row_ok, forced_row, forced)
-        if l >= 2:
-            forced = np.where(~col_ok, forced_col, forced)
-        if l >= 2 and k >= 2:
-            xs = self.tabs[(k, 1)].is_x
-            xr = self.tabs[(1, l)].is_x
-            excl = xs[f["fc"]] | xs[f["lc"]] | xr[f["fr"]] | xr[f["lr"]]
-        elif l >= 2:
-            x11 = self.tabs[(1, 1)].is_x
-            excl = x11[f["fc"]] | x11[f["lc"]]
-        else:
-            x11 = self.tabs[(1, 1)].is_x
-            excl = x11[f["fr"]] | x11[f["lr"]]
+        hi = np.full(ncand, self.mn, dtype=np.int64)
+        transmit = np.ones(ncand, dtype=bool)
+        for a, b, w, is_x, first, last in axes:
+            lo = np.maximum(lo, a + b - w)
+            hi = np.minimum(hi, np.minimum(a, b))
+            transmit &= (a < w) & (b < w) & ~is_x[first] & ~is_x[last]
         # true counts sit inside [lo, hi], so crossed bounds mean corrupt
         # counts; pulling a crossed interval would ask the coder for width <= 0
         if (lo > hi).any():
             raise InconsistentCountsError(
                 f"interval bounds crossed at size ({k},{l})")
-        if ((forced >= 0) & ((forced < lo) | (forced > hi))).any():
-            raise InconsistentCountsError(
-                f"forced count outside its interval at size ({k},{l})")
-        return lo, hi, forced, excl & (col_ok & row_ok)
+        return lo, hi, transmit
 
     def _pulled(self, k, l, cls, lo, hi) -> np.ndarray:
         """One size's transmitted counts from `pull`, checked in one step."""
@@ -436,17 +409,17 @@ class Walk:
                 f"decoded count outside its interval at size ({k},{l})")
         return values
 
-    def _resolve(self, k, l, f, probe, lo, hi, forced, excl):
-        """Fill in every candidate count; transmit the undetermined ones.
+    def _resolve(self, k, l, f, probe, lo, hi, transmit):
+        """Fill in every candidate count; code the ones marked `transmit`.
 
-        The decoder derives the counts that are neither transmitted nor
-        forced from the residuals of the four slab families over the
-        unknowns alone, and stops as soon as none is left.  The family sums
-        over every candidate, checked last, are the consistency gate; they
-        alone cover a size with nothing to derive.
+        The decoder starts from the counts whose interval is one point and
+        the pulled ones.  It derives the rest from the residuals of the
+        four slab families over the unknowns alone, and stops as soon as
+        none is left.  The family sums over every candidate, checked last,
+        are the consistency gate; they alone cover a size with nothing to
+        derive.
         """
         cls = self._cls(k, l)
-        transmit = (forced < 0) & ~excl
         t_idx = np.flatnonzero(transmit)
 
         lo_t, hi_t = lo[t_idx], hi[t_idx]
@@ -460,20 +433,17 @@ class Walk:
                 self.sink(k, l, cls, lo_t, hi_t, sent)
             return true_vals
 
-        values = np.where(forced >= 0, forced, np.int64(-1))
+        values = np.where(lo == hi, lo, np.int64(-1))
         if len(t_idx):
             values[t_idx] = self._pulled(k, l, cls, lo_t, hi_t)
-        # a cross-axis intersection can pin a count before any family pass
-        deg = (values < 0) & (lo == hi)
-        values[deg] = lo[deg]
 
         fams = []
         if l >= 2:
-            fams.append((f["pi_c"], self.cnts[(k, l - 1)]))
-            fams.append((f["sc"], self.cnts[(k, l - 1)]))
+            count = self.tabs[(k, l - 1)].count
+            fams += [(f["pi_c"], count), (f["sc"], count)]
         if k >= 2:
-            fams.append((f["pi_r"], self.cnts[(k - 1, l)]))
-            fams.append((f["sg"], self.cnts[(k - 1, l)]))
+            count = self.tabs[(k - 1, l)].count
+            fams += [(f["pi_r"], count), (f["sg"], count)]
 
         u = np.flatnonzero(values < 0)
         if len(u):
@@ -555,18 +525,16 @@ class Walk:
         s11 = self.tabs[(1, 1)]
         if l == 1:
             tab.fc = tab.lc = ar
-            isx = s11.is_x[tab.fr] & s11.is_x[tab.lr]
-            if k >= 3:
-                mid = self.tabs[(k - 1, 1)].pi_r[tab.sg]
-                isx &= mid == self.tabs[(k - 2, 1)].n - 1
-            tab.is_x = isx
+            tab.pi_c = tab.sc = _to_empty(tab.n)
+            mid = self.tabs[(k - 1, 1)].pi_r[tab.sg]
+            tab.is_x = (s11.is_x[tab.fr] & s11.is_x[tab.lr]
+                        & (mid == self.tabs[(k - 2, 1)].n - 1))
         elif k == 1:
             tab.fr = tab.lr = ar
-            isx = s11.is_x[tab.fc] & s11.is_x[tab.lc]
-            if l >= 3:
-                mid = self.tabs[(1, l - 1)].pi_c[tab.sc]
-                isx &= mid == self.tabs[(1, l - 2)].n - 1
-            tab.is_x = isx
+            tab.pi_r = tab.sg = _to_empty(tab.n)
+            mid = self.tabs[(1, l - 1)].pi_c[tab.sc]
+            tab.is_x = (s11.is_x[tab.fc] & s11.is_x[tab.lc]
+                        & (mid == self.tabs[(1, l - 2)].n - 1))
         if self.truth is not None:
             self.truth.check_table(k, l, tab)
         if int(tab.count.sum()) != self.mn:

@@ -3,6 +3,7 @@ the engine decoder replaying them."""
 
 import itertools
 
+import numpy as np
 import pytest
 
 from torus_cse.blocks import from_numpy, is_primitive, make_block, rank_of
@@ -19,7 +20,7 @@ from torus_cse.inference import (
     feasible_interval,
     transmit_interval,
 )
-from torus_cse.oracle import transmitted_records
+from torus_cse.oracle import _schedule, transmitted_records
 
 P2 = make_block([[0, 1], [1, 1]])
 P4 = make_block([[0, 1, 1], [1, 1, 1]])
@@ -98,6 +99,31 @@ class TestDispositions:
         led = build_ledger(P4)
         d = disposition(make_block([[0, 1, 0]]), led)
         assert d == Disposition(TRANSMIT, interval=Interval(0, 1))
+
+
+class TestForcedIsOnePoint:
+    # a slab that fills its overlap (N(s) >= N(w)) lifts that axis's lower
+    # bound N(s) + N(t) - N(w) to at least min(N(s), N(t)), its upper bound,
+    # so a forced count needs no record beside its interval
+    @staticmethod
+    def corpus():
+        yield from primitive_blocks(3, 3)
+        rng = np.random.default_rng(9)
+        for alphabet, m, n in ((2, 6, 6), (3, 5, 4), (4, 4, 5)):
+            p = from_numpy(rng.integers(0, alphabet, size=(m, n)), alphabet)
+            assert is_primitive(p)
+            yield p
+
+    def test_forced_interval_is_the_forced_value(self):
+        forced = 0
+        for p in self.corpus():
+            led, sched = _schedule(p, passive_last=False)
+            for b, _, d in sched:
+                if d is not None and d.kind == FORCED:
+                    assert transmit_interval(b, led) == Interval(
+                        d.value, d.value), (p, b)
+                    forced += 1
+        assert forced > 0
 
 
 class TestPlan:
