@@ -16,7 +16,7 @@ from typing import Optional
 from .baseline1d import compare
 from .bits import elias_delta_length
 from .blocks import Block, from_numpy, is_primitive
-from .codec import (FLAG_ESCAPE, HEADER_LEN, CodewordStats,
+from .codec import (FLAG_ESCAPE, HEADER_LEN, CodewordStats, _cell_bits,
                     compress_with_stats, decompress, stats)
 from .errors import (BadSpecError, NotPrimitiveError, TorusCseError,
                      UnknownExtensionError)
@@ -28,9 +28,8 @@ from .verify import run_exhaustive, run_lemmas, run_random
 def _stats_dict(p: Block, s: CodewordStats | None) -> dict:
     """The stats JSON of p; `s` is None for an escape-path input."""
     if s is None:
-        cell_bits = max(1, (p.alphabet - 1).bit_length())
         bits = (elias_delta_length(p.m) + elias_delta_length(p.n)
-                + p.size * cell_bits)
+                + p.size * _cell_bits(p.alphabet))
         container = HEADER_LEN + (bits + 7) // 8
         return {"escape": True, "m": p.m, "n": p.n, "J": p.alphabet,
                 "l0": float(bits), "l1": 0.0, "l2": 0.0, "l3": 0.0,

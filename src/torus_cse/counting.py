@@ -105,22 +105,9 @@ class Candidate:
     cls: str  # B1, B2 or B3
 
 
-@dataclass(frozen=True)
-class CodingOrder:
-    """Size schedule for one block shape, with the small/long split caps."""
-
-    m: int
-    n: int
-    cap_k: int
-    cap_l: int
-    sizes: tuple[tuple[int, int], ...]
-
-
-def coding_order(m: int, n: int, alphabet: int) -> CodingOrder:
+def coding_order(m: int, n: int) -> tuple[tuple[int, int], ...]:
     """Sizes in ascending (height, width) order; parents precede children."""
-    cap_k, cap_l = block_caps(m, n, alphabet)
-    sizes = tuple((k, l) for k in range(1, m + 1) for l in range(1, n + 1))
-    return CodingOrder(m, n, cap_k, cap_l, sizes)
+    return tuple((k, l) for k in range(1, m + 1) for l in range(1, n + 1))
 
 
 def candidates(k: int, l: int, ledger: CountLedger) -> list[Candidate]:

@@ -1,17 +1,22 @@
 """Vectorized encoder/decoder walker over torus window-count tables.
 
 Tables live in id space: the positive windows of one size, sorted by their
-column-major byte key, get ids 0..n-1.  Per-id fields point into the tables
-of the four slab sizes (drop first/last column, drop first/last row), so
-candidate construction, dispositions and count resolution become numpy
-array programs.  The decoder runs the exact same table builds as the
+column-major byte key, get ids 0..n-1.  The torus treats rows and columns
+alike, so every per-id field is indexed by axis, 0 dropping a row and 1 a
+column: along each axis an id links to its first and second slab (the
+window less its last or its first row or column) and to its first and last
+edge strip.  Each step of a table build is written once for both axes, as
+numpy array programs.  A size's candidates come from one join of
+overlapping slab pairs along the axis that expands fewer pairs; that choice
+is for speed only, since either join gives the same candidates in the same
+canonical order.  The decoder runs the exact same table builds as the
 encoder, which keeps the two in lockstep by construction.
 
 The empty window is a size too: one shared table with a single id, counted
-at all m*n anchors, stands for every (k, 0) and (0, l).  Column strips
-(k, 1) link their column slabs to it and rows (1, l) their row slabs, so a
-width-2 or height-2 size pairs its slabs and reads its overlap count exactly
-like every larger size.
+at all m*n anchors, stands for every (k, 0) and (0, l).  A table one wide
+along an axis links both its slabs along that axis to it, so a width-2 or
+height-2 size pairs its slabs and reads its overlap count exactly like every
+larger size.
 
 Once every window of (k, l-2) or (k-2, l) occurs exactly once, (k, l) and
 every larger size extend uniquely and carry no transmissions: the walk stops
@@ -56,42 +61,59 @@ _MAX_PASSES = 500
 
 
 class _Table:
-    """Positive windows of one size, canonically ordered, with slab links."""
+    """Positive windows of one size, canonically ordered, with slab links.
 
-    __slots__ = ("n", "count", "pi_c", "sc", "pi_r", "sg",
-                 "fc", "lc", "fr", "lr", "is_x", "key", "_rk")
+    Per-id fields are indexed by axis: `ax` 0 drops a row, `ax` 1 a column.
+    `link[ax]` holds each id's (first, second) slab ids in the table one
+    smaller along `ax`, and `edge[ax]` its (first, last) edge strip ids: rows
+    (1, l) for ax 0, columns (k, 1) for ax 1.  `keys[ax]` is the ascending
+    (first slab, last edge) key, `link[ax][0] * space[ax] + edge[ax][1]`,
+    with the permutation that sorts the ids by it, or None where the ids
+    already run in that order.  `space[ax]` is the id count of the edge
+    strip's table.  The ids follow the native key: columns, or rows for a
+    table one column wide.  The native keys are set when the table is
+    built; the other axis is keyed on first use.
+    """
 
-    _FIELDS = ("count", "pi_c", "sc", "pi_r", "sg", "fc", "lc", "fr", "lr")
+    __slots__ = ("n", "count", "link", "edge", "keys", "space", "is_x")
 
     def __init__(self, n: int) -> None:
         self.n = n
-        for name in self._FIELDS:
-            setattr(self, name, None)
-        self.is_x = None
-        self.key = None   # native (prefix, suffix) probe key, ascending
-        self._rk = None   # lazy (sorted rowkey, perm) for (pi_r, lr) probes
+        self.count = None
+        self.link = [None, None]
+        self.edge = [None, None]
+        self.keys = [None, None]
+        self.space = [None, None]
+        self.is_x = None  # set on strips: marks the all-(J-1) id
 
-    def rowkey(self, lr_space: int):
-        if self._rk is None:
-            rk = self.pi_r * np.int64(lr_space) + self.lr
-            perm = np.argsort(rk, kind="stable")
-            self._rk = (rk[perm], perm)
-        return self._rk
+
+def _native(l: int) -> int:
+    """The axis whose key numbers the ids of a table l columns wide."""
+    return 1 if l >= 2 else 0
 
 
 def _find(sorted_keys: np.ndarray, probe: np.ndarray):
-    """searchsorted with a found mask; -1 where absent."""
+    """searchsorted with a found mask; -1 where absent.
+
+    `sorted_keys` is never empty: every installed table and every census
+    size has at least one id.
+    """
     idx = np.searchsorted(sorted_keys, probe)
-    if len(sorted_keys) == 0:
-        return np.full(len(probe), -1, dtype=np.int64), np.zeros(len(probe), bool)
     idx_c = np.minimum(idx, len(sorted_keys) - 1)
     ok = (idx < len(sorted_keys)) & (sorted_keys[idx_c] == probe)
     return np.where(ok, idx_c, -1), ok
 
 
-def _to_empty(n: int) -> np.ndarray:
-    """Zero-stride links from n ids to the empty window's one id."""
-    return np.broadcast_to(np.int64(0), (n,))
+def _one_wide(tab: _Table, ax: int) -> None:
+    """Links of a table one wide along `ax`: both slabs are the empty
+    window, reached by zero-stride links, and each id is its own edge
+    strip, so it is keyed by itself."""
+    ar = np.arange(tab.n, dtype=np.int64)
+    empty = np.broadcast_to(np.int64(0), (tab.n,))
+    tab.link[ax] = (empty, empty)
+    tab.edge[ax] = (ar, ar)
+    tab.keys[ax] = (ar, None)
+    tab.space[ax] = tab.n
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -101,14 +123,37 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _native_lookup(tab: _Table, a: np.ndarray, b: np.ndarray, space: int):
-    return _find(tab.key, a * np.int64(space) + b)
+def _keyed(tab: _Table, ax: int):
+    """(sorted key, perm or None) of `tab` along `ax`, built on first use."""
+    if tab.keys[ax] is None:
+        key = tab.link[ax][0] * np.int64(tab.space[ax]) + tab.edge[ax][1]
+        perm = np.argsort(key, kind="stable")
+        tab.keys[ax] = (key[perm], perm)
+    return tab.keys[ax]
 
 
-def _row_lookup(tab: _Table, a: np.ndarray, b: np.ndarray, space: int):
-    rk_sorted, perm = tab.rowkey(space)
-    ids, ok = _find(rk_sorted, a * np.int64(space) + b)
+def _lookup(tab: _Table, ax: int, first: np.ndarray, last: np.ndarray):
+    """Ids of `tab` whose first slab and last edge along `ax` are given,
+    with a found mask; -1 where absent."""
+    key, perm = _keyed(tab, ax)
+    ids, ok = _find(key, first * np.int64(tab.space[ax]) + last)
+    if perm is None:
+        return ids, ok
     return np.where(ok, perm[np.maximum(ids, 0)], -1), ok
+
+
+def _take(tab: _Table, idx) -> _Table:
+    """A table of the links and edges of `tab` at `idx`, without counts."""
+    out = _Table(0)
+    for ax in (0, 1):
+        if tab.link[ax] is not None:
+            first, second = tab.link[ax]
+            out.link[ax] = (first[idx], second[idx])
+            out.n = len(out.link[ax][0])
+        if tab.edge[ax] is not None:
+            first, last = tab.edge[ax]
+            out.edge[ax] = (first[idx], last[idx])
+    return out
 
 
 def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,
@@ -211,11 +256,9 @@ class Walk:
         t = _Table(len(pos))
         t.count = counts[pos]
         self.sym = pos.astype(np.int64)
-        ar = np.arange(len(pos), dtype=np.int64)
-        t.fc = t.lc = t.fr = t.lr = ar
-        t.pi_c = t.sc = t.pi_r = t.sg = _to_empty(t.n)
+        _one_wide(t, 0)
+        _one_wide(t, 1)
         t.is_x = self.sym == J - 1
-        t.key = ar
         self._install((1, 1), t)
 
     def _install(self, size, tab: _Table) -> None:
@@ -227,140 +270,96 @@ class Walk:
                 and (k == self.m or self.max1[(k - 1, l)])):
             self.readout = (size, tab)
 
-    # ---- candidate field construction ----
+    # ---- candidate construction ----
 
-    def _fields_cols(self, k, l, cand_s, cand_t):
-        """Slab ids for col-joined candidates; drops ones with a zero row slab."""
-        s_tab = self.tabs[(k, l - 1)]
-        out = {"pi_c": cand_s, "sc": cand_t,
-               "lc": s_tab.lc[cand_t], "fc": s_tab.fc[cand_s]}
-        if k == 1:
-            return out
-        strip = self.tabs[(k, 1)]
-        up_tab = self.tabs[(k - 1, l)]
-        sp_up = self.tabs[(k - 1, 1)].n
-        prb, ok1 = _native_lookup(
-            up_tab, s_tab.pi_r[cand_s], strip.pi_r[out["lc"]], sp_up)
-        srb, ok2 = _native_lookup(
-            up_tab, s_tab.sg[cand_s], strip.sg[out["lc"]], sp_up)
+    def _near(self, k, l):
+        """Per axis, the (slab, overlap, edge strip) tables of size (k, l),
+        or None along an axis where it is one wide."""
+        t = self.tabs
+        return [(t[(k - 1, l)], t[(k - 2, l)], t[(1, l)]) if k >= 2 else None,
+                (t[(k, l - 1)], t[(k, l - 2)], t[(k, 1)]) if l >= 2 else None]
+
+    def _join_cost(self, ax, near) -> int:
+        """How many slab pairs the join along `ax` expands."""
+        slab, overlap, _ = near[ax]
+        first, second = slab.link[ax]
+        return int(np.dot(np.bincount(second, minlength=overlap.n),
+                          np.bincount(first, minlength=overlap.n)))
+
+    @staticmethod
+    def _pairs(ax, near):
+        """(first, second) ids of every slab pair along `ax` that agrees on
+        its overlap, ascending by first slab, then by last edge."""
+        slab, overlap, _ = near[ax]
+        first, second = slab.link[ax]
+        perm = _keyed(slab, ax)[1]
+        if perm is not None:
+            first = first[perm]
+        return _expand_groups(perm, first, second, overlap.n)
+
+    def _fields(self, k, l, ax, near, first, second) -> _Table:
+        """Links and edges of the candidates joined along `ax` from slab
+        pairs; drops the ones whose slab along the other axis is absent."""
+        slab, _, strip = near[ax]
+        last = slab.edge[ax][1][second]
+        cand = _Table(len(first))
+        cand.link[ax] = (first, second)
+        cand.edge[ax] = (slab.edge[ax][0][first], last)
+        o = 1 - ax
+        if near[o] is None:
+            return cand
+        cross, _, cross_strip = near[o]
+        p, ok1 = _lookup(cross, ax, slab.link[o][0][first],
+                         strip.link[o][0][last])
+        q, ok2 = _lookup(cross, ax, slab.link[o][1][first],
+                         strip.link[o][1][last])
+        cand.link[o] = (p, q)
         keep = ok1 & ok2
         if not keep.all():
-            cand_s = cand_s[keep]
-            for name in out:
-                out[name] = out[name][keep]
-            prb, srb = prb[keep], srb[keep]
-        out["pi_r"] = prb
-        out["sg"] = srb
-        row_tab = self.tabs[(1, l)]
-        sp_sym = self.tabs[(1, 1)].n
-        fr, okf = _native_lookup(
-            row_tab, s_tab.fr[cand_s], strip.fr[out["lc"]], sp_sym)
-        lr, okl = _native_lookup(
-            row_tab, s_tab.lr[cand_s], strip.lr[out["lc"]], sp_sym)
+            cand = _take(cand, keep)
+            first, last = cand.link[ax][0], cand.edge[ax][1]
+        fe, okf = _lookup(cross_strip, ax, slab.edge[o][0][first],
+                          strip.edge[o][0][last])
+        le, okl = _lookup(cross_strip, ax, slab.edge[o][1][first],
+                          strip.edge[o][1][last])
         if not (okf.all() and okl.all()):
             raise InconsistentCountsError(
                 f"slab tables disagree at size ({k},{l})")
-        out["fr"] = fr
-        out["lr"] = lr
-        return out
-
-    def _fields_rows(self, k, l, cand_u, cand_d):
-        """Slab ids for row-joined candidates; drops ones with a zero col slab."""
-        u_tab = self.tabs[(k - 1, l)]
-        out = {"pi_r": cand_u, "sg": cand_d,
-               "lr": u_tab.lr[cand_d], "fr": u_tab.fr[cand_u]}
-        if l == 1:
-            return out
-        row1 = self.tabs[(1, l)]
-        left_tab = self.tabs[(k, l - 1)]
-        sp_left = self.tabs[(1, l - 1)].n
-        lr = out["lr"]
-        pic, ok1 = _row_lookup(
-            left_tab, u_tab.pi_c[cand_u], row1.pi_c[lr], sp_left)
-        scn, ok2 = _row_lookup(
-            left_tab, u_tab.sc[cand_u], row1.sc[lr], sp_left)
-        keep = ok1 & ok2
-        if not keep.all():
-            cand_u = cand_u[keep]
-            for name in out:
-                out[name] = out[name][keep]
-            lr = out["lr"]
-            pic, scn = pic[keep], scn[keep]
-        out["pi_c"] = pic
-        out["sc"] = scn
-        strip = self.tabs[(k, 1)]
-        sp_sym = self.tabs[(1, 1)].n
-        fc, okf = _native_lookup(strip, u_tab.fc[cand_u], row1.fc[lr], sp_sym)
-        lc, okl = _native_lookup(strip, u_tab.lc[cand_u], row1.lc[lr], sp_sym)
-        if not (okf.all() and okl.all()):
-            raise InconsistentCountsError(
-                f"slab tables disagree at size ({k},{l})")
-        out["fc"] = fc
-        out["lc"] = lc
-        return out
-
-    def _col_pairs(self, k, l):
-        s_tab = self.tabs[(k, l - 1)]
-        return _expand_groups(None, s_tab.pi_c, s_tab.sc,
-                              self.tabs[(k, l - 2)].n)
-
-    def _row_pairs(self, k, l):
-        u_tab = self.tabs[(k - 1, l)]
-        nv = self.tabs[(k - 2, l)].n
-        if l == 1:
-            return _expand_groups(None, u_tab.pi_r, u_tab.sg, nv)
-        rk_sorted, perm = u_tab.rowkey(self.tabs[(1, l)].n)
-        return _expand_groups(perm, u_tab.pi_r[perm], u_tab.sg, nv)
-
-    def _orientation(self, k, l) -> str:
-        if l == 1:
-            return "rows"
-        if k == 1:
-            return "cols"
-        s_tab = self.tabs[(k, l - 1)]
-        nw = self.tabs[(k, l - 2)].n
-        col_est = int(np.dot(np.bincount(s_tab.sc, minlength=nw),
-                             np.bincount(s_tab.pi_c, minlength=nw)))
-        u_tab = self.tabs[(k - 1, l)]
-        nv = self.tabs[(k - 2, l)].n
-        row_est = int(np.dot(np.bincount(u_tab.sg, minlength=nv),
-                             np.bincount(u_tab.pi_r, minlength=nv)))
-        return "cols" if col_est <= row_est else "rows"
-
-    def _probe_of(self, k, l, f):
-        if l == 1:
-            return f["pi_r"] * np.int64(self.tabs[(1, 1)].n) + f["lr"]
-        return f["pi_c"] * np.int64(self.tabs[(k, 1)].n) + f["lc"]
+        cand.edge[o] = (fe, le)
+        return cand
 
     # ---- full path ----
 
     def _full(self, k, l) -> None:
-        orient = self._orientation(k, l)
-        if orient == "cols":
-            cand_s, cand_t = self._col_pairs(k, l)
-            f = self._fields_cols(k, l, cand_s, cand_t)
+        """Build size (k, l).  The join runs along the axis with fewer slab
+        pairs, ties to columns; that choice is for speed only, as either
+        join gives the same candidates, sorted to the native key."""
+        near = self._near(k, l)
+        if near[0] is None:
+            ax = 1
+        elif near[1] is None:
+            ax = 0
         else:
-            cand_u, cand_d = self._row_pairs(k, l)
-            f = self._fields_rows(k, l, cand_u, cand_d)
-        probe = self._probe_of(k, l, f)
-        if orient == "rows" and l >= 2:
+            ax = 0 if self._join_cost(0, near) < self._join_cost(1, near) else 1
+        cand = self._fields(k, l, ax, near, *self._pairs(ax, near))
+        nat = _native(l)
+        probe = (cand.link[nat][0] * np.int64(near[nat][2].n)
+                 + cand.edge[nat][1])
+        if ax != nat:
             order = np.argsort(probe, kind="stable")
-            for name in f:
-                f[name] = f[name][order]
+            cand = _take(cand, order)
             probe = probe[order]
-        ncand = len(probe)
 
-        lo, hi, transmit = self._dispositions(k, l, f, ncand)
-        values = self._resolve(k, l, f, probe, lo, hi, transmit)
+        lo, hi, transmit = self._dispositions(k, l, cand, near)
+        values = self._resolve(k, l, cand, near, probe, lo, hi, transmit)
 
         mask = values > 0
-        tab = _Table(int(mask.sum()))
+        tab = _take(cand, mask)
         tab.count = values[mask]
-        for name in f:
-            setattr(tab, name, f[name][mask])
-        self._finish_table(k, l, tab, probe[mask])
+        tab.keys[nat] = (probe[mask], None)
+        self._finish_table(k, l, tab, near)
 
-    def _dispositions(self, k, l, f, ncand):
+    def _dispositions(self, k, l, cand, near):
         """Each candidate's interval [lo, hi] and whether it is transmitted.
 
         Per axis, two slabs with counts a and b and an overlap with count w
@@ -371,26 +370,22 @@ class Walk:
         A count is transmitted when no slab fills its overlap and no edge
         column or row is its strip's largest member.
         """
-        if ncand == 0:
+        if cand.n == 0:
             raise InconsistentCountsError(f"no candidates at size ({k},{l})")
-        axes = []
-        if l >= 2:
-            s_tab = self.tabs[(k, l - 1)]
-            axes.append((s_tab.count[f["pi_c"]], s_tab.count[f["sc"]],
-                         self.tabs[(k, l - 2)].count[s_tab.sc[f["pi_c"]]],
-                         self.tabs[(k, 1)].is_x, f["fc"], f["lc"]))
-        if k >= 2:
-            u_tab = self.tabs[(k - 1, l)]
-            axes.append((u_tab.count[f["pi_r"]], u_tab.count[f["sg"]],
-                         self.tabs[(k - 2, l)].count[u_tab.pi_r[f["sg"]]],
-                         self.tabs[(1, l)].is_x, f["fr"], f["lr"]))
-        lo = np.zeros(ncand, dtype=np.int64)
-        hi = np.full(ncand, self.mn, dtype=np.int64)
-        transmit = np.ones(ncand, dtype=bool)
-        for a, b, w, is_x, first, last in axes:
+        lo = np.zeros(cand.n, dtype=np.int64)
+        hi = np.full(cand.n, self.mn, dtype=np.int64)
+        transmit = np.ones(cand.n, dtype=bool)
+        for ax in (1, 0):
+            if near[ax] is None:
+                continue
+            slab, overlap, strip = near[ax]
+            first, second = cand.link[ax]
+            a, b = slab.count[first], slab.count[second]
+            w = overlap.count[slab.link[ax][1][first]]
             lo = np.maximum(lo, a + b - w)
             hi = np.minimum(hi, np.minimum(a, b))
-            transmit &= (a < w) & (b < w) & ~is_x[first] & ~is_x[last]
+            transmit &= ((a < w) & (b < w) & ~strip.is_x[cand.edge[ax][0]]
+                         & ~strip.is_x[cand.edge[ax][1]])
         # true counts sit inside [lo, hi], so crossed bounds mean corrupt
         # counts; pulling a crossed interval would ask the coder for width <= 0
         if (lo > hi).any():
@@ -409,7 +404,7 @@ class Walk:
                 f"decoded count outside its interval at size ({k},{l})")
         return values
 
-    def _resolve(self, k, l, f, probe, lo, hi, transmit):
+    def _resolve(self, k, l, cand, near, probe, lo, hi, transmit):
         """Fill in every candidate count; code the ones marked `transmit`.
 
         The decoder starts from the counts whose interval is one point and
@@ -438,12 +433,10 @@ class Walk:
             values[t_idx] = self._pulled(k, l, cls, lo_t, hi_t)
 
         fams = []
-        if l >= 2:
-            count = self.tabs[(k, l - 1)].count
-            fams += [(f["pi_c"], count), (f["sc"], count)]
-        if k >= 2:
-            count = self.tabs[(k - 1, l)].count
-            fams += [(f["pi_r"], count), (f["sg"], count)]
+        for ax in (1, 0):
+            if near[ax] is not None:
+                count = near[ax][0].count
+                fams += [(cand.link[ax][0], count), (cand.link[ax][1], count)]
 
         u = np.flatnonzero(values < 0)
         if len(u):
@@ -519,22 +512,20 @@ class Walk:
 
     # ---- table finishing ----
 
-    def _finish_table(self, k, l, tab: _Table, key) -> None:
-        tab.key = key
-        ar = np.arange(tab.n, dtype=np.int64)
-        s11 = self.tabs[(1, 1)]
-        if l == 1:
-            tab.fc = tab.lc = ar
-            tab.pi_c = tab.sc = _to_empty(tab.n)
-            mid = self.tabs[(k - 1, 1)].pi_r[tab.sg]
-            tab.is_x = (s11.is_x[tab.fr] & s11.is_x[tab.lr]
-                        & (mid == self.tabs[(k - 2, 1)].n - 1))
-        elif k == 1:
-            tab.fr = tab.lr = ar
-            tab.pi_r = tab.sg = _to_empty(tab.n)
-            mid = self.tabs[(1, l - 1)].pi_c[tab.sc]
-            tab.is_x = (s11.is_x[tab.fc] & s11.is_x[tab.lc]
-                        & (mid == self.tabs[(1, l - 2)].n - 1))
+    def _finish_table(self, k, l, tab: _Table, near) -> None:
+        for ax in (1, 0):
+            if near[ax] is not None:
+                tab.space[ax] = near[ax][2].n
+                continue
+            _one_wide(tab, ax)
+            # a strip's all-(J-1) id has an all-(J-1) first and last cell
+            # and the last id of the strip two shorter between them
+            o = 1 - ax
+            slab, overlap, _ = near[o]
+            s11 = self.tabs[(1, 1)]
+            mid = slab.link[o][0][tab.link[o][1]]
+            tab.is_x = (s11.is_x[tab.edge[o][0]] & s11.is_x[tab.edge[o][1]]
+                        & (mid == overlap.n - 1))
         if self.truth is not None:
             self.truth.check_table(k, l, tab)
         if int(tab.count.sum()) != self.mn:
@@ -550,19 +541,20 @@ class Walk:
 
         Dropping the first column of a window gives the id its right
         neighbour has after dropping its last column; while (K, L-1) has
-        every window once, `pi_c` inverts to map it back.  At L = n the
-        neighbour instead wraps onto the window's own first column, so its
-        key (sc, fc) is looked up directly.  Rows work the same way.
+        every window once, the first-slab link inverts to map it back.  At
+        L = n the neighbour instead wraps onto the window's own first
+        column, so its key (second slab, first edge) is looked up directly.
+        Rows work the same way.
         """
-        (K, L), tab = self.readout
-        if L == self.n:
-            right = _native_lookup(tab, tab.sc, tab.fc, self.tabs[(K, 1)].n)[0]
-        else:
-            right = _inverse(tab.pi_c)[tab.sc]
-        if K == self.m:
-            down = _row_lookup(tab, tab.sg, tab.fr, self.tabs[(1, L)].n)[0]
-        else:
-            down = _inverse(tab.pi_r)[tab.sg]
+        size, tab = self.readout
+        shift = [None, None]
+        for ax in (1, 0):
+            first, second = tab.link[ax]
+            if size[ax] == (self.m, self.n)[ax]:
+                shift[ax] = _lookup(tab, ax, second, tab.edge[ax][0])[0]
+            else:
+                shift[ax] = _inverse(first)[second]
+        down, right = shift
         return right, down
 
     def member_grid(self, rank: int) -> np.ndarray:
@@ -591,7 +583,7 @@ class Walk:
                 and np.array_equal(down[ids], np.roll(ids, -1, axis=0))):
             raise InconsistentCountsError(
                 f"shift links do not tile the torus at size ({K},{L})")
-        grid = self.sym[self.tabs[(K, 1)].fr[tab.fc[ids]]]
+        grid = self.sym[self.tabs[(K, 1)].edge[0][0][tab.edge[1][0][ids]]]
         at = np.flatnonzero(Census(grid).ids(m, n) == rank)
         if len(at) != 1:
             raise InconsistentCountsError(
@@ -615,13 +607,15 @@ class Truth(Census):
         return np.where(ok, self.counts(k, l)[np.maximum(idx, 0)], np.int64(0))
 
     def check_table(self, k, l, tab: _Table) -> None:
-        """The walked table must replicate the grid's own window census."""
-        if (k, l) not in self._sizes:  # checking would build the size
-            return
+        """The walked table must replicate the grid's own window census.
+
+        This runs at every built size: `counts_for` was asked at the size
+        first, so its census is already there.
+        """
         keys, counts = self.keys(k, l), self.counts(k, l)
         if tab.n != len(keys) or not np.array_equal(tab.count, counts):
             raise InconsistentCountsError(
                 f"walked table diverges from the grid at size ({k},{l})")
-        if not np.array_equal(tab.key, keys):
+        if not np.array_equal(tab.keys[_native(l)][0], keys):
             raise InconsistentCountsError(
                 f"walked ids diverge from the grid at size ({k},{l})")

@@ -149,10 +149,9 @@ def _schedule(p: Block, passive_last: bool):
     needs is still in place by then, so both orders constrain the same sets.
     """
     led = build_ledger(p)
-    order = coding_order(p.m, p.n, p.alphabet)
     out: list[tuple[Optional[Block], str, Optional[Disposition]]] = [
         (None, B0, None)]
-    for k, l in order.sizes:
+    for k, l in coding_order(p.m, p.n):
         size_steps = [(cand.block, cand.cls, disposition(cand.block, led))
                       for cand in candidates(k, l, led)]
         if passive_last:

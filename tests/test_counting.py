@@ -126,12 +126,11 @@ class TestOrderAndCaps:
         assert block_caps(65536, 4, 2) == (2, 1)
 
     def test_size_schedule(self):
-        order = coding_order(2, 3, 2)
-        assert order.sizes == ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
+        assert coding_order(2, 3) == (
+            (1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3))
 
     def test_parents_precede_children(self):
-        order = coding_order(4, 4, 2)
-        pos = {s: i for i, s in enumerate(order.sizes)}
+        pos = {s: i for i, s in enumerate(coding_order(4, 4))}
         for (k, l), i in pos.items():
             if l > 1:
                 assert pos[(k, l - 1)] < i

@@ -15,8 +15,9 @@ from torus_cse.inference import DERIVE
 from torus_cse.oracle import _schedule, transmitted_records
 
 
-def encode_records(grid, alphabet):
-    """The walk's sink batches, flattened to one tuple per count."""
+def encode_walk(grid, alphabet, walk_cls=Walk):
+    """The encoder walk of grid, with its sink batches flattened to one
+    tuple per count."""
     records = []
 
     def sink(k, l, cls, lo, hi, values):
@@ -24,10 +25,14 @@ def encode_records(grid, alphabet):
         records.extend((k, l, cls, int(a), int(b), int(v))
                        for a, b, v in zip(lo, hi, values))
 
-    walk = Walk(grid.shape[0], grid.shape[1], alphabet,
-                truth=Truth(grid), sink=sink)
+    walk = walk_cls(grid.shape[0], grid.shape[1], alphabet,
+                    truth=Truth(grid), sink=sink)
     walk.run()
-    return records
+    return records, walk
+
+
+def encode_records(grid, alphabet):
+    return encode_walk(grid, alphabet)[0]
 
 
 def pull_from(records, check=True):
@@ -218,6 +223,63 @@ class LoggingWalk(Walk):
         super()._install(size, tab)
 
 
+class TableWalk(Walk):
+    """A walk that keeps every table's counts, links and edges as it is
+    installed."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.tables = []
+
+    def _install(self, size, tab):
+        self.tables.append((size, tab.count.tolist(),
+                            [[ids.tolist() for ids in pair]
+                             for pair in tab.link + tab.edge]))
+        super()._install(size, tab)
+
+
+class RowJoinWalk(TableWalk):
+    """Joins slab pairs along the rows wherever both axes are open."""
+
+    def _join_cost(self, ax, near):
+        return ax
+
+
+class ColumnJoinWalk(TableWalk):
+    """Joins slab pairs along the columns wherever both axes are open."""
+
+    def _join_cost(self, ax, near):
+        return 1 - ax
+
+
+def walk_both_ways(g, alphabet, walk_cls):
+    """Encoder then decoder walk of g: the sink records, and each walk's
+    tables and readout size."""
+    records, enc = encode_walk(g, alphabet, walk_cls)
+    stream, pull = pull_from(records)
+    dec = walk_cls(*g.shape, alphabet, pull=pull)
+    dec.run()
+    assert next(stream, None) is None
+    return (records, enc.tables, enc.readout[0], dec.tables, dec.readout[0])
+
+
+def test_join_axis_does_not_matter():
+    # the default walk joins along the axis with fewer slab pairs; joining
+    # along either one must build the same tables and code the same counts
+    rng = np.random.default_rng(1701)
+    checked = 0
+    while checked < 30:
+        m, n = (int(x) for x in rng.integers(2, 13, size=2))
+        alphabet = int(rng.choice([2, 3, 4, 16]))
+        g = rng.integers(0, alphabet, size=(m, n))
+        if not is_primitive(from_numpy(g, alphabet=alphabet)):
+            continue
+        want = walk_both_ways(g, alphabet, TableWalk)
+        assert walk_both_ways(g, alphabet, RowJoinWalk) == want
+        assert walk_both_ways(g, alphabet, ColumnJoinWalk) == want
+        checked += 1
+
+
 def lie_outcomes():
     """Per one-value lie on seeded grids, what the decoder walk makes of it.
 
@@ -392,6 +454,7 @@ def test_member_grid_every_rank_from_interior_readout():
 def test_member_grid_rejects_links_that_do_not_tile():
     _, truth, walk = interior_readout_walk()
     tab = walk.readout[1]
-    tab.sc[[0, 1]] = tab.sc[[1, 0]]
+    second = tab.link[1][1]
+    second[[0, 1]] = second[[1, 0]]
     with pytest.raises(InconsistentCountsError, match=r"size \(\d+,\d+\)"):
         walk.member_grid(truth.rank)

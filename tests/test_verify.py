@@ -55,8 +55,7 @@ def test_interval_sweeper_agrees_with_reference():
     rng = np.random.default_rng(9)
     p = from_numpy(rng.integers(0, 2, size=(4, 4)), alphabet=2)
     led = build_ledger(p)
-    order = coding_order(4, 4, 2)
-    for k, l in order.sizes:
+    for k, l in coding_order(4, 4):
         for cand in candidates(k, l, led):
             b = cand.block
             c = led.count_of(b)
