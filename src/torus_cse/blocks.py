@@ -4,8 +4,9 @@ A block is an m-by-n grid of symbols 0..J-1.  Treating the block as one
 period of a doubly-periodic tiling of the plane turns every anchor cell into
 the top-left corner of arbitrarily large wrapped windows.  ``Census`` is the
 one array routine that enumerates those windows: per-anchor window ids and
-counts per size, which primitivity, rank, the count ledger, the encoder's
-walk, verification and the generators all read.  Blocks are immutable and
+counts per size, which primitivity, rank, the encoder's walk, verification
+and the generators all read.  The brute-force ``oracle`` keeps its own
+census and reads none of this but ``Block``.  Blocks are immutable and
 hashable so they can key count tables directly.
 
 Conventions used throughout the package:
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,7 +32,6 @@ from .errors import (
     DimensionMismatchError,
     EmptyBlockError,
     RaggedRowsError,
-    RankOutOfRangeError,
     SymbolOutOfRangeError,
 )
 
@@ -167,77 +167,6 @@ def torus_subblock(p: Block, i: int, j: int, k: int, l: int) -> Block:
     return Block(k, l, cells, p.alphabet)
 
 
-def concat(s: Block, t: Block, axis: str) -> Block:
-    """Join two blocks; axis='cols' puts t to the right of s, axis='rows'
-    puts s on top of t."""
-    if axis == "cols":
-        if s.m != t.m:
-            raise DimensionMismatchError(f"heights differ: {s.m} vs {t.m}")
-        if s.m == 0:
-            return Block(0, s.n + t.n, (), s.alphabet)
-        rows = tuple(sr + tr for sr, tr in zip(s.rows, t.rows))
-        return Block(s.m, s.n + t.n, tuple(v for r in rows for v in r), s.alphabet)
-    if axis == "rows":
-        if s.n != t.n:
-            raise DimensionMismatchError(f"widths differ: {s.n} vs {t.n}")
-        if s.n == 0:
-            return Block(s.m + t.m, 0, (), s.alphabet)
-        return Block(s.m + t.m, s.n, s.cells + t.cells, s.alphabet)
-    raise DimensionMismatchError(f"unknown axis {axis!r}")
-
-
-_TRIM_EDGES = ("first_row", "last_row", "first_col", "last_col")
-
-
-def trim(b: Block, edge: str) -> Block:
-    """Drop one boundary row or column; trimming a zero dimension is an error."""
-    if edge not in _TRIM_EDGES:
-        raise DimensionMismatchError(f"unknown edge {edge!r}")
-    if edge.endswith("row"):
-        if b.m == 0:
-            raise EmptyBlockError("no rows to trim")
-        keep = range(1, b.m) if edge == "first_row" else range(0, b.m - 1)
-        cells = tuple(b.cells[r * b.n + c] for r in keep for c in range(b.n))
-        return Block(b.m - 1, b.n, cells, b.alphabet)
-    if b.n == 0:
-        raise EmptyBlockError("no columns to trim")
-    keep = range(1, b.n) if edge == "first_col" else range(0, b.n - 1)
-    cells = tuple(b.cells[r * b.n + c] for r in range(b.m) for c in keep)
-    return Block(b.m, b.n - 1, cells, b.alphabet)
-
-
-def interior_rows(b: Block) -> Block:
-    """Rows 2..k-1 (both boundary rows dropped); empty when k <= 2."""
-    if b.m <= 2:
-        return Block(0, b.n, (), b.alphabet)
-    return trim(trim(b, "first_row"), "last_row")
-
-
-def interior_cols(b: Block) -> Block:
-    if b.n <= 2:
-        return Block(b.m, 0, (), b.alphabet)
-    return trim(trim(b, "first_col"), "last_col")
-
-
-@dataclass(frozen=True)
-class ShiftClass:
-    """All distinct torus shifts of a block, in canonical column-major order."""
-
-    members: tuple[Block, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterable[Block]:
-        return iter(self.members)
-
-    def index_of(self, p: Block) -> int:
-        try:
-            return self.members.index(p)
-        except ValueError:
-            raise RankOutOfRangeError("block is not a member of this shift class") from None
-
-
 class Census:
     """Torus window census of one grid, built size by size on demand.
 
@@ -257,7 +186,7 @@ class Census:
     """
 
     def __init__(self, grid: np.ndarray) -> None:
-        self.grid = grid = np.asarray(grid)
+        grid = np.asarray(grid)
         self.m, self.n = grid.shape
         syms, inv = np.unique(grid, return_inverse=True)
         inv = inv.reshape(self.m, self.n).astype(np.int64)
@@ -300,14 +229,6 @@ class Census:
         """Row-major flat index of the first anchor showing each id."""
         return np.unique(self.ids(k, l).ravel(), return_index=True)[1]
 
-    def windows(self, k: int, l: int) -> list[tuple[int, ...]]:
-        """Row-major cells of each id's window, read at its first anchor."""
-        first = self.first_anchors(k, l)[:, None]
-        rows = (first // self.n + np.arange(k)) % self.m
-        cols = (first % self.n + np.arange(l)) % self.n
-        cells = self.grid[rows[:, :, None], cols[:, None, :]]
-        return [tuple(w) for w in cells.reshape(len(first), k * l).tolist()]
-
     @property
     def primitive(self) -> bool:
         """True when all m*n torus shifts of the grid are distinct."""
@@ -325,11 +246,6 @@ def _census(p: Block) -> Census:
     return Census(p.to_numpy())
 
 
-def shift_class(p: Block) -> ShiftClass:
-    return ShiftClass(tuple(Block(p.m, p.n, cells, p.alphabet)
-                            for cells in _census(p).windows(p.m, p.n)))
-
-
 def is_primitive(p: Block) -> bool:
     """True when all m*n torus shifts of p are distinct."""
     return _census(p).primitive
@@ -338,11 +254,3 @@ def is_primitive(p: Block) -> bool:
 def rank_of(p: Block) -> int:
     """Position of p inside its canonically ordered shift class."""
     return _census(p).rank
-
-
-def select_by_rank(q: Block, r: int) -> Block:
-    """Member number r of q's shift class (q may be any member)."""
-    cls = shift_class(q)
-    if not 0 <= r < len(cls):
-        raise RankOutOfRangeError(f"rank {r} outside 0..{len(cls) - 1}")
-    return cls.members[r]

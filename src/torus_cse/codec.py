@@ -21,8 +21,7 @@ import numpy as np
 from .bits import (BitReader, BitWriter, elias_delta_decode,
                    elias_delta_encode, elias_delta_length)
 from .blocks import Block, from_numpy
-from .counting import B1, B2, B3
-from .engine import Truth, Walk
+from .engine import B1, B2, B3, Truth, Walk
 from .errors import (BadMagicError, InconsistentCountsError,
                      NotPrimitiveError, TrailingDataError, TruncatedStreamError,
                      UnsupportedVersionError)

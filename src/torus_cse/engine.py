@@ -51,13 +51,39 @@ lie at any size.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .blocks import Census
-from .counting import B1, B2, B3, block_caps
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
 _MAX_PASSES = 500
+
+# transmission classes: singles, small sizes under the caps, everything else
+B1 = "B1"
+B2 = "B2"
+B3 = "B3"
+
+
+def block_caps(m: int, n: int, alphabet: int) -> tuple[int, int]:
+    """Height/width caps splitting small sizes from the long tail.
+
+    The nominal formula floor(sqrt(log_J log_J m)) collapses to 0 or is
+    undefined for small m, so both caps are clamped to at least 1.
+    """
+
+    def cap(dim: int) -> int:
+        inner = math.log(dim, alphabet) if dim > 1 else 0.0
+        if inner <= 1.0:
+            return 1
+        outer = math.log(inner, alphabet)
+        if outer <= 0.0:
+            return 1
+        # tiny epsilon so exact squares survive float rounding
+        return max(1, math.floor(math.sqrt(outer) + 1e-9))
+
+    return cap(m), cap(n)
 
 
 class _Table:

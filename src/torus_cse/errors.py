@@ -31,27 +31,13 @@ class EmptyBlockError(TorusCseError):
     pass
 
 
-class RankOutOfRangeError(TorusCseError):
-    pass
-
-
-# -- counting --------------------------------------------------------------
+# -- window counts and the walk --------------------------------------------
 
 class OversizeQueryError(TorusCseError):
     pass
 
 
 class NotPrimitiveError(TorusCseError):
-    pass
-
-
-class LedgerIncompleteError(TorusCseError):
-    pass
-
-
-# -- inference -------------------------------------------------------------
-
-class AxisUnavailableError(TorusCseError):
     pass
 
 

@@ -6,9 +6,14 @@ primitive universe by its brute-force census, once per shape and window
 size.  The enumeration guard refuses anything past ~1M candidate blocks.
 
 ``transmitted_records`` is the one reference spec of what the codec sends:
-the candidate walk over every size, with each candidate's disposition and
-value read off the block's own ledger.  The id-based ``engine`` is tested
-against it record for record.
+the candidate walk over every size, on a ``Ledger`` of the same brute-force
+census.  Each window b of width >= 2 is a:w:c, its first and last columns
+around the overlap w, and the slab counts N(a:w), N(w:c) and N(w) hold N(b)
+in [max(0, N(a:w) + N(w:c) - N(w)), min(N(a:w), N(w:c))]; heights >= 2
+give the row-wise analogue.  ``Ledger.rule`` turns those counts into the
+count's fate: ZERO, FORCED, DERIVE, or TRANSMIT in the intersected
+interval.  The id-based ``engine`` is tested against this walk record for
+record.  Nothing here reads ``blocks.Census`` or the engine.
 """
 
 from __future__ import annotations
@@ -18,15 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .blocks import Block
-from .counting import B1, B2, B3, build_ledger, candidates, coding_order
 from .errors import (InconsistentCountsError, NotPrimitiveError,
                      OversizeQueryError, TooLargeError)
-from .inference import TRANSMIT, Disposition, disposition
-
-B0 = "B0"
 
 _CAP_BITS = 20.0
 
@@ -137,23 +138,149 @@ def lemma1_check(p: Block, k: int, l: int) -> bool:
     return math.log2(len(tc)) <= bound + 1e-9
 
 
-# ---- candidate schedule and prefix classes ----
+# ---- the reference walk: candidates and their rules ----
+
+# transmission classes: the empty window, singles, sizes under both caps,
+# everything else.  The codec's caps reach 2 only at a side of J^(J^4) or
+# more, past any grid this walk can census, so here every size but (1, 1)
+# is B3.
+B0, B1, B2, B3 = "B0", "B1", "B2", "B3"
+
+TRANSMIT = "transmit"
+FORCED = "forced"
+ZERO = "zero"
+DERIVE = "derive"
+
+
+class Rule(NamedTuple):
+    """How one count reaches the decoder, and the inclusive interval
+    [lo, hi] that smaller sizes allow it."""
+
+    kind: str
+    lo: int
+    hi: int
+
+
+def coding_order(m: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Sizes in ascending (height, width) order; parents precede children."""
+    return tuple((k, l) for k in range(1, m + 1) for l in range(1, n + 1))
+
+
+def _view(w: tuple, ax: int) -> tuple:
+    """A window (a tuple of rows) as its lines along `ax`: its rows for ax
+    0, its columns for ax 1.  Its own inverse."""
+    return tuple(zip(*w)) if ax else w
+
+
+def _joins(slabs) -> set:
+    """e/v/g for every pair of views e/v and v/g that agree on v."""
+    by_head: dict[tuple, list[tuple]] = {}
+    for t in slabs:
+        by_head.setdefault(t[:-1], []).append(t)
+    return {s + t[-1:] for s in slabs for t in by_head.get(s[1:], ())}
+
+
+class Ledger:
+    """p's windows of every size with their counts, by brute force.
+
+    `tables[(k, l)]` maps each k-by-l window that occurs, a tuple of rows,
+    to its count.  `views[ax]` maps the same windows, read as their lines
+    along `ax`, to their counts, and the empty window to m*n.  Along an axis
+    a window's two slabs are its view less the last or the first line, and
+    their overlap is the view less both.
+    """
+
+    def __init__(self, p: Block) -> None:
+        self.J, self.mn = p.alphabet, p.size
+        self.tables: dict[tuple[int, int], dict[tuple, int]] = {}
+        self.views: tuple[dict, dict] = ({(): p.size}, {(): p.size})
+        for k, l in coding_order(p.m, p.n):
+            table = {tuple(w[i:i + l] for i in range(0, k * l, l)): c
+                     for w, c in _census(p.cells, p.m, p.n, k, l).items()}
+            self.tables[(k, l)] = table
+            for w, c in table.items():
+                self.views[0][w] = self.views[1][_view(w, 1)] = c
+
+    def count(self, b: Block) -> int:
+        """Count of b; an empty window occurs at every anchor."""
+        return self.mn if b.is_empty else self.views[0].get(b.rows, 0)
+
+    def parts(self, w: tuple, ax: int) -> tuple[int, int, int]:
+        """Counts of w's first slab, second slab and overlap along `ax`."""
+        v, seen = _view(w, ax), self.views[ax]
+        return seen.get(v[:-1], 0), seen.get(v[1:], 0), seen.get(v[1:-1], 0)
+
+    def interval(self, w: tuple, ax: int) -> tuple[int, int]:
+        """Bounds on w's count from its two slabs and overlap along `ax`."""
+        a, b, o = self.parts(w, ax)
+        return max(0, a + b - o), min(a, b)
+
+    def candidates(self, k: int, l: int) -> list[tuple]:
+        """Every symbol at (1, 1); elsewhere the joins of two occurring slabs
+        along either axis, in canonical column-major order."""
+        if k == l == 1:
+            return [((s,),) for s in range(self.J)]
+        found: set = set()
+        for ax, slab in ((0, (k - 1, l)), (1, (k, l - 1))):
+            if min(slab) >= 1:
+                found |= {_view(j, ax) for j in _joins(
+                    [_view(s, ax) for s in self.tables[slab]])}
+        return sorted(found, key=lambda w: _view(w, 1))
+
+    def extremal(self, ax: int, length: int) -> tuple:
+        """The largest line of `length` cells along `ax` whose interior
+        occurs: J-1 at both ends around the largest occurring interior."""
+        top = (self.J - 1,)
+        if length <= 2:
+            return top * length
+        inner = self.tables[(length - 2, 1) if ax else (1, length - 2)]
+        return top + max(sum(w, ()) for w in inner) + top
+
+    def rule(self, w: tuple) -> Rule:
+        """Classify w's count, judging from smaller sizes only.
+
+        A size-(1, 1) count is transmitted, bar the top symbol's.  Elsewhere,
+        along each axis where w is at least two lines long: a slab that
+        never occurs makes the count ZERO; a slab that fills its overlap
+        makes it FORCED; w's first or last line being the extremal one leaves
+        it to DERIVE from its family sums.  A count none of these catch is
+        transmitted in the intersection of the axis intervals.
+        """
+        k, l = len(w), len(w[0])
+        if k == l == 1:
+            kind = DERIVE if w[0][0] == self.J - 1 else TRANSMIT
+            return Rule(kind, 0, self.mn - 1)
+        axes = [ax for ax, length in ((1, l), (0, k)) if length >= 2]
+        parts = [self.parts(w, ax) for ax in axes]
+        bounds = [self.interval(w, ax) for ax in axes]
+        lo, hi = max(b[0] for b in bounds), min(b[1] for b in bounds)
+        if hi == 0:
+            return Rule(ZERO, lo, hi)
+        if any(o - max(a, b) < 1 for a, b, o in parts):
+            return Rule(FORCED, lo, hi)
+        for ax in axes:
+            v = _view(w, ax)
+            if self.extremal(ax, len(v[0])) in (v[0], v[-1]):
+                return Rule(DERIVE, lo, hi)
+        return Rule(TRANSMIT, lo, hi)
+
 
 def _schedule(p: Block, passive_last: bool):
-    """B(p) walk order: (block, cls, disposition) triples, empty block first.
+    """B(p) walk order: (block, cls, rule) triples, empty block first.
 
-    Every disposition is judged from the true ledger.  A size's rules read
-    only smaller sizes, so this is what a decoder that has rebuilt those
-    sizes decides too.  passive_last moves every non-transmitted candidate
-    behind the transmitted ones of its own size; whatever a derived count
-    needs is still in place by then, so both orders constrain the same sets.
+    Every rule is judged from p's true counts.  A size's rules read only
+    smaller sizes, so this is what a decoder that has rebuilt those sizes
+    decides too.  passive_last moves every non-transmitted candidate behind
+    the transmitted ones of its own size; whatever a derived count needs is
+    still in place by then, so both orders constrain the same sets.
     """
-    led = build_ledger(p)
-    out: list[tuple[Optional[Block], str, Optional[Disposition]]] = [
+    led = Ledger(p)
+    out: list[tuple[Optional[Block], str, Optional[Rule]]] = [
         (None, B0, None)]
     for k, l in coding_order(p.m, p.n):
-        size_steps = [(cand.block, cand.cls, disposition(cand.block, led))
-                      for cand in candidates(k, l, led)]
+        cls = B1 if k == l == 1 else B3
+        size_steps = [(Block(k, l, sum(w, ()), p.alphabet), cls, led.rule(w))
+                      for w in led.candidates(k, l)]
         if passive_last:
             size_steps.sort(key=lambda step: step[2].kind != TRANSMIT)
         out.extend(size_steps)
@@ -165,15 +292,15 @@ def transmitted_records(p: Block) -> list[tuple[int, int, str, int, int, int]]:
 
     Each record is (k, l, cls, lo, hi, value): the window size, its class,
     the inclusive interval the count is coded in, and the true count.  No
-    enumeration guard applies; the walk reads only p's own ledger.
+    enumeration guard applies; the walk reads only p's own windows.
     """
     if p.m < 2 or p.n < 2:
         raise NotPrimitiveError("coding needs both dimensions >= 2")
     if not _is_primitive_cells(p.cells, p.m, p.n):
         raise NotPrimitiveError("block is not primitive")
     led, sched = _schedule(p, passive_last=False)
-    return [(b.m, b.n, cls, d.interval.lo, d.interval.hi, led.count_of(b))
-            for b, cls, d in sched if d is not None and d.kind == TRANSMIT]
+    return [(b.m, b.n, cls, d.lo, d.hi, led.count(b))
+            for b, cls, d in sched[1:] if d.kind == TRANSMIT]
 
 
 def prefix_blocks(p: Block) -> tuple[Optional[Block], ...]:
@@ -223,7 +350,7 @@ def _run_prefix(p: Block, upto: Optional[int], passive_last: bool):
         if size != cen_size:
             censuses = {q: _census(q, p.m, p.n, b.m, b.n) for q in members}
             cen_size = size
-        want = led.count_of(b)
+        want = led.count(b)
         before = len(members)
         members = [q for q in members
                    if censuses[q].get(b.cells, 0) == want]

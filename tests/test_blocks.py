@@ -7,25 +7,19 @@ from hypothesis import strategies as st
 
 from torus_cse.blocks import (
     Block,
-    concat,
+    Census,
     empty_block,
     from_numpy,
-    interior_cols,
-    interior_rows,
     is_primitive,
     make_block,
     rank_of,
-    select_by_rank,
-    shift_class,
     torus_subblock,
-    trim,
 )
 from torus_cse.errors import (
     AnchorOutOfRangeError,
     DimensionMismatchError,
     EmptyBlockError,
     RaggedRowsError,
-    RankOutOfRangeError,
     SymbolOutOfRangeError,
 )
 from torus_cse.oracle import _is_primitive_cells
@@ -127,78 +121,31 @@ class TestTorusWindows:
                         assert w.at(r, c) == p.at((i - 1 + r) % p.m, (j - 1 + c) % p.n)
 
 
-class TestConcatTrim:
-    def test_concat_rows_first_on_top(self):
-        s = make_block([[0, 1]], 2)
-        t = make_block([[1, 1]], 2)
-        assert concat(s, t, "rows") == P2
-
-    def test_concat_cols(self):
-        s = make_block([[0], [1]], 2)
-        t = make_block([[1], [1]], 2)
-        assert concat(s, t, "cols") == P2
-
-    def test_concat_with_empty(self):
-        e = empty_block(2, 0, 2)
-        assert concat(e, P2, "cols") == P2
-        assert concat(P2, e, "cols") == P2
-
-    def test_concat_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            concat(make_block([[0]], 2), make_block([[0], [1]], 2), "cols")
-
-    def test_trim_edges(self):
-        assert trim(P4, "last_col") == P2
-        assert trim(P4, "first_col") == make_block([[1, 1], [1, 1]], 2)
-        assert trim(P4, "first_row") == make_block([[1, 1, 1]], 2)
-        assert trim(P4, "last_row") == make_block([[0, 1, 1]], 2)
-
-    def test_trim_to_empty_then_error(self):
-        col = make_block([[0], [1]], 2)
-        e = trim(col, "first_col")
-        assert e.is_empty
-        with pytest.raises(EmptyBlockError):
-            trim(e, "first_col")
-
-    def test_interior(self):
-        b = make_block([[0, 1, 0], [1, 1, 1], [0, 0, 1]], 2)
-        assert interior_rows(b) == make_block([[1, 1, 1]], 2)
-        assert interior_cols(b) == make_block([[1], [1], [0]], 2)
-        assert interior_rows(P2).is_empty
-        assert interior_cols(P2).is_empty
-
-    @given(grids(3, 3))
-    @settings(max_examples=40)
-    def test_trim_concat_round_trip(self, rows):
-        b = make_block(rows, 2)
-        if b.n >= 2:
-            first = Block(b.m, 1, tuple(r[0] for r in b.rows), 2)
-            assert concat(first, trim(b, "first_col"), "cols") == b
-        if b.m >= 2:
-            top = Block(1, b.n, b.rows[0], 2)
-            assert concat(top, trim(b, "first_row"), "rows") == b
+def shifts(p):
+    """p's distinct torus shifts by direct wrapped reads, in canonical
+    column-major order."""
+    return sorted({torus_subblock(p, i, j, p.m, p.n)
+                   for i in range(1, p.m + 1) for j in range(1, p.n + 1)},
+                  key=lambda b: b.col_key)
 
 
 class TestShiftClasses:
     def test_class_members_of_p2(self):
-        cls = shift_class(P2)
-        keys = {bytes(m.col_key) for m in cls}
-        # column-major keys of the four shifts
-        assert keys == {b"\x00\x01\x01\x01", b"\x01\x00\x01\x01",
-                        b"\x01\x01\x00\x01", b"\x01\x01\x01\x00"}
-        assert len(cls) == 4
+        cls = shifts(P2)
+        keys = [bytes(m.col_key) for m in cls]
+        # column-major keys of the four shifts, ranked by the census
+        assert keys == [b"\x00\x01\x01\x01", b"\x01\x00\x01\x01",
+                        b"\x01\x01\x00\x01", b"\x01\x01\x01\x00"]
+        assert [rank_of(m) for m in cls] == [0, 1, 2, 3]
 
     def test_rank_and_select(self):
         assert rank_of(P2) == 0
-        assert select_by_rank(P2, 3) == make_block([[1, 1], [1, 0]], 2)
-        assert select_by_rank(P2, 0) == P2
-        with pytest.raises(RankOutOfRangeError):
-            select_by_rank(P2, 4)
+        assert rank_of(make_block([[1, 1], [1, 0]], 2)) == 3
 
     def test_non_primitive_class_is_small(self):
         stripes = make_block([[0, 1], [0, 1]], 2)
         assert not is_primitive(stripes)
-        assert len(shift_class(stripes)) == 2
+        assert len(Census(stripes.to_numpy()).counts(2, 2)) == 2
 
     def test_primitivity(self):
         assert is_primitive(P2)
@@ -208,39 +155,42 @@ class TestShiftClasses:
 
     def test_empty_has_no_class(self):
         with pytest.raises(EmptyBlockError):
-            shift_class(empty_block(0, 2, 2))
+            rank_of(empty_block(0, 2, 2))
+        with pytest.raises(EmptyBlockError):
+            is_primitive(empty_block(2, 0, 2))
 
     @given(grids())
     @settings(max_examples=60)
     def test_every_shift_recovers_same_class(self, rows):
         p = make_block(rows, 2)
-        cls = shift_class(p)
+        cls = shifts(p)
         assert 1 <= len(cls) <= p.size
         assert p.size % len(cls) == 0
-        for r, member in enumerate(cls.members):
+        for r, member in enumerate(cls):
             assert rank_of(member) == r
-            assert select_by_rank(p, r) == member
-            assert cls.index_of(member) == r
-        # members are exactly the distinct wrapped reads
-        seen = {torus_subblock(p, i, j, p.m, p.n)
-                for i in range(1, p.m + 1) for j in range(1, p.n + 1)}
-        assert seen == set(cls.members)
+            assert shifts(member) == cls
 
     @given(grids())
     @settings(max_examples=40)
     def test_canonical_order_is_column_major(self, rows):
         p = make_block(rows, 2)
-        keys = [m.col_key for m in shift_class(p)]
+        ids = Census(p.to_numpy()).ids(p.m, p.n)
+        by_id = {int(ids[i - 1, j - 1]): torus_subblock(p, i, j, p.m, p.n)
+                 for i in range(1, p.m + 1) for j in range(1, p.n + 1)}
+        assert sorted(by_id) == list(range(len(by_id)))
+        keys = [by_id[r].col_key for r in range(len(by_id))]
         assert keys == sorted(keys)
 
 
 def _agrees_with_oracle(p):
-    """Census-backed shift reads against direct wrapped reads."""
-    reads = sorted({torus_subblock(p, i, j, p.m, p.n)
-                    for i in range(1, p.m + 1) for j in range(1, p.n + 1)},
-                   key=lambda b: b.col_key)
+    """Census ids of every shift against direct wrapped reads."""
+    reads = shifts(p)
+    ids = Census(p.to_numpy()).ids(p.m, p.n)
     assert is_primitive(p) == _is_primitive_cells(p.cells, p.m, p.n)
-    assert shift_class(p).members == tuple(reads)
+    for i in range(p.m):
+        for j in range(p.n):
+            read = torus_subblock(p, i + 1, j + 1, p.m, p.n)
+            assert ids[i, j] == reads.index(read)
     assert rank_of(p) == reads.index(p)
 
 

@@ -3,17 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_cse.blocks import Census, empty_block, make_block, torus_subblock
-from torus_cse.counting import (
-    CountLedger,
-    block_caps,
-    build_ledger,
-    candidates,
-    coding_order,
-    largest_member_column,
-    largest_member_row,
-)
-from torus_cse.errors import LedgerIncompleteError, OversizeQueryError
-from torus_cse.oracle import window_census
+from torus_cse.engine import block_caps
+from torus_cse.errors import OversizeQueryError
+from torus_cse.oracle import Ledger, _schedule, coding_order, window_census
 from torus_cse.verify import census_identities, check_count_identities
 
 P2 = make_block([[0, 1], [1, 1]], 2)
@@ -42,7 +34,7 @@ class TestCount:
         assert count(make_block([[1]], 2), P2) == 3
 
     def test_empty_window_counts_every_anchor(self):
-        assert build_ledger(P2).count_of(empty_block(0, 3, 2)) == 4
+        assert Ledger(P2).count(empty_block(0, 3, 2)) == 4
 
     def test_full_size_windows_partition_anchors(self):
         assert count(P2, P2) == 1
@@ -75,25 +67,14 @@ class TestCount:
 
 class TestLedger:
     def test_tables_match_direct_counts(self):
-        led = build_ledger(P4)
-        assert led.table(1, 2) == {
-            make_block([[0, 1]], 2): 1,
-            make_block([[1, 1]], 2): 4,
-            make_block([[1, 0]], 2): 1,
-        }
-        assert led.table(1, 1) == {
-            make_block([[0]], 2): 1,
-            make_block([[1]], 2): 5,
-        }
+        led = Ledger(P4)
+        assert led.tables[(1, 2)] == {((0, 1),): 1, ((1, 1),): 4, ((1, 0),): 1}
+        assert led.tables[(1, 1)] == {((0,),): 1, ((1,),): 5}
 
     def test_count_of_missing_is_zero(self):
-        led = build_ledger(P2)
-        assert led.count_of(make_block([[0, 0]], 2)) == 0
-        assert led.count_of(empty_block(0, 1, 2)) == 4
-
-    def test_unfinalized_size_raises(self):
-        with pytest.raises(LedgerIncompleteError):
-            CountLedger(2, 3, 2).table(2, 1)
+        led = Ledger(P2)
+        assert led.count(make_block([[0, 0]], 2)) == 0
+        assert led.count(empty_block(0, 1, 2)) == 4
 
     # the identities are checked on the census ids the ledger is read from
     def test_identities_hold(self):
@@ -140,62 +121,61 @@ class TestOrderAndCaps:
 
 class TestCandidates:
     def test_single_size_is_alphabet(self):
-        led = build_ledger(P2)
-        cand = candidates(1, 1, led)
-        assert [c.block.cells for c in cand] == [(0,), (1,)]
-        assert all(c.cls == "B1" for c in cand)
+        assert Ledger(P2).candidates(1, 1) == [((0,),), ((1,),)]
+        _, sched = _schedule(P2, passive_last=False)
+        assert [(b.cells, cls) for b, cls, _ in sched[1:3]] == [
+            ((0,), "B1"), ((1,), "B1")]
 
     def test_width_two_joins(self):
-        led = build_ledger(P2)
-        cand = candidates(1, 2, led)
+        cand = Ledger(P2).candidates(1, 2)
         # all pairs of positive singles, canonically ordered
-        assert [c.block.cells for c in cand] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert cand == [((0, 0),), ((0, 1),), ((1, 0),), ((1, 1),)]
 
     def test_two_by_two_union(self):
-        led = build_ledger(P2)
-        got = {c.block for c in candidates(2, 2, led)}
+        led = Ledger(P2)
+        got = set(led.candidates(2, 2))
         # column joins of overlapping positive 2x1 slabs
         col_joins = set()
-        tall = led.table(2, 1)
-        for s in led.table(2, 1):
+        tall = led.tables[(2, 1)]
+        for s in tall:
             for t in tall:
-                col_joins.add(make_block(
-                    [[s.cells[0], t.cells[0]], [s.cells[1], t.cells[1]]], 2))
+                col_joins.add(((s[0][0], t[0][0]), (s[1][0], t[1][0])))
         assert col_joins <= got
 
     def test_candidates_cover_positives(self):
         for rows in ([[0, 1, 1], [1, 1, 1]], [[0, 1, 0], [1, 0, 1], [0, 1, 1]]):
             p = make_block(rows, 2)
-            led = build_ledger(p)
+            led = Ledger(p)
             for k in range(1, p.m + 1):
                 for l in range(1, p.n + 1):
-                    got = {c.block for c in candidates(k, l, led)}
-                    assert set(led.table(k, l)) <= got
+                    assert set(led.tables[(k, l)]) <= set(led.candidates(k, l))
 
     def test_candidate_order_is_canonical(self):
-        led = build_ledger(P4)
+        led = Ledger(P4)
         for (k, l) in ((1, 2), (2, 2), (2, 3)):
-            keys = [c.block.col_key for c in candidates(k, l, led)]
+            keys = [make_block(w).col_key for w in led.candidates(k, l)]
             assert keys == sorted(keys)
 
     def test_candidate_guard_bound(self):
-        led = build_ledger(P4)
+        led = Ledger(P4)
         mn, j = 6, 2
         for (k, l) in ((1, 2), (2, 1), (2, 2), (2, 3)):
-            assert len(candidates(k, l, led)) <= mn * mn + 2 * j * j * mn
+            assert len(led.candidates(k, l)) <= mn * mn + 2 * j * j * mn
 
 
 class TestExtremalMembers:
+    # extremal(ax, length): the largest line of that length along ax, a
+    # column (ax 1) or a row (ax 0), whose interior occurs
     def test_bases(self):
-        led = build_ledger(P2)
-        assert largest_member_column(1, led) == make_block([[1]], 2)
-        assert largest_member_column(2, led) == make_block([[1], [1]], 2)
-        assert largest_member_row(2, led) == make_block([[1, 1]], 2)
+        led = Ledger(P2)
+        assert led.extremal(1, 1) == (1,)
+        assert led.extremal(1, 2) == (1, 1)
+        assert led.extremal(0, 2) == (1, 1)
 
     def test_inductive_case_uses_largest_interior(self):
         p = make_block([[0, 1, 0], [1, 1, 1], [0, 1, 1]], 2)
-        led = build_ledger(p)
-        top = largest_member_column(3, led)
-        assert top.cells[0] == 1 and top.cells[-1] == 1
-        mid = max(led.table(1, 1), key=lambda b: b.col_key)
-        assert top.cells[1] == mid.cells[0]
+        led = Ledger(p)
+        top = led.extremal(1, 3)
+        assert top[0] == 1 and top[-1] == 1
+        mid = max(led.tables[(1, 1)])
+        assert top[1] == mid[0][0]

@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from torus_cse.blocks import from_numpy, is_primitive, rank_of
 from torus_cse.engine import Truth, Walk
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
-from torus_cse.inference import DERIVE
-from torus_cse.oracle import _schedule, transmitted_records
+from torus_cse.oracle import DERIVE, _schedule, transmitted_records
 
 
 def encode_walk(grid, alphabet, walk_cls=Walk):

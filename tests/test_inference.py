@@ -1,4 +1,4 @@
-"""Feasibility intervals, dispositions, the oracle's transmitted records, and
+"""The oracle's feasibility intervals and rules, its transmitted records, and
 the engine decoder replaying them."""
 
 import itertools
@@ -7,20 +7,10 @@ import numpy as np
 import pytest
 
 from torus_cse.blocks import from_numpy, is_primitive, make_block, rank_of
-from torus_cse.counting import B1, B3, build_ledger, coding_order
 from torus_cse.errors import NotPrimitiveError
 from torus_cse.engine import Walk
-from torus_cse.inference import (
-    DERIVE,
-    FORCED,
-    TRANSMIT,
-    Disposition,
-    Interval,
-    disposition,
-    feasible_interval,
-    transmit_interval,
-)
-from torus_cse.oracle import _schedule, transmitted_records
+from torus_cse.oracle import (B1, B3, DERIVE, FORCED, TRANSMIT, Ledger, Rule,
+                              _schedule, coding_order, transmitted_records)
 
 P2 = make_block([[0, 1], [1, 1]])
 P4 = make_block([[0, 1, 1], [1, 1, 1]])
@@ -55,50 +45,51 @@ def rebuild(p):
 
 class TestIntervals:
     def test_interval_basics(self):
-        iv = Interval(1, 3)
-        assert iv.width == 3
-        assert 2 in iv and 4 not in iv
-        assert iv.intersect(Interval(2, 9)) == Interval(2, 3)
+        # a rule's interval is the intersection of its axis intervals
+        narrowed = 0
+        for p in primitive_blocks(3, 3)[::9]:
+            led = Ledger(p)
+            for w in led.candidates(3, 2) + led.candidates(2, 3):
+                cols, rows = led.interval(w, 1), led.interval(w, 0)
+                rule = led.rule(w)
+                assert (rule.lo, rule.hi) == (max(cols[0], rows[0]),
+                                              min(cols[1], rows[1]))
+                narrowed += (rule.lo, rule.hi) not in (cols, rows)
+        assert narrowed > 0
 
     def test_forced_interval_on_p4(self):
-        led = build_ledger(P4)
-        iv = feasible_interval(make_block([[1, 0, 1]]), led, "cols")
-        assert iv == Interval(1, 1)
+        led = Ledger(P4)
+        assert led.interval(make_block([[1, 0, 1]]).rows, 1) == (1, 1)
 
     def test_open_interval_on_p4(self):
-        led = build_ledger(P4)
+        led = Ledger(P4)
         # parts: N(01)=1, N(10)=1, N([1])=5 -> lo=0, hi=1
-        iv = feasible_interval(make_block([[0, 1, 0]]), led, "cols")
-        assert iv == Interval(0, 1)
+        assert led.parts(make_block([[0, 1, 0]]).rows, 1) == (1, 1, 5)
+        assert led.interval(make_block([[0, 1, 0]]).rows, 1) == (0, 1)
 
     def test_single_cell_interval_spans_total(self):
-        led = build_ledger(P2)
-        assert transmit_interval(make_block([[0]]), led) == Interval(0, 3)
+        rule = Ledger(P2).rule(make_block([[0]]).rows)
+        assert (rule.lo, rule.hi) == (0, 3)
 
 
 class TestDispositions:
     def test_p2_pair_walk(self):
-        led = build_ledger(P2)
-        kinds = {}
-        for cells in ([[0, 0]], [[0, 1]], [[1, 0]], [[1, 1]]):
-            b = make_block(cells)
-            kinds[b] = disposition(b, led)
-        assert kinds[make_block([[0, 0]])] == Disposition(
-            TRANSMIT, interval=Interval(0, 1))
-        # blocks touching the top symbol on either end are derived
-        for cells in ([[0, 1]], [[1, 0]], [[1, 1]]):
-            assert kinds[make_block(cells)].kind == DERIVE
-            assert kinds[make_block(cells)].axis == "cols"
+        led = Ledger(P2)
+        rules = {w: led.rule((w,)) for w in ((0, 0), (0, 1), (1, 0), (1, 1))}
+        assert rules[(0, 0)] == Rule(TRANSMIT, 0, 1)
+        # blocks touching the top symbol on either end are derived, by the
+        # column rule: a one-row window splits only into columns
+        assert led.extremal(1, 1) == (1,)
+        for w in ((0, 1), (1, 0), (1, 1)):
+            assert rules[w].kind == DERIVE
 
     def test_forced_disposition_on_p4(self):
-        led = build_ledger(P4)
-        d = disposition(make_block([[1, 0, 1]]), led)
-        assert d == Disposition(FORCED, value=1)
+        led = Ledger(P4)
+        assert led.rule(make_block([[1, 0, 1]]).rows) == Rule(FORCED, 1, 1)
 
     def test_transmit_disposition_on_p4(self):
-        led = build_ledger(P4)
-        d = disposition(make_block([[0, 1, 0]]), led)
-        assert d == Disposition(TRANSMIT, interval=Interval(0, 1))
+        led = Ledger(P4)
+        assert led.rule(make_block([[0, 1, 0]]).rows) == Rule(TRANSMIT, 0, 1)
 
 
 class TestForcedIsOnePoint:
@@ -118,10 +109,14 @@ class TestForcedIsOnePoint:
         forced = 0
         for p in self.corpus():
             led, sched = _schedule(p, passive_last=False)
-            for b, _, d in sched:
-                if d is not None and d.kind == FORCED:
-                    assert transmit_interval(b, led) == Interval(
-                        d.value, d.value), (p, b)
+            for b, _, d in sched[1:]:
+                if d.kind == FORCED:
+                    parts = [led.parts(b.rows, ax)
+                             for ax, length in ((1, b.n), (0, b.m))
+                             if length >= 2]
+                    value = next(min(a, c) for a, c, o in parts
+                                 if min(o - a, o - c) < 1)
+                    assert (d.lo, d.hi) == (value, value), (p, b)
                     forced += 1
         assert forced > 0
 
@@ -145,10 +140,9 @@ class TestPlan:
         assert by_size[(1, 2)] == [(B3, 0, 1, 0)]
         assert by_size[(1, 3)] == [(B3, 0, 1, 0)]
         # the one (1,3) transmission is the window [0 1 0]
-        led = build_ledger(P4)
-        assert disposition(make_block([[0, 1, 0]]), led) == Disposition(
-            TRANSMIT, interval=Interval(0, 1))
-        assert led.count_of(make_block([[0, 1, 0]])) == 0
+        led = Ledger(P4)
+        assert led.rule(make_block([[0, 1, 0]]).rows) == Rule(TRANSMIT, 0, 1)
+        assert led.count(make_block([[0, 1, 0]])) == 0
 
     def test_rejects_non_primitive(self):
         with pytest.raises(NotPrimitiveError):

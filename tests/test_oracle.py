@@ -5,16 +5,23 @@ import math
 import numpy as np
 import pytest
 
-from torus_cse.blocks import from_numpy, make_block, shift_class
+from torus_cse import blocks
+from torus_cse.blocks import Census, from_numpy, make_block, torus_subblock
 from torus_cse.codec import stats
-from torus_cse.counting import build_ledger
 from torus_cse.errors import OversizeQueryError, TooLargeError
-from torus_cse.oracle import (exact_ratio_lengths, lemma1_check,
+from torus_cse.oracle import (B1, B3, exact_ratio_lengths, lemma1_check,
                               lemma2_violations, prefix_blocks, prefix_class,
-                              primitive_blocks, type_class, window_census)
+                              primitive_blocks, transmitted_records,
+                              type_class, window_census)
 
 P2 = make_block([[0, 1], [1, 1]])
 P23 = make_block([[0, 1, 1], [1, 0, 1]])
+
+
+def shifts(p):
+    """The distinct torus shifts of p, by direct wrapped reads."""
+    return {torus_subblock(p, i, j, p.m, p.n)
+            for i in range(1, p.m + 1) for j in range(1, p.n + 1)}
 
 
 def test_primitive_counts_frozen():
@@ -42,10 +49,32 @@ def test_census_agrees_with_counting():
               from_numpy(rng.integers(0, 16, size=(4, 6)), alphabet=16),
               from_numpy(rng.integers(0, 2, size=(2, 7)), alphabet=2)]
     for p in corpus:
-        led = build_ledger(p)
+        census = Census(p.to_numpy())
         for k in range(1, p.m + 1):
             for l in range(1, p.n + 1):
-                assert window_census(p, k, l) == led.table(k, l)
+                # census ids run in column-major key order
+                got = sorted(window_census(p, k, l).items(),
+                             key=lambda item: item[0].col_key)
+                assert [c for _, c in got] == census.counts(k, l).tolist()
+
+
+def test_independent_of_the_census(monkeypatch):
+    # the reference walk and the classes read only the oracle's own
+    # brute-force census, never the Census the codec runs on
+    def refuse(self, grid):
+        raise AssertionError("the oracle built a blocks.Census")
+
+    monkeypatch.setattr(blocks.Census, "__init__", refuse)
+    assert transmitted_records(P2) == [
+        (1, 1, B1, 0, 3, 1),
+        (1, 2, B3, 0, 1, 0),
+        (2, 1, B3, 0, 1, 0),
+        (2, 2, B3, 0, 1, 0),
+        (2, 2, B3, 0, 1, 0),
+    ]
+    assert set(type_class(P2, 2, 2).members) == {
+        make_block([[0, 1], [1, 1]]), make_block([[1, 0], [1, 1]]),
+        make_block([[1, 1], [0, 1]]), make_block([[1, 1], [1, 0]])}
 
 
 def test_census_rejects_oversize():
@@ -54,7 +83,7 @@ def test_census_rejects_oversize():
 
 
 def test_type_class_p2():
-    assert set(type_class(P2, 2, 2).members) == set(shift_class(P2))
+    assert set(type_class(P2, 2, 2).members) == shifts(P2)
     assert len(type_class(P2, 0, 0)) == 8
     assert len(type_class(P2, 1, 2)) >= len(type_class(P2, 2, 2))
     assert len(type_class(P2, 1, 1)) == 4
@@ -63,7 +92,7 @@ def test_type_class_p2():
 
 def test_type_class_full_size_is_shift_class():
     for p in list(primitive_blocks(2, 3))[:8]:
-        assert set(type_class(p, 2, 3).members) == set(shift_class(p))
+        assert set(type_class(p, 2, 3).members) == shifts(p)
 
 
 def test_lemma1_p2():
@@ -118,7 +147,7 @@ def test_prefix_class_chain_p2():
         if prev is not None:
             assert cur <= prev
         prev = cur
-    assert prev == set(shift_class(P2))
+    assert prev == shifts(P2)
     # constraining both singles equals the size-(1,1) type class
     assert set(prefix_class(P2, 3).members) == set(type_class(P2, 1, 1).members)
 

@@ -3,8 +3,7 @@
 import numpy as np
 
 from torus_cse.blocks import from_numpy, make_block
-from torus_cse.counting import build_ledger, candidates, coding_order
-from torus_cse.inference import feasible_interval
+from torus_cse.oracle import Ledger, coding_order
 from torus_cse.verify import (VerifyReport, check_count_identities,
                               check_interval_soundness, corpus_blocks,
                               run_exhaustive, run_lemmas, run_random)
@@ -54,17 +53,16 @@ def test_interval_sweeper_agrees_with_reference():
     # violations and agree the same intervals contain the true counts
     rng = np.random.default_rng(9)
     p = from_numpy(rng.integers(0, 2, size=(4, 4)), alphabet=2)
-    led = build_ledger(p)
+    led = Ledger(p)
     for k, l in coding_order(4, 4):
-        for cand in candidates(k, l, led):
-            b = cand.block
-            c = led.count_of(b)
-            if b.n >= 2:
-                iv = feasible_interval(b, led, "cols")
-                assert iv.lo <= c <= iv.hi
-            if b.m >= 2:
-                iv = feasible_interval(b, led, "rows")
-                assert iv.lo <= c <= iv.hi
+        for w in led.candidates(k, l):
+            c = led.count(make_block(w))
+            if l >= 2:
+                lo, hi = led.interval(w, 1)
+                assert lo <= c <= hi
+            if k >= 2:
+                lo, hi = led.interval(w, 0)
+                assert lo <= c <= hi
     checked, bad = check_interval_soundness(p)
     assert bad == [] and checked > 0
 
