@@ -6,42 +6,25 @@ count but one is charged up front, then longer windows go through the
 same interval logic the 2D coder uses along its column axis.  Nothing is
 emitted; this exists to measure the transmitted-count blow-up against
 the 2D walk.
+
+The sequence is the grid's census read once: the full-height column ids of
+row 0, themselves a one-row grid whose own ``Census`` counts each window
+length and pairs its slabs with ``Census.joins``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+
+import numpy as np
 
 from .bits import elias_delta_length
-from .blocks import Block
+from .blocks import Block, Census
 from .codec import CodewordStats, stats
 from .errors import CapExceededError
 
 _M_CAP = 8
-
-
-@dataclass(frozen=True)
-class ExtendedSequence:
-    """A block read column by column as one circular super-symbol string."""
-
-    source: Block
-    symbols: tuple[tuple[int, ...], ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.symbols)
-
-    @property
-    def super_alphabet(self) -> int:
-        return self.source.alphabet ** self.source.m
-
-
-def extend(p: Block) -> ExtendedSequence:
-    cols = tuple(tuple(p.cells[r * p.n + j] for r in range(p.m))
-                 for j in range(p.n))
-    return ExtendedSequence(p, cols)
 
 
 @dataclass(frozen=True)
@@ -62,19 +45,6 @@ class BaselineStats:
         return self.l0 + self.l1 + self.l2 + self.l3
 
 
-def _window(x: ExtendedSequence, i: int, length: int) -> tuple:
-    n = x.n
-    return tuple(x.symbols[(i + t) % n] for t in range(length))
-
-
-def _length_census(x: ExtendedSequence, length: int) -> dict[tuple, int]:
-    out: dict[tuple, int] = {}
-    for i in range(x.n):
-        w = _window(x, i, length)
-        out[w] = out.get(w, 0) + 1
-    return out
-
-
 def conv_lengths(p: Block, m_cap: int = _M_CAP) -> BaselineStats:
     """Cost the single-axis scheme on p's column sequence.
 
@@ -86,9 +56,8 @@ def conv_lengths(p: Block, m_cap: int = _M_CAP) -> BaselineStats:
         raise CapExceededError(f"height {p.m} exceeds the baseline cap {m_cap}")
     if p.alphabet != 2:
         raise CapExceededError("baseline measurements are binary only")
-    x = extend(p)
-    n = x.n
-    big_a = x.super_alphabet
+    n = p.n
+    big_a = p.alphabet ** p.m
     logn = math.log2(n) if n > 1 else 0.0
     l0 = elias_delta_length(n) + math.ceil(logn)
     l1 = (big_a - 1) * logn
@@ -99,35 +68,23 @@ def conv_lengths(p: Block, m_cap: int = _M_CAP) -> BaselineStats:
         cap = math.floor(math.log2(math.log2(n)) + 1e-9)
     middle_empty = cap < 2
 
+    # the columns as one row of super-symbol ids: full-height column windows
+    line = Census(Census(p.to_numpy()).ids(p.m, 1)[:1])
     l2 = l3 = 0.0
     c2 = c3 = 0
-    prev = _length_census(x, 1)
     for length in range(2, n + 1):
-        cur = _length_census(x, length)
-        overlap: Optional[dict[tuple, int]] = (
-            _length_census(x, length - 2) if length > 2 else None)
-        by_prefix: dict[tuple, list[tuple]] = {}
-        for w in prev:
-            by_prefix.setdefault(w[:-1], []).append(w)
-        seen = set()
-        for a in sorted(prev):
-            for b in by_prefix.get(a[1:], ()):
-                u = a + (b[-1],)
-                if u in seen:
-                    continue
-                seen.add(u)
-                f, s = prev[a], prev[b]
-                o = overlap[u[1:-1]] if overlap is not None else n
-                if min(f, s, o - f, o - s) < 1:
-                    continue
-                width = min(f, s) - max(0, f + s - o) + 1
-                if 2 <= length <= cap:
-                    l2 += math.log2(width)
-                    c2 += 1
-                else:
-                    l3 += math.log2(width)
-                    c3 += 1
-        prev = cur
+        a, b, o = line.joins(1, length)
+        counts = line.counts(1, length - 1)
+        f, s = counts[a], counts[b]
+        keep = np.minimum(np.minimum(f, s), np.minimum(o - f, o - s)) >= 1
+        width = np.minimum(f, s) - np.maximum(0, f + s - o) + 1
+        bits, sent = float(np.log2(width[keep]).sum()), int(keep.sum())
+        if length <= cap:
+            l2 += bits
+            c2 += sent
+        else:
+            l3 += bits
+            c3 += sent
     return BaselineStats(n, big_a, l0, l1, l2, l3,
                          {"C1": big_a - 1, "C2": c2, "C3": c3}, middle_empty)
 

@@ -23,9 +23,6 @@ class BitWriter:
             self._done.append((self._acc >> self._nacc) & 0xFF)
         self._acc &= (1 << self._nacc) - 1
 
-    def write_bit(self, bit: int) -> None:
-        self.write_bits(bit, 1)
-
     def write_bytes(self, data: bytes) -> None:
         """Append whole bytes, at any bit alignment, in one step."""
         if self._nacc == 0:

@@ -4,10 +4,11 @@ A block is an m-by-n grid of symbols 0..J-1.  Treating the block as one
 period of a doubly-periodic tiling of the plane turns every anchor cell into
 the top-left corner of arbitrarily large wrapped windows.  ``Census`` is the
 one array routine that enumerates those windows: per-anchor window ids and
-counts per size, which primitivity, rank, the encoder's walk, verification
-and the generators all read.  The brute-force ``oracle`` keeps its own
-census and reads none of this but ``Block``.  Blocks are immutable and
-hashable so they can key count tables directly.
+counts per size, which primitivity, rank, the encoder's walk, verification,
+the generators and the 1D baseline all read, and the slab joins that
+verification and the 1D baseline bound counts by.  The brute-force
+``oracle`` keeps its own census and reads none of this but ``Block``.
+Blocks are immutable and hashable so they can key count tables directly.
 
 Conventions used throughout the package:
 
@@ -167,6 +168,28 @@ def torus_subblock(p: Block, i: int, j: int, k: int, l: int) -> Block:
     return Block(k, l, cells, p.alphabet)
 
 
+def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,
+                   ngroups: int):
+    """Per probe, the contiguous run of positions whose group matches.
+
+    `group_of` must be ascending over the dense ids 0..ngroups-1, so each
+    group's run starts at the exclusive cumsum of the group sizes.  Returns
+    (left index repeated per match, matched positions mapped through
+    `order` when given).
+    """
+    sizes = np.bincount(group_of, minlength=ngroups)
+    first = np.cumsum(sizes) - sizes
+    runs = sizes[probes]
+    starts = first[probes]
+    total = int(runs.sum())
+    left = np.repeat(np.arange(len(probes), dtype=np.int64), runs)
+    if total == 0:
+        return left, np.zeros(0, dtype=np.int64)
+    offs = np.cumsum(runs) - runs
+    member = np.arange(total, dtype=np.int64) - offs[left] + starts[left]
+    return left, order[member] if order is not None else member
+
+
 class Census:
     """Torus window census of one grid, built size by size on demand.
 
@@ -183,6 +206,8 @@ class Census:
     where S counts distinct windows, so a key pairs a window's first l-1
     columns with its last column (or first k-1 cells with its last).  The
     keys stay below (m*n)^2, inside int64.  Every size built is kept.
+    ``joins(k, l)`` pairs the (k, l-1) windows that overlap in k-by-(l-2),
+    the candidates the interval sweep and the 1D baseline bound.
     """
 
     def __init__(self, grid: np.ndarray) -> None:
@@ -228,6 +253,24 @@ class Census:
     def first_anchors(self, k: int, l: int) -> np.ndarray:
         """Row-major flat index of the first anchor showing each id."""
         return np.unique(self.ids(k, l).ravel(), return_index=True)[1]
+
+    def joins(self, k: int, l: int):
+        """(a, b, overlap count) for every pair of (k, l-1) ids whose
+        windows agree on their (k, l-2) overlap: a's last l-2 columns are
+        b's first.  Pairs ascend by a, then by b.  At l == 2 the overlap is
+        the empty window, one id counted at all m*n anchors."""
+        first = self.first_anchors(k, l - 1)
+        if l == 2:
+            head = tail = np.zeros(len(first), dtype=np.int64)
+            overlap = np.array([self.m * self.n], dtype=np.int64)
+        else:
+            ids = self.ids(k, l - 2)
+            head = ids.ravel()[first]
+            tail = np.roll(ids, -1, axis=1).ravel()[first]
+            overlap = self.counts(k, l - 2)
+        order = np.argsort(head, kind="stable")
+        a, b = _expand_groups(order, head[order], tail, len(overlap))
+        return a, b, overlap[tail[a]]
 
     @property
     def primitive(self) -> bool:

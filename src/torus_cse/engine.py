@@ -55,7 +55,7 @@ import math
 
 import numpy as np
 
-from .blocks import Census
+from .blocks import Census, _expand_groups
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
 _MAX_PASSES = 500
@@ -180,28 +180,6 @@ def _take(tab: _Table, idx) -> _Table:
             first, last = tab.edge[ax]
             out.edge[ax] = (first[idx], last[idx])
     return out
-
-
-def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,
-                   ngroups: int):
-    """Per probe, the contiguous run of positions whose group matches.
-
-    `group_of` must be ascending over the dense ids 0..ngroups-1, so each
-    group's run starts at the exclusive cumsum of the group sizes.  Returns
-    (left index repeated per match, matched positions mapped through
-    `order` when given).
-    """
-    sizes = np.bincount(group_of, minlength=ngroups)
-    first = np.cumsum(sizes) - sizes
-    runs = sizes[probes]
-    starts = first[probes]
-    total = int(runs.sum())
-    left = np.repeat(np.arange(len(probes), dtype=np.int64), runs)
-    if total == 0:
-        return left, np.zeros(0, dtype=np.int64)
-    offs = np.cumsum(runs) - runs
-    member = np.arange(total, dtype=np.int64) - offs[left] + starts[left]
-    return left, order[member] if order is not None else member
 
 
 class Walk:
@@ -359,7 +337,13 @@ class Walk:
     def _full(self, k, l) -> None:
         """Build size (k, l).  The join runs along the axis with fewer slab
         pairs, ties to columns; that choice is for speed only, as either
-        join gives the same candidates, sorted to the native key."""
+        join gives the same candidates, sorted to the native key.
+
+        It stays because it pays: forcing column joins made compress and
+        decompress 17-29x slower on 64x64 Bernoulli(0.2) grids, about 2x
+        slower on 32x32 CLI textures and tiles, and about 1.1x slower on
+        grids of sides 4..16 (per-grid minimum over interleaved runs, 2-vCPU
+        x86 VM)."""
         near = self._near(k, l)
         if near[0] is None:
             ax = 1

@@ -1,4 +1,9 @@
-"""Verification suites: round-trip sweeps, census identities, interval checks."""
+"""Verification suites: round-trip sweeps, census identities, interval checks.
+
+The interval sweep reads its candidates off ``Census.joins``, the slab
+pairs of every size along the census's column axis; the grid's transpose
+covers the row axis.
+"""
 
 from __future__ import annotations
 
@@ -141,45 +146,24 @@ def census_identities(census: Census) -> list[str]:
     return bad
 
 
-def _axis_soundness(census: Census, axis_name: str, bad: list[str]) -> int:
-    """Feasibility checks for every same-axis join of occurring slabs.
+def census_soundness(census: Census, axis_name: str) -> tuple[int, list[str]]:
+    """Feasibility checks for every column join of occurring slabs.
 
     Candidates here always have both slabs occurring; joins whose other-
     axis slabs are missing can only count zero and need no interval, so
-    running this on the grid and on its transpose covers every case the
-    coder distinguishes.
+    running this on the grid's census and on its transpose's covers every
+    case the coder distinguishes.  Returns (checks made, violations).
     """
-    m, n = census.m, census.n
-    mn = m * n
     checked = 0
-    for k in range(1, m + 1):
-        for l in range(2, n + 1):
+    bad: list[str] = []
+    for k in range(1, census.m + 1):
+        for l in range(2, census.n + 1):
+            a, b, co = census.joins(k, l)
+            if not len(a):
+                bad.append(f"{axis_name} ({k},{l}): no joinable slabs")
+                break
             prev_ids, prev_cnt = census.ids(k, l - 1), census.counts(k, l - 1)
             s = len(prev_cnt)
-            if l == 2:
-                a = np.repeat(np.arange(s), s)
-                b = np.tile(np.arange(s), s)
-                co = np.full(s * s, mn, dtype=np.int64)
-            else:
-                prev2_ids, prev2_cnt = census.ids(k, l - 2), census.counts(k, l - 2)
-                first_anchor = census.first_anchors(k, l - 1)
-                pre = prev2_ids.ravel()[first_anchor]
-                suf = np.roll(prev2_ids, -1, axis=1).ravel()[first_anchor]
-                parts_a, parts_b, parts_o = [], [], []
-                for o in range(len(prev2_cnt)):
-                    aa = np.flatnonzero(suf == o)
-                    bb = np.flatnonzero(pre == o)
-                    if len(aa) and len(bb):
-                        parts_a.append(np.repeat(aa, len(bb)))
-                        parts_b.append(np.tile(bb, len(aa)))
-                        parts_o.append(np.full(len(aa) * len(bb),
-                                               prev2_cnt[o], dtype=np.int64))
-                if not parts_a:
-                    bad.append(f"{axis_name} ({k},{l}): no joinable slabs")
-                    break
-                a = np.concatenate(parts_a)
-                b = np.concatenate(parts_b)
-                co = np.concatenate(parts_o)
             ca = prev_cnt[a]
             cb = prev_cnt[b]
             # the (k, l) ids ascend with their (first, last) slab-id pairs
@@ -204,16 +188,15 @@ def _axis_soundness(census: Census, axis_name: str, bad: list[str]) -> int:
                 bad.append(f"{axis_name} ({k},{l}): condition failed but "
                            f"count {true[i]} != min {hi[i]}")
             checked += len(a)
-    return checked
+    return checked, bad
 
 
 def check_interval_soundness(p: Block) -> tuple[int, list[str]]:
     """Every candidate count inside its feasibility interval, both axes."""
     grid = p.to_numpy()
-    bad: list[str] = []
-    checked = _axis_soundness(Census(grid), "cols", bad)
-    checked += _axis_soundness(Census(grid.T), "rows", bad)
-    return checked, bad
+    checked, bad = census_soundness(Census(grid), "cols")
+    rows_checked, rows_bad = census_soundness(Census(grid.T), "rows")
+    return checked + rows_checked, bad + rows_bad
 
 
 def corpus_blocks(count: int = 100, max_side: int = 16,

@@ -1,31 +1,46 @@
 """Conventional single-axis coder measurements."""
 
-from collections import Counter
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from torus_cse.baseline1d import Comparison, compare, conv_lengths, extend
-from torus_cse.blocks import from_numpy, is_primitive, make_block
+from torus_cse.baseline1d import Comparison, compare, conv_lengths
+from torus_cse.blocks import Census, from_numpy, is_primitive, make_block
 from torus_cse.errors import CapExceededError, NotPrimitiveError
 
 P2 = make_block([[0, 1], [1, 1]])
-
-
-def test_extend_columns():
-    x = extend(make_block([[0, 1, 1], [1, 0, 1]]))
-    assert x.symbols == ((0, 1), (1, 0), (1, 1))
-    assert x.n == 3
-    assert x.super_alphabet == 4
+PINNED = json.loads(
+    (Path(__file__).parent / "data" / "conv_lengths_pinned.json").read_text())
 
 
 def test_single_counts_sum_to_n():
+    # the column super-symbols are the full-height windows of row 0
     rng = np.random.default_rng(2)
     for shape in [(2, 5), (4, 9), (8, 16)]:
         p = from_numpy(rng.integers(0, 2, size=shape), alphabet=2)
-        counts = Counter(extend(p).symbols)
-        assert sum(counts.values()) == p.n
+        counts = Census(Census(p.to_numpy()).ids(p.m, 1)[:1]).counts(1, 1)
+        assert counts.sum() == p.n
         assert len(counts) <= min(2 ** p.m, p.n)
+
+
+def test_conv_lengths_pinned():
+    # recorded from the tuple-census implementation the census join replaced:
+    # 3 draws per shape, m 1..8, n over short, odd and power-of-two widths
+    rng = np.random.default_rng(0)
+    shapes = [(m, n) for m in range(1, 9)
+              for n in (1, 2, 3, 5, 8, 16, 17, 33, 64) for _ in range(3)]
+    assert len(PINNED["rows"]) == len(shapes) == 216
+    for (m, n), row in zip(shapes, PINNED["rows"]):
+        b = conv_lengths(from_numpy(rng.integers(0, 2, size=(m, n)),
+                                    alphabet=2))
+        t = b.transmitted
+        got = [m, n, t["C1"], t["C2"], t["C3"], b.l0, b.l1,
+               b.middle_regime_empty]
+        assert got == row[:8]
+        assert b.l2 == pytest.approx(row[8], abs=1e-9)
+        assert b.l3 == pytest.approx(row[9], abs=1e-9)
 
 
 def test_p2_frozen_sections():

@@ -22,7 +22,8 @@ from torus_cse.errors import (
     RaggedRowsError,
     SymbolOutOfRangeError,
 )
-from torus_cse.oracle import _is_primitive_cells
+from torus_cse.oracle import (Ledger, _is_primitive_cells, _joins, _view,
+                              primitive_blocks)
 
 P2 = make_block([[0, 1], [1, 1]], 2)
 P4 = make_block([[0, 1, 1], [1, 1, 1]], 2)
@@ -205,3 +206,32 @@ def test_shift_census_matches_oracle_seeded_quaternary():
     for _ in range(40):
         m, n = (int(v) for v in rng.integers(1, 7, size=2))
         _agrees_with_oracle(from_numpy(rng.integers(0, 4, size=(m, n)), 4))
+
+
+def _joins_agree_with_oracle(p):
+    """Census joins of every size against the oracle's column-view joins."""
+    census, led = Census(p.to_numpy()), Ledger(p)
+    for k in range(1, p.m + 1):
+        for l in range(2, p.n + 1):
+            a, b, overlap = census.joins(k, l)
+            pairs = list(zip(a.tolist(), b.tolist()))
+            assert pairs == sorted(pairs)
+            views = [_view(torus_subblock(p, i // p.n + 1, i % p.n + 1,
+                                          k, l - 1).rows, 1)
+                     for i in census.first_anchors(k, l - 1)]
+            joined = [views[x] + views[y][-1:] for x, y in pairs]
+            expect = _joins([_view(w, 1) for w in led.tables[(k, l - 1)]])
+            assert len(joined) == len(expect)
+            assert set(joined) == expect
+            assert overlap.tolist() == [led.views[1][w[1:-1]] for w in joined]
+
+
+def test_joins_match_oracle_primitive_3x3():
+    for p in primitive_blocks(3, 3):
+        _joins_agree_with_oracle(p)
+
+
+def test_joins_match_oracle_seeded_4x4():
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        _joins_agree_with_oracle(from_numpy(rng.integers(0, 2, size=(4, 4)), 2))

@@ -2,11 +2,14 @@
 
 import numpy as np
 
-from torus_cse.blocks import from_numpy, make_block
+from torus_cse.blocks import Census, from_numpy, make_block
 from torus_cse.oracle import Ledger, coding_order
-from torus_cse.verify import (VerifyReport, check_count_identities,
-                              check_interval_soundness, corpus_blocks,
-                              run_exhaustive, run_lemmas, run_random)
+from torus_cse.verify import (VerifyReport, census_soundness,
+                              check_count_identities, check_interval_soundness,
+                              corpus_blocks, run_exhaustive, run_lemmas,
+                              run_random)
+
+P4 = make_block([[0, 1, 1], [1, 1, 1]])
 
 
 def test_exhaustive_small_shapes():
@@ -65,6 +68,36 @@ def test_interval_sweeper_agrees_with_reference():
                 assert lo <= c <= hi
     checked, bad = check_interval_soundness(p)
     assert bad == [] and checked > 0
+
+
+def test_sweep_catches_count_outside_interval():
+    # 111 joins 11/11 (4 each) over 1 (5 anchors): its count lies in [3, 4]
+    census = Census(P4.to_numpy())
+    census.counts(1, 3)[3] += 2
+    checked, bad = census_soundness(census, "cols")
+    assert checked > 0
+    assert bad == ["cols (1,3): count 5 outside [3, 4]"]
+
+
+def test_sweep_catches_forced_count_off_its_min():
+    # 101 joins 10/01 over a 0 seen once, which 10 fills: its count is 1
+    census = Census(P4.to_numpy())
+    census.counts(1, 3)[1] += 1
+    _, bad = census_soundness(census, "cols")
+    assert bad == ["cols (1,3): count 2 outside [1, 1]",
+                   "cols (1,3): condition failed but count 2 != min 1"]
+
+
+def test_sweep_reports_empty_join(monkeypatch):
+    none = np.zeros(0, dtype=np.int64)
+    monkeypatch.setattr(Census, "joins", lambda self, k, l: (none, none, none))
+    checked, bad = check_interval_soundness(P4)
+    assert checked == 0
+    # one report per slab height, then on to the next: 2 column heights
+    # of the 2x3 grid, 3 row widths of its transpose
+    assert bad == [f"{axis} ({k},2): no joinable slabs"
+                   for axis, top in (("cols", 2), ("rows", 3))
+                   for k in range(1, top + 1)]
 
 
 def test_corpus_blocks_deterministic_and_primitive():
