@@ -205,9 +205,19 @@ class Census:
 
     where S counts distinct windows, so a key pairs a window's first l-1
     columns with its last column (or first k-1 cells with its last).  The
-    keys stay below (m*n)^2, inside int64.  Every size built is kept.
+    keys stay below (m*n)^2, inside int64.  Every size built is kept, and
+    so are the first anchors of each size once asked for.  ``keys`` holds
+    this split only, the one the encoder walk probes with.
     ``joins(k, l)`` pairs the (k, l-1) windows that overlap in k-by-(l-2),
     the candidates the interval sweep and the 1D baseline bound.
+
+    ``shift_ids``, the (m, n) ids that ``primitive``, ``rank`` and the
+    decoder's readout read, come instead by doubling (Karp, Miller and
+    Rosenberg, 1972): a column twice as tall pairs two stacked columns, and
+    a window twice as wide two side-by-side windows.  Pairs compare like
+    the column-major keys, so the ids are the same in O(log m + log n)
+    steps instead of m + n - 2.  None of these sizes is stored where
+    ``keys`` and ``counts`` read.
     """
 
     def __init__(self, grid: np.ndarray) -> None:
@@ -217,6 +227,7 @@ class Census:
         inv = inv.reshape(self.m, self.n).astype(np.int64)
         self._sizes = {(1, 1): (inv, syms.astype(np.int64),
                                 np.bincount(inv.ravel()).astype(np.int64))}
+        self._first: dict[tuple[int, int], np.ndarray] = {}
 
     def _size(self, k: int, l: int):
         if (k, l) not in self._sizes:
@@ -252,7 +263,10 @@ class Census:
 
     def first_anchors(self, k: int, l: int) -> np.ndarray:
         """Row-major flat index of the first anchor showing each id."""
-        return np.unique(self.ids(k, l).ravel(), return_index=True)[1]
+        if (k, l) not in self._first:
+            self._first[(k, l)] = np.unique(self.ids(k, l).ravel(),
+                                            return_index=True)[1]
+        return self._first[(k, l)]
 
     def joins(self, k: int, l: int):
         """(a, b, overlap count) for every pair of (k, l-1) ids whose
@@ -272,15 +286,40 @@ class Census:
         a, b = _expand_groups(order, head[order], tail, len(overlap))
         return a, b, overlap[tail[a]]
 
+    @cached_property
+    def shift_ids(self) -> np.ndarray:
+        """The (m, n) ids, reached by doubling; equal to ``ids(m, n)``."""
+        ids = _doubled(self._sizes[(1, 1)][0], self.m, 0)
+        return _doubled(ids, self.n, 1)
+
     @property
     def primitive(self) -> bool:
         """True when all m*n torus shifts of the grid are distinct."""
-        return len(self.counts(self.m, self.n)) == self.m * self.n
+        return int(self.shift_ids.max()) + 1 == self.m * self.n
 
     @property
     def rank(self) -> int:
         """Position of the grid itself among its distinct shifts."""
-        return int(self.ids(self.m, self.n)[0, 0])
+        return int(self.shift_ids[0, 0])
+
+
+def _doubled(ids: np.ndarray, period: int, axis: int) -> np.ndarray:
+    """The ids of `ids`' windows stretched to `period` along `axis`.
+
+    Each step pairs a window with the one right after it and re-ranks the
+    pairs, doubling the length.  On the torus a window longer than the
+    period is its first `period` cells and then a repeat of them, so it
+    sorts and ranks like them; and once every anchor's window is distinct,
+    longer windows sort like their distinct first parts.  Either way the
+    doubling can stop.
+    """
+    have = 1
+    while have < period and ids.max() + 1 < ids.size:
+        pair = ids * np.int64(ids.max() + 1) + np.roll(ids, -have, axis=axis)
+        ids = np.unique(pair.ravel(), return_inverse=True)[1].reshape(
+            ids.shape)
+        have *= 2
+    return ids
 
 
 def _census(p: Block) -> Census:

@@ -28,7 +28,8 @@ first (K, L) with K, L >= 2 whose windows are all distinct and whose torus
 shift links are known, because (K, L-1) is all-distinct or L = n, and
 (K-1, L) is all-distinct or K = m.  Its right and down links lay out every
 anchor's id, and so one torus shift of the grid.  The (m, n) ids of that
-shift's `Census` then say which shift carries the transmitted rank.
+shift, which `Census.shift_ids` reaches by doubling, then say which shift
+carries the transmitted rank.
 
 Transmitted counts cross the walk's boundary a size at a time.  The encoder
 calls `sink(k, l, cls, lo, hi, values)` and the decoder calls
@@ -43,10 +44,13 @@ A count whose interval is one point is known to both sides; that covers
 every count with a slab that fills its overlap.  Every other untransmitted
 count is derived from the slab-family residuals: per family (shared first
 or last column slab, first or last row slab), the slab's count less the
-counts already known, narrowed over the unknown candidates alone until
-each is pinned.  A size with nothing to derive skips this.  The family sums
-over every candidate, checked last, are the consistency gate that catches a
-lie at any size.
+counts already known.  One sweep over the four families pins each unknown
+that is alone in its group to that group's residual.  Only if the sweep
+leaves an unknown, pins one outside its interval, or breaks a family sum,
+are the unknowns narrowed against the residuals pass by pass, from the
+state before the sweep; on a bad stream that names the error.  A size with
+nothing to derive skips both.  The family sums over every candidate,
+checked last, are the consistency gate that catches a lie at any size.
 """
 
 from __future__ import annotations
@@ -182,6 +186,36 @@ def _take(tab: _Table, idx) -> _Table:
     return out
 
 
+def _sweep(fams, values, u):
+    """`values` with its unknowns `u` (held as -1) pinned in one pass over
+    the slab families, or None if some are left.
+
+    In each family in turn, an unknown that is alone in its group takes
+    the group's residual over the counts known at that moment.
+    """
+    values = values.copy()
+    for g, targets in fams:
+        gu = g[u]
+        unknown = np.bincount(gu, minlength=len(targets))
+        alone = unknown[gu] == 1
+        if alone.any():
+            # an unknown weighs -1 in the sum, so add their number back
+            known = np.bincount(g, weights=values,
+                                minlength=len(targets)).astype(np.int64)
+            res = targets - known - unknown
+            values[u[alone]] = res[gu[alone]]
+            u = u[~alone]
+            if not len(u):
+                return values
+    return None
+
+
+def _sums_hold(fams, values) -> bool:
+    """Whether every slab family's counts sum to its slab counts."""
+    return all((np.bincount(g, weights=values, minlength=len(targets))
+                == targets).all() for g, targets in fams)
+
+
 class Walk:
     """Shared table walker; passing `truth` switches encoder mode on."""
 
@@ -301,7 +335,7 @@ class Walk:
             first = first[perm]
         return _expand_groups(perm, first, second, overlap.n)
 
-    def _fields(self, k, l, ax, near, first, second) -> _Table:
+    def _fields(self, ax, near, first, second) -> _Table:
         """Links and edges of the candidates joined along `ax` from slab
         pairs; drops the ones whose slab along the other axis is absent."""
         slab, _, strip = near[ax]
@@ -312,7 +346,7 @@ class Walk:
         o = 1 - ax
         if near[o] is None:
             return cand
-        cross, _, cross_strip = near[o]
+        cross = near[o][0]
         p, ok1 = _lookup(cross, ax, slab.link[o][0][first],
                          strip.link[o][0][last])
         q, ok2 = _lookup(cross, ax, slab.link[o][1][first],
@@ -321,15 +355,10 @@ class Walk:
         keep = ok1 & ok2
         if not keep.all():
             cand = _take(cand, keep)
-            first, last = cand.link[ax][0], cand.edge[ax][1]
-        fe, okf = _lookup(cross_strip, ax, slab.edge[o][0][first],
-                          strip.edge[o][0][last])
-        le, okl = _lookup(cross_strip, ax, slab.edge[o][1][first],
-                          strip.edge[o][1][last])
-        if not (okf.all() and okl.all()):
-            raise InconsistentCountsError(
-                f"slab tables disagree at size ({k},{l})")
-        cand.edge[o] = (fe, le)
+            p, q = cand.link[o]
+        # the first cross slab starts with the candidate's first line, the
+        # second ends with its last
+        cand.edge[o] = (cross.edge[o][0][p], cross.edge[o][1][q])
         return cand
 
     # ---- full path ----
@@ -351,7 +380,7 @@ class Walk:
             ax = 0
         else:
             ax = 0 if self._join_cost(0, near) < self._join_cost(1, near) else 1
-        cand = self._fields(k, l, ax, near, *self._pairs(ax, near))
+        cand = self._fields(ax, near, *self._pairs(ax, near))
         nat = _native(l)
         probe = (cand.link[nat][0] * np.int64(near[nat][2].n)
                  + cand.edge[nat][1])
@@ -418,11 +447,13 @@ class Walk:
         """Fill in every candidate count; code the ones marked `transmit`.
 
         The decoder starts from the counts whose interval is one point and
-        the pulled ones.  It derives the rest from the residuals of the
-        four slab families over the unknowns alone, and stops as soon as
-        none is left.  The family sums over every candidate, checked last,
-        are the consistency gate; they alone cover a size with nothing to
-        derive.
+        the pulled ones.  One sweep over the four slab families derives the
+        rest on a consistent stream.  Only when the sweep leaves a count
+        unknown or out of its interval, or the family sums then fail, does
+        the narrowing of `_derive` run, from the counts known before the
+        sweep, to name what is wrong.  The family sums over every
+        candidate, checked last, are the consistency gate; they alone cover
+        a size with nothing to derive.
         """
         cls = self._cls(k, l)
         t_idx = np.flatnonzero(transmit)
@@ -450,14 +481,14 @@ class Walk:
 
         u = np.flatnonzero(values < 0)
         if len(u):
+            swept = _sweep(fams, values, u)
+            if (swept is not None and not ((swept < lo) | (swept > hi)).any()
+                    and _sums_hold(fams, swept)):
+                return swept
             self._derive(k, l, fams, values, u, lo[u], hi[u])
 
-        for g, targets in fams:
-            sums = np.bincount(g, weights=values,
-                               minlength=len(targets)).astype(np.int64)
-            if not np.array_equal(sums, targets):
-                raise InconsistentCountsError(
-                    f"family sums off at size ({k},{l})")
+        if not _sums_hold(fams, values):
+            raise InconsistentCountsError(f"family sums off at size ({k},{l})")
         return values
 
     @staticmethod
@@ -594,7 +625,7 @@ class Walk:
             raise InconsistentCountsError(
                 f"shift links do not tile the torus at size ({K},{L})")
         grid = self.sym[self.tabs[(K, 1)].edge[0][0][tab.edge[1][0][ids]]]
-        at = np.flatnonzero(Census(grid).ids(m, n) == rank)
+        at = np.flatnonzero(Census(grid).shift_ids == rank)
         if len(at) != 1:
             raise InconsistentCountsError(
                 f"rank {rank} does not pick one shift of the grid read at "

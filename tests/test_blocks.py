@@ -235,3 +235,33 @@ def test_joins_match_oracle_seeded_4x4():
     rng = np.random.default_rng(11)
     for _ in range(6):
         _joins_agree_with_oracle(from_numpy(rng.integers(0, 2, size=(4, 4)), 2))
+
+
+def doubling_corpus():
+    """Seeded grids with sides 1..20 and J = 2..4; every third one tiles a
+    smaller block, so it is periodic."""
+    rng = np.random.default_rng(1972)
+    for i in range(60):
+        m, n = 1 + i % 20, int(rng.integers(1, 21))
+        alphabet = int(rng.integers(2, 5))
+        if i % 3 == 2:
+            a = int(rng.choice([d for d in range(1, m + 1) if m % d == 0]))
+            b = int(rng.choice([d for d in range(1, n + 1) if n % d == 0]))
+            g = np.tile(rng.integers(0, alphabet, size=(a, b)), (m // a, n // b))
+        else:
+            g = rng.integers(0, alphabet, size=(m, n))
+        yield g
+
+
+def test_doubled_shift_ids_match_column_by_column():
+    periodic = 0
+    for g in doubling_corpus():
+        m, n = g.shape
+        doubled, stepped = Census(g), Census(g)
+        ids = stepped.ids(m, n)
+        assert np.array_equal(doubled.shift_ids, ids)
+        assert doubled.primitive == (len(stepped.counts(m, n)) == m * n)
+        assert doubled.rank == int(ids[0, 0])
+        assert not doubled._sizes.keys() - {(1, 1)}
+        periodic += not doubled.primitive
+    assert periodic >= 20

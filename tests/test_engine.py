@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_cse.blocks import from_numpy, is_primitive, rank_of
+from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
+from torus_cse.codec import compress, decompress
 from torus_cse.engine import Truth, Walk
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
 from torus_cse.oracle import DERIVE, _schedule, transmitted_records
@@ -345,6 +346,79 @@ def test_lie_at_size_without_derived_counts_breaks_family_sums():
     with pytest.raises(InconsistentCountsError,
                        match=rf"family sums off at size \({k},{l}\)"):
         walk.run()
+
+
+def test_derive_reports_an_undetermined_cycle():
+    # four unknowns in a 2x2 cycle: each group of either family holds two
+    # of them with residual 1, so every one could be 0 or 1
+    fams = [(np.array([0, 0, 1, 1]), np.array([1, 1])),
+            (np.array([0, 1, 0, 1]), np.array([1, 1]))]
+    values = np.full(4, -1, dtype=np.int64)
+    with pytest.raises(UnderdeterminedCountsError,
+                       match=r"4 counts unresolved at size \(2,3\)"):
+        Walk._derive(2, 3, fams, values, np.arange(4),
+                     np.zeros(4, dtype=np.int64), np.ones(4, dtype=np.int64))
+
+
+def consistent_grids():
+    """Seeded grids with sides 4..16, and `test_roundtrip_midsize`'s."""
+    rng = np.random.default_rng(4016)
+    for side in range(4, 17):
+        for alphabet in (2, 4, 16):
+            g = rng.integers(0, alphabet, size=(side, int(rng.integers(4, 17))))
+            yield g, alphabet
+    for shape, alphabet, seed in [((16, 16), 2, 11), ((12, 20), 4, 12),
+                                  ((9, 7), 16, 13)]:
+        yield np.random.default_rng(seed).integers(0, alphabet, size=shape), alphabet
+
+
+def test_consistent_streams_never_narrow(monkeypatch):
+    # the one-pass sweep pins every derived count of a consistent stream;
+    # the narrowing is there only to name what is wrong with a bad one
+    def narrowing(k, l, *args):
+        raise AssertionError(f"narrowing ran at size ({k},{l})")
+
+    monkeypatch.setattr(Walk, "_derive", staticmethod(narrowing))
+    checked = 0
+    for g, alphabet in consistent_grids():
+        p = from_numpy(g, alphabet=alphabet)
+        if not is_primitive(p):
+            continue
+        assert decompress(compress(p, strict=True)) == p
+        checked += 1
+    assert checked >= 40
+
+
+def sink_calls(g, alphabet, truth):
+    """The repr of every sink call of an encoder walk on `truth`; every
+    built table is checked against `truth.keys` on the way."""
+    calls = []
+    Walk(*g.shape, alphabet, truth=truth,
+         sink=lambda *a: calls.append(repr(a))).run()
+    return calls
+
+
+def test_walk_keys_unaffected_by_reading_primitive_first():
+    # `primitive` and `rank` double to the full size; the walk's keys must
+    # still come from its own split whichever is read first
+    rng = np.random.default_rng(1234)
+    checked = 0
+    while checked < 12:
+        m, n = (int(x) for x in rng.integers(2, 17, size=2))
+        alphabet = int(rng.choice([2, 3, 4]))
+        g = rng.integers(0, alphabet, size=(m, n))
+        truth = Truth(g)
+        if not truth.primitive:
+            continue
+        rank = truth.rank
+        calls = sink_calls(g, alphabet, truth)
+        fresh = Census(g)
+        for k in range(1, m + 1):
+            for l in range(1, n + 1):
+                assert np.array_equal(truth.keys(k, l), fresh.keys(k, l))
+        assert rank == int(fresh.ids(m, n)[0, 0])
+        assert calls == sink_calls(g, alphabet, Truth(g))
+        checked += 1
 
 
 def test_member_grid_rank_bounds():
