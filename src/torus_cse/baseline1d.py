@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bits import elias_delta_length
-from .blocks import Block, Census
+from .blocks import Block, Census, slab_bounds
 from .codec import CodewordStats, stats
 from .errors import CapExceededError
 
@@ -75,9 +75,8 @@ def conv_lengths(p: Block, m_cap: int = _M_CAP) -> BaselineStats:
     for length in range(2, n + 1):
         a, b, o = line.joins(1, length)
         counts = line.counts(1, length - 1)
-        f, s = counts[a], counts[b]
-        keep = np.minimum(np.minimum(f, s), np.minimum(o - f, o - s)) >= 1
-        width = np.minimum(f, s) - np.maximum(0, f + s - o) + 1
+        lo, hi, keep = slab_bounds(counts[a], counts[b], o)
+        width = hi - lo + 1
         bits, sent = float(np.log2(width[keep]).sum()), int(keep.sum())
         if length <= cap:
             l2 += bits

@@ -168,6 +168,13 @@ def torus_subblock(p: Block, i: int, j: int, k: int, l: int) -> Block:
     return Block(k, l, cells, p.alphabet)
 
 
+def slab_bounds(a: np.ndarray, b: np.ndarray, w: np.ndarray):
+    """(lo, hi, open) of a count joined from occurring slabs counted a and
+    b over an overlap counted w: it lies in [max(0, a + b - w), min(a, b)],
+    which holds one point at most unless it is open: neither slab fills w."""
+    return (np.maximum(0, a + b - w), np.minimum(a, b), (a < w) & (b < w))
+
+
 def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,
                    ngroups: int):
     """Per probe, the contiguous run of positions whose group matches.
@@ -205,9 +212,10 @@ class Census:
 
     where S counts distinct windows, so a key pairs a window's first l-1
     columns with its last column (or first k-1 cells with its last).  The
-    keys stay below (m*n)^2, inside int64.  Every size built is kept, and
-    so are the first anchors of each size once asked for.  ``keys`` holds
-    this split only, the one the encoder walk probes with.
+    keys stay below (m*n)^2, inside int64.  Each size is built once, in a
+    loop after the missing sizes on its chain of heads, (k, l-1) ... (k, 1),
+    (k-1, 1) ... (1, 1), and kept, as are its first anchors once asked for.
+    ``keys`` holds this split only, the one the encoder walk probes with.
     ``joins(k, l)`` pairs the (k, l-1) windows that overlap in k-by-(l-2),
     the candidates the interval sweep and the 1D baseline bound.
 
@@ -230,16 +238,15 @@ class Census:
         self._first: dict[tuple[int, int], np.ndarray] = {}
 
     def _size(self, k: int, l: int):
-        if (k, l) not in self._sizes:
-            for r in range(2, k + 1):
-                self._build(r, 1)
-            for c in range(2, l + 1):
-                self._build(k, c)
+        missing, r, c = [], k, l
+        while r >= 1 and (r, c) not in self._sizes:
+            missing.append((r, c))
+            r, c = (r, c - 1) if c > 1 else (r - 1, 1)
+        for size in reversed(missing):
+            self._build(*size)
         return self._sizes[(k, l)]
 
     def _build(self, k: int, l: int) -> None:
-        if (k, l) in self._sizes:
-            return
         if l == 1:
             head, last, shift, axis = (k - 1, 1), (1, 1), k - 1, 0
         else:

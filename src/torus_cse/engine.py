@@ -10,7 +10,10 @@ numpy array programs.  A size's candidates come from one join of
 overlapping slab pairs along the axis that expands fewer pairs; that choice
 is for speed only, since either join gives the same candidates in the same
 canonical order.  The decoder runs the exact same table builds as the
-encoder, which keeps the two in lockstep by construction.
+encoder, which keeps the two in lockstep by construction.  The encoder finds
+each size's census keys among its candidate probes (`Truth.counts_for`), so
+the table it keeps is the grid's census by construction: that one lookup is
+its table check.
 
 The empty window is a size too: one shared table with a single id, counted
 at all m*n anchors, stands for every (k, 0) and (0, l).  A table one wide
@@ -59,7 +62,7 @@ import math
 
 import numpy as np
 
-from .blocks import Census, _expand_groups
+from .blocks import Census, _expand_groups, slab_bounds
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
 _MAX_PASSES = 500
@@ -125,8 +128,8 @@ def _native(l: int) -> int:
 def _find(sorted_keys: np.ndarray, probe: np.ndarray):
     """searchsorted with a found mask; -1 where absent.
 
-    `sorted_keys` is never empty: every installed table and every census
-    size has at least one id.
+    `sorted_keys` is never empty: every installed table, every census size
+    and every built size's candidate probe has at least one entry.
     """
     idx = np.searchsorted(sorted_keys, probe)
     idx_c = np.minimum(idx, len(sorted_keys) - 1)
@@ -280,7 +283,7 @@ class Walk:
         lo = np.zeros(J - 1, dtype=np.int64)
         hi = np.full(J - 1, mn - 1, dtype=np.int64)
         if self.truth is not None:
-            counts = self.truth.single_counts(J)
+            counts = self.truth.counts_for(1, 1, np.arange(J))
             self.sink(1, 1, B1, lo, hi, counts[:-1])
         else:
             counts = np.zeros(J, dtype=np.int64)
@@ -402,28 +405,28 @@ class Walk:
         """Each candidate's interval [lo, hi] and whether it is transmitted.
 
         Per axis, two slabs with counts a and b and an overlap with count w
-        bound the count to [a + b - w, min(a, b)]; the overlap of a width-2
-        or height-2 size is the empty window.  A slab that fills its overlap
+        bound the count by `slab_bounds`; the overlap of a width-2 or
+        height-2 size is the empty window.  A slab that fills its overlap
         (a >= w) makes that axis's bounds meet or cross, so once crossed
         bounds are rejected the count's interval is the one point min(a, b).
-        A count is transmitted when no slab fills its overlap and no edge
+        A count is transmitted when it is open along every axis and no edge
         column or row is its strip's largest member.
         """
         if cand.n == 0:
             raise InconsistentCountsError(f"no candidates at size ({k},{l})")
-        lo = np.zeros(cand.n, dtype=np.int64)
-        hi = np.full(cand.n, self.mn, dtype=np.int64)
-        transmit = np.ones(cand.n, dtype=bool)
+        # every size built here has slabs along one axis at least
+        lo, hi, transmit = 0, self.mn, True
         for ax in (1, 0):
             if near[ax] is None:
                 continue
             slab, overlap, strip = near[ax]
             first, second = cand.link[ax]
-            a, b = slab.count[first], slab.count[second]
-            w = overlap.count[slab.link[ax][1][first]]
-            lo = np.maximum(lo, a + b - w)
-            hi = np.minimum(hi, np.minimum(a, b))
-            transmit &= ((a < w) & (b < w) & ~strip.is_x[cand.edge[ax][0]]
+            ax_lo, ax_hi, open_ = slab_bounds(
+                slab.count[first], slab.count[second],
+                overlap.count[slab.link[ax][1][first]])
+            lo = np.maximum(lo, ax_lo)
+            hi = np.minimum(hi, ax_hi)
+            transmit &= (open_ & ~strip.is_x[cand.edge[ax][0]]
                          & ~strip.is_x[cand.edge[ax][1]])
         # true counts sit inside [lo, hi], so crossed bounds mean corrupt
         # counts; pulling a crossed interval would ask the coder for width <= 0
@@ -567,8 +570,6 @@ class Walk:
             mid = slab.link[o][0][tab.link[o][1]]
             tab.is_x = (s11.is_x[tab.edge[o][0]] & s11.is_x[tab.edge[o][1]]
                         & (mid == overlap.n - 1))
-        if self.truth is not None:
-            self.truth.check_table(k, l, tab)
         if int(tab.count.sum()) != self.mn:
             raise InconsistentCountsError(
                 f"counts at size ({k},{l}) do not sum to the area")
@@ -635,28 +636,17 @@ class Walk:
 
 
 class Truth(Census):
-    """The grid's torus census, read the way the encoder walk asks for it."""
-
-    def single_counts(self, alphabet: int) -> np.ndarray:
-        counts = np.zeros(alphabet, dtype=np.int64)
-        counts[self.keys(1, 1)] = self.counts(1, 1)
-        return counts
+    """The grid's torus census, read the way the encoder walk asks for it:
+    one lookup per built size, which is also the encoder's table check."""
 
     def counts_for(self, k, l, probe) -> np.ndarray:
-        """True counts for candidate probes keyed like the walk's tables."""
-        idx, ok = _find(self.keys(k, l), probe)
-        return np.where(ok, self.counts(k, l)[np.maximum(idx, 0)], np.int64(0))
-
-    def check_table(self, k, l, tab: _Table) -> None:
-        """The walked table must replicate the grid's own window census.
-
-        This runs at every built size: `counts_for` was asked at the size
-        first, so its census is already there.
-        """
-        keys, counts = self.keys(k, l), self.counts(k, l)
-        if tab.n != len(keys) or not np.array_equal(tab.count, counts):
+        """True counts for the ascending candidate probes of size (k, l),
+        keyed like the walk's tables, 0 where no window shows; every window
+        of the grid must be among the probes."""
+        idx, ok = _find(probe, self.keys(k, l))
+        if not ok.all():
             raise InconsistentCountsError(
                 f"walked table diverges from the grid at size ({k},{l})")
-        if not np.array_equal(tab.keys[_native(l)][0], keys):
-            raise InconsistentCountsError(
-                f"walked ids diverge from the grid at size ({k},{l})")
+        counts = np.zeros(len(probe), dtype=np.int64)
+        counts[idx] = self.counts(k, l)
+        return counts

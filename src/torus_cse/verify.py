@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Block, Census, from_numpy, is_primitive
+from .blocks import Block, Census, from_numpy, is_primitive, slab_bounds
 from .codec import compress, decompress
 from .errors import TorusCseError
 from .oracle import lemma1_check, lemma2_violations, primitive_blocks
@@ -173,16 +173,13 @@ def census_soundness(census: Census, axis_name: str) -> tuple[int, list[str]]:
             pos = np.searchsorted(uk, a * s + b)
             pos[pos >= len(uk)] = 0
             true = np.where(uk[pos] == a * s + b, uc[pos], 0)
-            lo = np.maximum(0, ca + cb - co)
-            hi = np.minimum(ca, cb)
+            lo, hi, open_ = slab_bounds(ca, cb, co)
             out = (true < lo) | (true > hi)
             if out.any():
                 i = int(np.flatnonzero(out)[0])
                 bad.append(f"{axis_name} ({k},{l}): count {true[i]} outside "
                            f"[{lo[i]}, {hi[i]}]")
-            forced = np.minimum(np.minimum(ca, cb),
-                                np.minimum(co - ca, co - cb)) < 1
-            miss = forced & (true != hi)
+            miss = ~open_ & (true != hi)
             if miss.any():
                 i = int(np.flatnonzero(miss)[0])
                 bad.append(f"{axis_name} ({k},{l}): condition failed but "

@@ -265,3 +265,37 @@ def test_doubled_shift_ids_match_column_by_column():
         assert not doubled._sizes.keys() - {(1, 1)}
         periodic += not doubled.primitive
     assert periodic >= 20
+
+
+def test_census_builds_each_size_once(monkeypatch):
+    # every size of a 12x9 grid, asked for in scattered order through each
+    # reader, is built once, from the sizes on its chain already there
+    rng = np.random.default_rng(129)
+    g = rng.integers(0, 3, size=(12, 9))
+    built = []
+    build = Census._build
+
+    def record(self, k, l):
+        built.append((k, l))
+        build(self, k, l)
+
+    monkeypatch.setattr(Census, "_build", record)
+    census = Census(g)
+    sizes = [(k, l) for k in range(1, 13) for l in range(1, 10)]
+    got = {}
+    for i in rng.permutation(len(sizes)):
+        k, l = sizes[i]
+        got[(k, l)] = census.ids(k, l)
+        census.first_anchors(k, l)
+        if l >= 2:
+            census.joins(k, l)
+    assert len(built) == len(set(built)) == 12 * 9 - 1
+    monkeypatch.undo()
+    for k, l in sizes:
+        assert np.array_equal(got[(k, l)], Census(g).ids(k, l))
+
+
+def test_census_of_a_wide_grid_does_not_recurse():
+    g = np.random.default_rng(2000).integers(0, 2, size=(2, 2000))
+    census = Census(g)
+    assert np.array_equal(census.ids(2, 2000), Census(g).shift_ids)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
 from torus_cse.codec import compress, decompress
-from torus_cse.engine import Truth, Walk
+from torus_cse.engine import Truth, Walk, _take
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
 from torus_cse.oracle import DERIVE, _schedule, transmitted_records
 
@@ -171,6 +171,28 @@ def test_bad_pulled_batch_names_its_size(change):
     with pytest.raises(InconsistentCountsError,
                        match=rf"size \({target[0]},{target[1]}\)"):
         walk.run()
+
+
+def test_encoder_catches_a_missing_window():
+    # a window lost from the candidates must not pass silently: the census
+    # lookup that gives the encoder its counts finds every window
+    g = np.random.default_rng(4).integers(0, 2, size=(6, 6))
+    assert len(Census(g).counts(1, 2)) == 4
+
+    class DropsOne(Walk):
+        dropped = False
+
+        def _fields(self, ax, near, first, second):
+            cand = super()._fields(ax, near, first, second)
+            if self.dropped:
+                return cand
+            self.dropped = True  # the first join is size (1,2)'s
+            return _take(cand, np.arange(1, cand.n))
+
+    with pytest.raises(InconsistentCountsError,
+                       match=r"walked table diverges from the grid at size "
+                             r"\(1,2\)"):
+        encode_walk(g, 2, DropsOne)
 
 
 def test_corrupt_value_handled_gracefully():
