@@ -13,29 +13,16 @@ import sys
 from typing import Optional
 
 from .baseline1d import compare
-from .bits import elias_delta_length
-from .blocks import Block, from_numpy, is_primitive
-from .codec import (FLAG_ESCAPE, HEADER_LEN, CodewordStats, _cell_bits,
-                    compress_with_stats, decompress, stats)
-from .errors import (BadSpecError, NotPrimitiveError, TorusCseError,
-                     UnknownExtensionError)
+from .blocks import from_numpy, is_primitive
+from .codec import CodewordStats, compress_with_stats, decompress
+from .errors import BadSpecError, TorusCseError, UnknownExtensionError
 from .generate import SourceSpec, alphabet_of, entropy_bits, generate
 from .gridio import read_grid, write_grid
 from .verify import run_exhaustive, run_lemmas, run_random
 
 
-def _stats_dict(p: Block, s: CodewordStats | None) -> dict:
-    """The stats JSON of p; `s` is None for an escape-path input."""
-    if s is None:
-        bits = (elias_delta_length(p.m) + elias_delta_length(p.n)
-                + p.size * _cell_bits(p.alphabet))
-        container = HEADER_LEN + (bits + 7) // 8
-        return {"escape": True, "m": p.m, "n": p.n, "J": p.alphabet,
-                "l0": float(bits), "l1": 0.0, "l2": 0.0, "l3": 0.0,
-                "total_bits": bits,
-                "bits_per_symbol": 8 * container / p.size,
-                "transmitted": {"b1": 0, "b2": 0, "b3": 0}}
-    return {"escape": False, "m": s.m, "n": s.n, "J": s.alphabet,
+def _stats_dict(s: CodewordStats) -> dict:
+    return {"escape": s.escape, "m": s.m, "n": s.n, "J": s.alphabet,
             "l0": s.l0, "l1": s.l1, "l2": s.l2, "l3": s.l3,
             "total_bits": s.total_bits,
             "bits_per_symbol": s.bits_per_symbol,
@@ -51,9 +38,9 @@ def _cmd_compress(args) -> int:
         fh.write(data)
     if args.stats_json:
         with open(args.stats_json, "w", encoding="ascii") as fh:
-            json.dump(_stats_dict(p, s), fh, indent=2)
+            json.dump(_stats_dict(s), fh, indent=2)
             fh.write("\n")
-    mode = "escape" if data[7] & FLAG_ESCAPE else "coded"
+    mode = "escape" if s.escape else "coded"
     print(f"{args.input} -> {args.output}: {len(data)} bytes ({mode})")
     return 0
 
@@ -68,12 +55,8 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    p = read_grid(args.input)
-    try:
-        s = stats(p)
-    except NotPrimitiveError:
-        s = None
-    print(json.dumps(_stats_dict(p, s), indent=2))
+    s = compress_with_stats(read_grid(args.input))[1]
+    print(json.dumps(_stats_dict(s), indent=2))
     return 0
 
 

@@ -1,12 +1,14 @@
 """Container format and the compress/decompress/stats drivers.
 
-Layout: 9-byte header (magic "2DCSE1", version, flags, alphabet-1), then a
-bit payload.  Coded payload: delta codes of m and n, the range-coded count
-section, and the shift rank; escape payload (flag bit 0): delta codes of m
-and n followed by the raw cells row-major.  Escape covers non-primitive
-grids and grids thinner than 2 in either dimension, so compression is a
-total function.  Either payload ends inside the container's last byte, whose
-spare bits are zero; the decoder rejects a container with more or fewer bits.
+The one module that knows the container layout: a 9-byte header (magic
+"2DCSE1", version, flags, alphabet-1), then a payload bit array, packed MSB
+first: delta codes of m and n, then the body.  The coded body is the range
+coder's bytes (the count section, then the shift rank); the escape body
+(flag bit 0) is the raw cells row-major.  Escape covers non-primitive grids
+and grids thinner than 2 in either dimension, so compression is a total
+function up to the _MAX_CELLS cap, which both sides enforce.  The payload
+ends inside the container's last byte, whose spare bits are zero; the
+decoder rejects a container with more or fewer bits.
 """
 
 from __future__ import annotations
@@ -14,17 +16,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 
 import numpy as np
 
-from .bits import (BitReader, BitWriter, elias_delta_decode,
-                   elias_delta_encode, elias_delta_length)
+from .bits import elias_delta_bits, elias_delta_decode
 from .blocks import Block, from_numpy
 from .engine import B1, B2, B3, Truth, Walk
 from .errors import (BadMagicError, InconsistentCountsError,
-                     NotPrimitiveError, TrailingDataError, TruncatedStreamError,
-                     UnsupportedVersionError)
+                     NotPrimitiveError, TooLargeError, TrailingDataError,
+                     TruncatedStreamError, UnsupportedVersionError)
 from .rangecoder import RangeDecoder, RangeEncoder
 
 MAGIC = b"2DCSE1"
@@ -32,7 +33,9 @@ VERSION = 1
 FLAG_ESCAPE = 0x01
 HEADER_LEN = 9
 
-# sanity cap so a corrupt header cannot provoke an enormous decode walk
+# sanity cap so a corrupt header cannot provoke an enormous decode walk;
+# compress refuses larger grids, so it never emits a container decompress
+# would refuse
 _MAX_CELLS = 1 << 22
 
 
@@ -40,12 +43,12 @@ def _cell_bits(alphabet: int) -> int:
     return max(1, (alphabet - 1).bit_length())
 
 
-def _check_end(what: str, left: int, spare) -> None:
+def _check_end(what: str, left: int, spare: np.ndarray) -> None:
     """The `left` bits after the payload must be its last byte's zero
-    padding; `spare` holds them, then zeros."""
+    padding; `spare` holds them."""
     if left < 0:
         raise TruncatedStreamError(f"{what} payload lacks {-left} bits")
-    if left >= 8 or any(spare):
+    if left >= 8 or spare.any():
         raise TrailingDataError(f"{left} bits follow the {what} payload")
 
 
@@ -56,8 +59,12 @@ def _rank_width(mn: int) -> int:
 
 @dataclass(frozen=True)
 class CodewordStats:
-    """Ideal-codelength attribution of one coded container."""
+    """Ideal-codelength attribution of one container.
 
+    An escape container puts its whole payload in l0 and sends no counts.
+    """
+
+    escape: bool
     m: int
     n: int
     alphabet: int
@@ -65,7 +72,7 @@ class CodewordStats:
     l1: float   # single-symbol counts
     l2: float   # sizes under the caps
     l3: float   # everything larger
-    total_bits: int
+    total_bits: int  # payload bits: dims and body, without the padding
     container_bytes: int
     transmitted: dict
     per_size: dict
@@ -79,8 +86,11 @@ class CodewordStats:
         return 8.0 * self.container_bytes / (self.m * self.n)
 
 
-def _container(flags: int, alphabet: int, bw: BitWriter) -> bytes:
-    return MAGIC + bytes([VERSION, flags, alphabet - 1]) + bw.to_bytes()
+def _container(flags: int, p: Block, body: np.ndarray) -> tuple[bytes, int]:
+    """The container around `body`, a 0/1 array, and its payload bits."""
+    bits = np.concatenate([elias_delta_bits(p.m), elias_delta_bits(p.n), body])
+    header = MAGIC + bytes([VERSION, flags, p.alphabet - 1])
+    return header + np.packbits(bits).tobytes(), len(bits)
 
 
 def _coded_truth(p: Block) -> Truth | None:
@@ -96,32 +106,32 @@ def compress(p: Block, strict: bool = False) -> bytes:
 
 
 def compress_with_stats(p: Block, strict: bool = False
-                        ) -> tuple[bytes, CodewordStats | None]:
-    """The container of p and, on the coded path, the length accounting of
-    the same encoder walk (None for an escape container)."""
+                        ) -> tuple[bytes, CodewordStats]:
+    """The container of p and the length accounting of the same encoder
+    walk; `strict` refuses escape-path inputs."""
+    if p.size > _MAX_CELLS:
+        raise TooLargeError(
+            f"{p.m}x{p.n} grid exceeds the {_MAX_CELLS}-cell cap")
     truth = _coded_truth(p)
     if truth is None:
         if strict:
             raise NotPrimitiveError(
                 "coded path needs a primitive grid with both dimensions >= 2")
-        return _compress_escape(p), None
+        return _compress_escape(p)
     return _encode(p, truth)
 
 
-def _compress_escape(p: Block) -> bytes:
-    bw = BitWriter()
-    elias_delta_encode(p.m, bw)
-    elias_delta_encode(p.n, bw)
+def _compress_escape(p: Block) -> tuple[bytes, CodewordStats]:
     cb = _cell_bits(p.alphabet)
     # every cell's cb bits, most significant first, row-major
-    bits = (p.to_numpy().reshape(-1, 1) >> np.arange(cb - 1, -1, -1,
-                                                       dtype=np.uint8)) & 1
-    packed = np.packbits(bits).tobytes()
-    whole, rest = divmod(cb * p.size, 8)
-    bw.write_bytes(packed[:whole])
-    if rest:
-        bw.write_bits(packed[whole] >> (8 - rest), rest)
-    return _container(FLAG_ESCAPE, p.alphabet, bw)
+    cells = (p.to_numpy().reshape(-1, 1) >> np.arange(cb - 1, -1, -1,
+                                                        dtype=np.uint8)) & 1
+    container, total_bits = _container(FLAG_ESCAPE, p, cells.ravel())
+    return container, CodewordStats(
+        escape=True, m=p.m, n=p.n, alphabet=p.alphabet,
+        l0=float(total_bits), l1=0.0, l2=0.0, l3=0.0,
+        total_bits=total_bits, container_bytes=len(container),
+        transmitted={B1: 0, B2: 0, B3: 0}, per_size={})
 
 
 def _encode(p: Block, truth: Truth) -> tuple[bytes, CodewordStats]:
@@ -142,17 +152,11 @@ def _encode(p: Block, truth: Truth) -> tuple[bytes, CodewordStats]:
 
     Walk(p.m, p.n, p.alphabet, truth=truth, sink=sink).run()
     rc.encode([truth.rank], [_rank_width(p.size)])
-    payload = rc.flush()
-    bw = BitWriter()
-    elias_delta_encode(p.m, bw)
-    elias_delta_encode(p.n, bw)
-    bw.write_bytes(payload)
-    container = _container(0, p.alphabet, bw)
-    total_bits = (elias_delta_length(p.m) + elias_delta_length(p.n)
-                  + 8 * len(payload))
+    body = np.unpackbits(np.frombuffer(rc.flush(), dtype=np.uint8))
+    container, total_bits = _container(0, p, body)
     l1, l2, l3 = ideal[B1], ideal[B2], ideal[B3]
     return container, CodewordStats(
-        m=p.m, n=p.n, alphabet=p.alphabet,
+        escape=False, m=p.m, n=p.n, alphabet=p.alphabet,
         l0=total_bits - (l1 + l2 + l3), l1=l1, l2=l2, l3=l3,
         total_bits=total_bits, container_bytes=len(container),
         transmitted=dict(txcnt), per_size=per_size)
@@ -172,21 +176,19 @@ def decompress(data: bytes) -> Block:
         raise InconsistentCountsError("alphabet byte must be at least 1")
     alphabet = data[8] + 1
 
-    rd = BitReader(data[HEADER_LEN:])
-    m = elias_delta_decode(rd)
-    n = elias_delta_decode(rd)
+    bits = np.unpackbits(np.frombuffer(data, dtype=np.uint8)[HEADER_LEN:])
+    m, pos = elias_delta_decode(bits, 0)
+    n, pos = elias_delta_decode(bits, pos)
     if m * n > _MAX_CELLS:
         raise InconsistentCountsError(f"dimensions {m}x{n} out of range")
+    body = bits[pos:]
 
-    tail = rd.tail_bytes()
     if flags & FLAG_ESCAPE:
         cb = _cell_bits(alphabet)
         need = cb * m * n
-        bits = np.unpackbits(np.frombuffer(tail, dtype=np.uint8))
-        _check_end("escape", rd.remaining - need, bits[need:])
-        bits = bits[:need]
+        _check_end("escape", len(body) - need, body[need:])
         # each cell's cb bits, left-aligned in one byte
-        grid = (np.packbits(bits.reshape(m * n, cb), axis=1)[:, 0]
+        grid = (np.packbits(body[:need].reshape(m * n, cb), axis=1)[:, 0]
                 >> (8 - cb)).reshape(m, n)
         if grid.max() >= alphabet:
             raise InconsistentCountsError("escape cell outside the alphabet")
@@ -195,8 +197,7 @@ def decompress(data: bytes) -> Block:
     if m < 2 or n < 2:
         raise InconsistentCountsError(
             "coded payload needs both dimensions at least 2")
-    # the range decoder reads zeros past the end of the payload
-    dec = RangeDecoder(partial(next, iter(tail), 0))
+    dec = RangeDecoder(np.packbits(body).tobytes())
 
     def pull(k, l, cls, lo, hi):
         return lo + np.array(dec.decode((hi - lo + 1).tolist()), dtype=np.int64)
@@ -204,16 +205,11 @@ def decompress(data: bytes) -> Block:
     walk = Walk(m, n, alphabet, pull=pull)
     walk.run()
     [rank] = dec.decode([_rank_width(m * n)])
-    # the decoder pulls 5 bytes more than the encoder's flush wrote
-    used = dec.pulled - 5
-    _check_end("coded", rd.remaining - 8 * used, tail[used:])
+    end = 8 * dec.used
+    _check_end("coded", len(body) - end, body[end:])
     return from_numpy(walk.member_grid(rank), alphabet)
 
 
 def stats(p: Block) -> CodewordStats:
     """Length accounting for the coded path; rejects escape-path inputs."""
-    truth = _coded_truth(p)
-    if truth is None:
-        raise NotPrimitiveError(
-            "stats cover the coded path; input would take the escape path")
-    return _encode(p, truth)[1]
+    return compress_with_stats(p, strict=True)[1]

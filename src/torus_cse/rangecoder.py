@@ -8,9 +8,14 @@ log2(w) bits up to rounding; the flush tail plus rounding stays under
 Both sides code a batch per call: `encode(values, widths)` and
 `decode(widths)` run over parallel sequences of Python ints, so a batch
 produces the same bytes as the same steps split into any other batches.
+The decoder reads zeros past the end of its bytes; `RangeDecoder.used`
+tells how many of them the values decoded so far took, so a container can
+check where the coded bytes end.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 _BITS = 48
 _MASK = (1 << _BITS) - 1
@@ -88,23 +93,28 @@ class RangeEncoder:
 
 
 class RangeDecoder:
-    def __init__(self, next_byte) -> None:
-        """`next_byte()` supplies the stream, returning 0 past its end.
-
-        `pulled` counts the calls made so far.
-        """
-        self._next = next_byte
+    def __init__(self, data: bytes) -> None:
+        """Decode the encoder's bytes `data`, reading zeros past its end."""
+        window = _BITS // 8
+        self._code = int.from_bytes(data[:window].ljust(window, b"\0"), "big")
+        self._next = partial(next, iter(data[window:]), 0)
         self._range = _MASK
-        self.pulled = _BITS // 8
-        code = 0
-        for _ in range(_BITS // 8):
-            code = (code << 8) | next_byte()
-        self._code = code
+        self._pulled = window
+
+    @property
+    def used(self) -> int:
+        """The bytes of `data` that the values decoded so far took.
+
+        The decoder's 48-bit window runs 5 bytes ahead of them: the
+        encoder's flush settles its final interval on a value whose low 40
+        bits are zero, writes the top byte and leaves those 5 out.
+        """
+        return self._pulled - 5
 
     def decode(self, widths) -> list[int]:
         """One value per width, in order, each in [0, width)."""
         nxt = self._next
-        rng, code, pulled = self._range, self._code, self.pulled
+        rng, code, pulled = self._range, self._code, self._pulled
         out: list[int] = []
         append = out.append
         try:
@@ -129,5 +139,5 @@ class RangeDecoder:
                     pulled += 1
                 append(v)
         finally:
-            self._range, self._code, self.pulled = rng, code, pulled
+            self._range, self._code, self._pulled = rng, code, pulled
         return out

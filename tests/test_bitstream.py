@@ -1,104 +1,117 @@
-"""Bit buffer, Elias delta, and range coder round-trips."""
+"""Elias delta codes over bit arrays, and range coder round-trips."""
 
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torus_cse.bits import (
-    BitReader,
-    BitWriter,
-    elias_delta_decode,
-    elias_delta_encode,
-    elias_delta_length,
-)
+from torus_cse.bits import (elias_delta_bits, elias_delta_decode,
+                            elias_delta_length)
 from torus_cse.errors import NonPositiveError, TruncatedStreamError
 from torus_cse.rangecoder import RangeDecoder, RangeEncoder
 
 
 def delta_bits(v):
-    w = BitWriter()
-    elias_delta_encode(v, w)
-    return "".join(
-        str((byte >> (7 - i)) & 1)
-        for k, byte in enumerate(w.to_bytes())
-        for i in range(8)
-        if 8 * k + i < w.bit_length
-    )
+    return "".join(map(str, elias_delta_bits(v)))
+
+
+def as_bits(text):
+    return np.array([int(c) for c in text], dtype=np.uint8)
+
+
+def pack(bits):
+    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+
+
+def unpack(data, bit_length=None):
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:bit_length]
+
+
+def padded_bytes(text):
+    """Bytes of a 0/1 string read 8 bits at a time, the last one zero-padded."""
+    return bytes(int(text[i:i + 8].ljust(8, "0"), 2)
+                 for i in range(0, len(text), 8))
 
 
 class TestBits:
+    """The bit-array conventions the container is built on: codes are
+    concatenated MSB first, packed once with a zero-padded last byte, and
+    read back by position after one unpack."""
+
     def test_writer_packs_msb_first(self):
-        w = BitWriter()
-        w.write_bits(0b101, 3)
-        w.write_bits(0b01, 2)
-        w.write_bits(0b110, 3)
-        assert w.to_bytes() == bytes([0b10101110])
+        assert pack(as_bits("101" "01" "110")) == bytes([0b10101110])
+        # delta(2) then delta(5), as the container writes m then n
+        bits = np.concatenate([elias_delta_bits(2), elias_delta_bits(5)])
+        assert pack(bits) == bytes([0b01000110, 0b10000000])
 
     def test_partial_byte_zero_padded(self):
-        w = BitWriter()
-        w.write_bits(0b11, 2)
-        assert w.to_bytes() == bytes([0b11000000])
-        assert w.bit_length == 2
+        assert pack(as_bits("11")) == bytes([0b11000000])
+        code = elias_delta_bits(1)
+        assert len(code) == 1
+        assert pack(code) == bytes([0b10000000])
 
     def test_reader_round_trip(self):
-        w = BitWriter()
-        chunks = [(5, 3), (0, 1), (977, 10), (1, 1), (255, 8)]
-        for v, width in chunks:
-            w.write_bits(v, width)
-        r = BitReader(w.to_bytes(), w.bit_length)
-        assert [r.read_bits(width) for _, width in chunks] == [v for v, _ in chunks]
-        assert r.remaining == 0
+        vals = [5, 1, 977, 1, 255]
+        bits = np.concatenate([elias_delta_bits(v) for v in vals])
+        data = pack(bits)
+        back = unpack(data)
+        pos, got = 0, []
+        for _ in vals:
+            v, pos = elias_delta_decode(back, pos)
+            got.append(v)
+        assert got == vals
+        assert pos == len(bits)
+        assert len(back) - pos < 8 and not back[pos:].any()
 
     def test_reader_truncation(self):
-        r = BitReader(b"\xff", 3)
-        r.read_bits(3)
-        with pytest.raises(TruncatedStreamError):
-            r.read_bit()
+        bits = unpack(b"\xff", 3)
+        pos = 0
+        for _ in range(3):
+            v, pos = elias_delta_decode(bits, pos)
+            assert v == 1
+        with pytest.raises(TruncatedStreamError, match="needed 1 bits"):
+            elias_delta_decode(bits, pos)
 
     def test_padded_byte_reads(self):
-        r = BitReader(bytes([0b10111111]), 3)
-        assert r.tail_bytes() == bytes([0b10100000])
-        r.read_bits(3)
-        assert r.tail_bytes() == b""
+        bits = unpack(bytes([0b10111111]), 3)
+        assert pack(bits) == bytes([0b10100000])
+        _, pos = elias_delta_decode(bits, 0)
+        assert pack(bits[pos:]) == bytes([0b01000000])
+        assert pack(bits[3:]) == b""
 
     @pytest.mark.parametrize("bit_length", [None, 45, 40, 33])
     @pytest.mark.parametrize("start", range(8))
     def test_tail_bytes_match_padded_byte_reads(self, start, bit_length):
+        # decompress re-packs the body after the dims, at any bit offset
         data = bytes([0xA5, 0x3C, 0xFF, 0x01, 0x96, 0x7E])
-        r = BitReader(data, bit_length)
-        r.read_bits(start)
-        tail = r.tail_bytes()
-        want = bytearray()
-        while r.remaining:
-            take = min(8, r.remaining)
-            want.append(r.read_bits(take) << (8 - take))
-        assert tail == bytes(want)
+        text = "".join(f"{b:08b}" for b in data)[:bit_length]
+        bits = unpack(data, bit_length)
+        assert pack(bits[start:]) == padded_bytes(text[start:])
 
     @given(st.integers(0, 7), st.binary(max_size=40))
     def test_unaligned_write_bytes_matches_byte_writes(self, lead, data):
-        one, many = BitWriter(), BitWriter()
-        for w in (one, many):
-            w.write_bits((1 << lead) - 1, lead)
-        one.write_bytes(data)
-        for b in data:
-            many.write_bits(b, 8)
-        assert one.bit_length == many.bit_length
-        assert one.to_bytes() == many.to_bytes()
+        # the coded body: range coder bytes appended after an unaligned lead
+        one = np.concatenate([np.ones(lead, np.uint8), unpack(data)])
+        many = np.concatenate([np.ones(lead, np.uint8)]
+                              + [as_bits(f"{b:08b}") for b in data])
+        assert len(one) == len(many) == lead + 8 * len(data)
+        assert pack(one) == pack(many)
+        assert pack(one) == padded_bytes("1" * lead
+                                         + "".join(f"{b:08b}" for b in data))
 
-    def test_value_must_fit(self):
-        with pytest.raises(ValueError):
-            BitWriter().write_bits(4, 2)
-
-    @given(st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 24))))
-    def test_random_round_trip(self, chunks):
-        chunks = [(v & ((1 << w) - 1), w) for v, w in chunks]
-        wtr = BitWriter()
-        for v, w in chunks:
-            wtr.write_bits(v, w)
-        r = BitReader(wtr.to_bytes(), wtr.bit_length)
-        assert [r.read_bits(w) for _, w in chunks] == [v for v, _ in chunks]
+    @given(st.lists(st.integers(1, 2**40)))
+    def test_random_round_trip(self, vals):
+        bits = np.concatenate([elias_delta_bits(v) for v in vals]
+                              + [np.zeros(0, np.uint8)])
+        back = unpack(pack(bits))
+        pos, got = 0, []
+        for _ in vals:
+            v, pos = elias_delta_decode(back, pos)
+            got.append(v)
+        assert got == vals
+        assert pos == len(bits)
 
 
 class TestEliasDelta:
@@ -117,34 +130,41 @@ class TestEliasDelta:
     def test_rejects_nonpositive(self):
         for v in (0, -3):
             with pytest.raises(NonPositiveError):
-                elias_delta_encode(v, BitWriter())
+                elias_delta_bits(v)
             with pytest.raises(NonPositiveError):
                 elias_delta_length(v)
 
     @given(st.integers(1, 2**40))
     def test_round_trip(self, v):
-        w = BitWriter()
-        elias_delta_encode(v, w)
-        assert elias_delta_decode(BitReader(w.to_bytes(), w.bit_length)) == v
+        code = elias_delta_bits(v)
+        assert code.dtype == np.uint8
+        assert elias_delta_decode(code, 0) == (v, len(code))
 
     def test_back_to_back_values(self):
-        w = BitWriter()
         vals = [1, 7, 2, 64, 100000, 3]
-        for v in vals:
-            elias_delta_encode(v, w)
-        r = BitReader(w.to_bytes(), w.bit_length)
-        assert [elias_delta_decode(r) for _ in vals] == vals
+        bits = np.concatenate([elias_delta_bits(v) for v in vals])
+        pos, got = 0, []
+        for _ in vals:
+            v, pos = elias_delta_decode(bits, pos)
+            got.append(v)
+        assert got == vals
+        assert pos == len(bits)
 
+    @pytest.mark.parametrize("v", [1, 2, 5, 64, 100000])
+    def test_every_cut_is_truncated(self, v):
+        code = elias_delta_bits(v)
+        lead = as_bits("101")
+        for cut in range(len(code)):
+            bits = np.concatenate([lead, code[:cut]])
+            with pytest.raises(TruncatedStreamError, match="needed"):
+                elias_delta_decode(bits, len(lead))
 
-def feed(data):
-    pos = [0]
-
-    def next_byte():
-        b = data[pos[0]] if pos[0] < len(data) else 0
-        pos[0] += 1
-        return b
-
-    return next_byte
+    def test_runaway_prefix(self):
+        with pytest.raises(TruncatedStreamError, match="runaway"):
+            elias_delta_decode(as_bits("0" * 65 + "1" * 200), 0)
+        # 64 zeros still announce a length; the value bits then run out
+        with pytest.raises(TruncatedStreamError, match="needed"):
+            elias_delta_decode(as_bits("0" * 64 + "1" * 200), 0)
 
 
 def roundtrip(steps):
@@ -153,8 +173,9 @@ def roundtrip(steps):
     for v, w in steps:
         enc.encode([v], [w])
     data = enc.flush()
-    dec = RangeDecoder(feed(data))
+    dec = RangeDecoder(data)
     got = [v for _, w in steps for v in dec.decode([w])]
+    assert dec.used == len(data)
     return data, got
 
 
@@ -217,7 +238,7 @@ class TestRangeCoder:
         with pytest.raises(ValueError):
             RangeEncoder().encode([0], [1 << 41])
         with pytest.raises(ValueError):
-            RangeDecoder(feed(b"")).decode([1 << 41])
+            RangeDecoder(b"").decode([1 << 41])
 
     def test_rejects_out_of_range_inside_a_batch(self):
         with pytest.raises(ValueError):
@@ -225,7 +246,7 @@ class TestRangeCoder:
         with pytest.raises(ValueError):
             RangeEncoder().encode([1, 0, 2], [3, (1 << 40) + 1, 4])
         with pytest.raises(ValueError):
-            RangeDecoder(feed(b"\x12\x34")).decode([3, 7, (1 << 40) + 1, 2])
+            RangeDecoder(b"\x12\x34").decode([3, 7, (1 << 40) + 1, 2])
 
     def test_encode_after_flush_rejected(self):
         enc = RangeEncoder()
@@ -267,7 +288,8 @@ class TestRangeCoder:
             enc.encode(values[a:b], widths[a:b])
         batched = enc.flush()
         assert batched == roundtrip(steps)[0]
-        dec = RangeDecoder(feed(batched))
+        dec = RangeDecoder(batched)
         got = [v for a, b in zip(dec_cuts, dec_cuts[1:])
                for v in dec.decode(widths[a:b])]
         assert got == values
+        assert dec.used == len(batched)

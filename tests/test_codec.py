@@ -1,25 +1,44 @@
 """Container round-trips, frozen layouts, and fault injection."""
 
+import collections
 import hashlib
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from torus_cse.bits import BitWriter, elias_delta_encode, elias_delta_length
+from torus_cse import codec
+from torus_cse.bits import elias_delta_length
 from torus_cse.blocks import Block, from_numpy, is_primitive, make_block
+from torus_cse.cli import main
 from torus_cse.codec import (FLAG_ESCAPE, HEADER_LEN, MAGIC, VERSION,
-                             CodewordStats, compress, decompress, stats)
+                             CodewordStats, compress, compress_with_stats,
+                             decompress, stats)
 from torus_cse.engine import Truth, Walk
 from torus_cse.errors import (BadMagicError, InconsistentCountsError,
-                              NotPrimitiveError, TorusCseError,
+                              NotPrimitiveError, TooLargeError, TorusCseError,
                               TrailingDataError, TruncatedStreamError,
                               UnsupportedVersionError)
+from torus_cse.gridio import write_grid
 
 P2 = make_block([[0, 1], [1, 1]])
+
+
+def delta_code(v):
+    """Elias delta code of v as a 0/1 string, spelled out by hand."""
+    n = v.bit_length()
+    return "0" * (n.bit_length() - 1) + f"{n:b}" + f"{v:b}"[1:]
+
+
+def container(flags, alphabet, bits):
+    """A container around the payload bit string `bits`, zero-padded."""
+    bits += "0" * (-len(bits) % 8)
+    return MAGIC + bytes([VERSION, flags, alphabet - 1]) + bytes(
+        int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
 
 
 def grids(m, n, alphabet=2):
@@ -100,13 +119,10 @@ def test_escape_length_formula():
 
 def escape_reference(p):
     """The escape container written one cell at a time."""
-    bw = BitWriter()
-    elias_delta_encode(p.m, bw)
-    elias_delta_encode(p.n, bw)
     cb = max(1, (p.alphabet - 1).bit_length())
-    for cell in p.cells:
-        bw.write_bits(cell, cb)
-    return MAGIC + bytes([VERSION, FLAG_ESCAPE, p.alphabet - 1]) + bw.to_bytes()
+    cells = "".join(f"{cell:0{cb}b}" for cell in p.cells)
+    return container(FLAG_ESCAPE, p.alphabet,
+                     delta_code(p.m) + delta_code(p.n) + cells)
 
 
 @pytest.mark.parametrize("alphabet", [2, 3, 5, 16, 17, 200, 256])
@@ -214,20 +230,14 @@ def test_decompress_rejects_zero_alphabet():
 def test_decompress_rejects_oversize_dims():
     # escape container claiming a 2^15 x 2^15 grid: the cell payload is
     # absent, so the decoder must bail on the area check before reading it
-    bw = BitWriter()
-    elias_delta_encode(1 << 15, bw)
-    elias_delta_encode(1 << 15, bw)
-    data = MAGIC + bytes([VERSION, FLAG_ESCAPE, 1]) + bw.to_bytes()
+    data = container(FLAG_ESCAPE, 2, delta_code(1 << 15) * 2)
     with pytest.raises(InconsistentCountsError):
         decompress(data)
 
 
 def test_decompress_rejects_coded_degenerate_dims():
     # coded container (no escape flag) with m = 1 is malformed
-    bw = BitWriter()
-    elias_delta_encode(1, bw)
-    elias_delta_encode(4, bw)
-    data = MAGIC + bytes([VERSION, 0, 1]) + bw.to_bytes()
+    data = container(0, 2, delta_code(1) + delta_code(4))
     with pytest.raises(TorusCseError):
         decompress(data)
 
@@ -321,6 +331,116 @@ def test_crossed_interval_names_its_size():
                             alphabet=2))
     with pytest.raises(InconsistentCountsError, match=r"size \(\d+,\d+\)"):
         decompress(c[:44])
+
+
+def _realignment_block(m, n):
+    """A coded m x n grid: a 2x2 tile repeated, one cell flipped."""
+    g = np.tile(np.random.default_rng(7).integers(0, 2, size=(2, 2)),
+                (m // 2, n // 2))
+    g[0, 0] ^= 1
+    return from_numpy(g, alphabet=2)
+
+
+# shapes whose delta(m) + delta(n) length is 0..7 mod 8, so the range
+# coder's bytes start at every bit offset of the payload
+REALIGNMENT_SHAPES = [(2, 2), (2, 4), (4, 4), (16, 32), (2, 8), (4, 8),
+                      (4, 16), (4, 32)]
+
+
+@pytest.mark.parametrize("m,n", REALIGNMENT_SHAPES,
+                         ids=[f"residue{r}" for r in range(8)])
+def test_coded_body_at_every_bit_offset(m, n):
+    p = _realignment_block(m, n)
+    c, s = compress_with_stats(p)
+    head = len(delta_code(m)) + len(delta_code(n))
+    assert not s.escape
+    assert s.total_bits % 8 == head % 8 == REALIGNMENT_SHAPES.index((m, n))
+    assert decompress(c) == p
+    with pytest.raises(TrailingDataError):
+        decompress(c + b"\x00")
+    for pad in range(-head % 8):
+        bad = bytearray(c)
+        bad[-1] |= 1 << pad
+        with pytest.raises(TrailingDataError):
+            decompress(bytes(bad))
+    # cuts inside the dims, or of the last byte, leave the bits short; a cut
+    # in between may instead break the walk first
+    for cut in range(HEADER_LEN, len(c)):
+        in_dims = 8 * (cut - HEADER_LEN) < head
+        short = (TruncatedStreamError if in_dims or cut == len(c) - 1
+                 else TorusCseError)
+        with pytest.raises(short):
+            decompress(c[:cut])
+
+
+def test_corrupt_delta_length_does_not_allocate():
+    # 36 leading zeros announce a value of about 2^(2^36) bits
+    data = container(0, 2, "0" * 36 + "1" * 100)
+    with pytest.raises(TruncatedStreamError, match="needed"):
+        decompress(data)
+
+
+FUZZ_ALPHABETS = (2, 3, 4, 16, 256)
+
+
+def fuzz_containers(count, seed):
+    """Valid headers and delta-coded dims up to 16x16, then random bits."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        m, n = (int(x) for x in rng.integers(1, 17, size=2))
+        alphabet = int(rng.choice(FUZZ_ALPHABETS))
+        flags = int(rng.choice([0, FLAG_ESCAPE]))
+        cb = max(1, (alphabet - 1).bit_length())
+        body = rng.integers(0, 2, size=int(rng.integers(0, cb * m * n + 64)))
+        yield container(flags, alphabet, delta_code(m) + delta_code(n)
+                        + "".join(map(str, body)))
+
+
+def test_decompress_is_total_on_random_payloads():
+    verdicts = collections.Counter()
+    for data in fuzz_containers(3000, seed=15):
+        t0 = time.perf_counter()
+        try:
+            out = decompress(data)
+        except TorusCseError as e:
+            verdicts[type(e).__name__] += 1
+        else:
+            assert isinstance(out, Block)
+            verdicts["decoded"] += 1
+        assert time.perf_counter() - t0 < 2.0, data.hex()
+    assert {"decoded", "TruncatedStreamError", "InconsistentCountsError",
+            "TrailingDataError"} <= set(verdicts)
+
+
+# ---- size cap ----
+
+def test_cap_binds_compress(monkeypatch):
+    monkeypatch.setattr(codec, "_MAX_CELLS", 12)
+    rng = np.random.default_rng(3)
+    coded = from_numpy(rng.integers(0, 2, size=(3, 4)), alphabet=2)
+    escape = make_block([[0, 1] * 6])
+    for p in (coded, escape):
+        assert decompress(compress(p)) == p
+    assert not compress(coded)[7] & FLAG_ESCAPE
+    for rows in ([[0] * 13], [[0]] * 13, [[0, 1] * 7, [1, 0] * 7]):
+        with pytest.raises(TooLargeError):
+            compress(make_block(rows))
+
+
+def test_cap_refuses_the_oversize_row():
+    # 2^22 + 1 cells would make an escape container decompress refuses
+    p = from_numpy(np.zeros((1, (1 << 22) + 1), dtype=np.uint8), alphabet=2)
+    with pytest.raises(TooLargeError):
+        compress(p)
+
+
+def test_cli_compress_oversize_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(codec, "_MAX_CELLS", 12)
+    src = tmp_path / "wide.txt"
+    write_grid(str(src), make_block([[0, 1] * 7]))
+    assert main(["compress", "-i", str(src),
+                 "-o", str(tmp_path / "wide.tcse")]) == 1
+    assert "cap" in capsys.readouterr().err
 
 
 # ---- golden containers ----
