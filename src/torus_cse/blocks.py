@@ -10,14 +10,10 @@ verification and the 1D baseline bound counts by.  The brute-force
 ``oracle`` keeps its own census and reads none of this but ``Block``.
 Blocks are immutable and hashable so they can key count tables directly.
 
-Conventions used throughout the package:
-
-* anchors are 1-based (i, j) with 1 <= i <= m, 1 <= j <= n;
-* the canonical linear order on equal-sized blocks is lexicographic on the
-  column-major flattening (columns left to right, each column top to bottom);
-* empty blocks remember their one nonzero dimension (a 0xL slab is distinct
-  in role from a Kx0 slab) but all empty blocks compare equal, because every
-  empty window occurs at every anchor.
+Census anchors are 0-based (i, j).  The canonical linear order on
+equal-sized blocks is lexicographic on the column-major flattening (columns
+left to right, each column top to bottom).  All empty blocks compare equal,
+because every empty window occurs at every anchor.
 """
 
 from __future__ import annotations
@@ -28,13 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    AnchorOutOfRangeError,
-    DimensionMismatchError,
-    EmptyBlockError,
-    RaggedRowsError,
-    SymbolOutOfRangeError,
-)
+from .errors import EmptyBlockError, RaggedRowsError, SymbolOutOfRangeError
 
 MIN_ALPHABET = 2
 MAX_ALPHABET = 256
@@ -83,21 +73,10 @@ class Block:
     def is_empty(self) -> bool:
         return self.m == 0 or self.n == 0
 
-    def at(self, i: int, j: int) -> int:
-        """Cell at 0-based (row, col)."""
-        return self.cells[i * self.n + j]
-
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         n = self.n
         return tuple(self.cells[r * n:(r + 1) * n] for r in range(self.m))
-
-    @cached_property
-    def col_key(self) -> bytes:
-        """Column-major flattening as bytes; the canonical sort key."""
-        return bytes(
-            self.cells[r * self.n + c] for c in range(self.n) for r in range(self.m)
-        )
 
     def to_numpy(self) -> np.ndarray:
         return np.array(self.cells, dtype=np.uint8).reshape(self.m, self.n)
@@ -132,40 +111,11 @@ def from_numpy(arr: np.ndarray, alphabet: int) -> Block:
     _check_alphabet(alphabet)
     if arr.ndim != 2:
         raise RaggedRowsError(f"expected a 2-D array, got shape {arr.shape}")
+    if arr.dtype.kind not in "biu":
+        raise SymbolOutOfRangeError(f"symbols must be integers, not {arr.dtype}")
     if arr.size and (arr.min() < 0 or arr.max() >= alphabet):
         raise SymbolOutOfRangeError("array values outside alphabet range")
     return Block(arr.shape[0], arr.shape[1], tuple(int(v) for v in arr.ravel()), alphabet)
-
-
-def empty_block(k: int, l: int, alphabet: int) -> Block:
-    """The empty block; exactly one of k, l may be nonzero (its role tag)."""
-    if k != 0 and l != 0:
-        raise DimensionMismatchError("empty block needs a zero dimension")
-    return Block(k, l, (), alphabet)
-
-
-def torus_subblock(p: Block, i: int, j: int, k: int, l: int) -> Block:
-    """k-by-l window anchored at 1-based (i, j) of p's doubly-periodic tiling.
-
-    Reads wrap modulo (m, n); windows up to 2m-by-2n cover everything the
-    doubled block can show, so larger queries are rejected.
-    """
-    if p.is_empty:
-        raise EmptyBlockError("cannot read windows of an empty block")
-    if not (1 <= i <= p.m and 1 <= j <= p.n):
-        raise AnchorOutOfRangeError(f"anchor ({i}, {j}) outside 1..{p.m} x 1..{p.n}")
-    if not (0 <= k <= 2 * p.m and 0 <= l <= 2 * p.n):
-        raise AnchorOutOfRangeError(f"window {k}x{l} exceeds doubled extent")
-    if k == 0 or l == 0:
-        return Block(k, l, (), p.alphabet)
-    m, n = p.m, p.n
-    base_i, base_j = i - 1, j - 1
-    cells = tuple(
-        p.cells[((base_i + r) % m) * n + ((base_j + c) % n)]
-        for r in range(k)
-        for c in range(l)
-    )
-    return Block(k, l, cells, p.alphabet)
 
 
 def slab_bounds(a: np.ndarray, b: np.ndarray, w: np.ndarray):
@@ -173,6 +123,18 @@ def slab_bounds(a: np.ndarray, b: np.ndarray, w: np.ndarray):
     b over an overlap counted w: it lies in [max(0, a + b - w), min(a, b)],
     which holds one point at most unless it is open: neither slab fills w."""
     return (np.maximum(0, a + b - w), np.minimum(a, b), (a < w) & (b < w))
+
+
+def _find(sorted_keys: np.ndarray, probe: np.ndarray):
+    """searchsorted with a found mask; -1 where absent.
+
+    `sorted_keys` is never empty: every installed table, every census size
+    and every built size's candidate probe has at least one entry.
+    """
+    idx = np.searchsorted(sorted_keys, probe)
+    idx_c = np.minimum(idx, len(sorted_keys) - 1)
+    ok = (idx < len(sorted_keys)) & (sorted_keys[idx_c] == probe)
+    return np.where(ok, idx_c, -1), ok
 
 
 def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,

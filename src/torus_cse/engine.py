@@ -62,7 +62,7 @@ import math
 
 import numpy as np
 
-from .blocks import Census, _expand_groups, slab_bounds
+from .blocks import Census, _expand_groups, _find, slab_bounds
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
 _MAX_PASSES = 500
@@ -77,7 +77,8 @@ def block_caps(m: int, n: int, alphabet: int) -> tuple[int, int]:
     """Height/width caps splitting small sizes from the long tail.
 
     The nominal formula floor(sqrt(log_J log_J m)) collapses to 0 or is
-    undefined for small m, so both caps are clamped to at least 1.
+    undefined for small m, so both caps are clamped to at least 1.  They
+    stay: a binary grid 65536 tall fits the cell cap and reaches B2 at (2, 1).
     """
 
     def cap(dim: int) -> int:
@@ -123,18 +124,6 @@ class _Table:
 def _native(l: int) -> int:
     """The axis whose key numbers the ids of a table l columns wide."""
     return 1 if l >= 2 else 0
-
-
-def _find(sorted_keys: np.ndarray, probe: np.ndarray):
-    """searchsorted with a found mask; -1 where absent.
-
-    `sorted_keys` is never empty: every installed table, every census size
-    and every built size's candidate probe has at least one entry.
-    """
-    idx = np.searchsorted(sorted_keys, probe)
-    idx_c = np.minimum(idx, len(sorted_keys) - 1)
-    ok = (idx < len(sorted_keys)) & (sorted_keys[idx_c] == probe)
-    return np.where(ok, idx_c, -1), ok
 
 
 def _one_wide(tab: _Table, ax: int) -> None:

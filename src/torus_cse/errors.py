@@ -23,10 +23,6 @@ class AnchorOutOfRangeError(TorusCseError):
     pass
 
 
-class DimensionMismatchError(TorusCseError):
-    pass
-
-
 class EmptyBlockError(TorusCseError):
     pass
 

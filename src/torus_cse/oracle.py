@@ -1,9 +1,10 @@
 """Brute-force ground truth at enumerable sizes, and the reference walk.
 
 Everything here trades speed for independence: windows are counted by
-direct wrapped comparison, and classes come from grouping the full J^(mn)
-primitive universe by its brute-force census, once per shape and window
-size.  The enumeration guard refuses anything past ~1M candidate blocks.
+direct wrapped reads (``torus_subblock`` is the paper's, at 1-based anchors),
+and classes come from grouping the full J^(mn) primitive universe by its
+brute-force census, once per shape and window size.  The enumeration guard
+refuses anything past ~1M candidate blocks.
 
 ``transmitted_records`` is the one reference spec of what the codec sends:
 the candidate walk over every size, on a ``Ledger`` of the same brute-force
@@ -26,7 +27,8 @@ from itertools import product
 from typing import Iterator, NamedTuple, Optional
 
 from .blocks import Block
-from .errors import (InconsistentCountsError, NotPrimitiveError,
+from .errors import (AnchorOutOfRangeError, EmptyBlockError,
+                     InconsistentCountsError, NotPrimitiveError,
                      OversizeQueryError, TooLargeError)
 
 _CAP_BITS = 20.0
@@ -41,6 +43,24 @@ def _guard(m: int, n: int, alphabet: int) -> None:
 def _wrap_window(cells, m, n, i, j, k, l):
     return tuple(cells[((i + r) % m) * n + (j + c) % n]
                  for r in range(k) for c in range(l))
+
+
+def torus_subblock(p: Block, i: int, j: int, k: int, l: int) -> Block:
+    """The paper's k-by-l window anchored at 1-based (i, j) of p's tiling.
+
+    Windows up to 2m-by-2n cover everything the doubled block can show, so
+    larger ones are refused.  A k-by-0 or 0-by-l window keeps its size as a
+    role tag; it equals every other empty block.
+    """
+    if p.is_empty:
+        raise EmptyBlockError("cannot read windows of an empty block")
+    if not (1 <= i <= p.m and 1 <= j <= p.n):
+        raise AnchorOutOfRangeError(
+            f"anchor ({i}, {j}) outside 1..{p.m} x 1..{p.n}")
+    if not (0 <= k <= 2 * p.m and 0 <= l <= 2 * p.n):
+        raise AnchorOutOfRangeError(f"window {k}x{l} exceeds doubled extent")
+    cells = _wrap_window(p.cells, p.m, p.n, i - 1, j - 1, k, l)
+    return Block(k, l, cells, p.alphabet)
 
 
 def _census(cells, m, n, k, l):

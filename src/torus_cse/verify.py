@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Block, Census, from_numpy, is_primitive, slab_bounds
+from .blocks import Block, Census, _find, from_numpy, is_primitive, slab_bounds
 from .codec import compress, decompress
 from .errors import TorusCseError
 from .oracle import lemma1_check, lemma2_violations, primitive_blocks
@@ -170,9 +170,8 @@ def census_soundness(census: Census, axis_name: str) -> tuple[int, list[str]]:
             joins = (prev_ids * s + np.roll(prev_ids, -1, axis=1)).ravel()
             uk = joins[census.first_anchors(k, l)]
             uc = census.counts(k, l)
-            pos = np.searchsorted(uk, a * s + b)
-            pos[pos >= len(uk)] = 0
-            true = np.where(uk[pos] == a * s + b, uc[pos], 0)
+            pos, found = _find(uk, a * s + b)
+            true = np.where(found, uc[pos], 0)
             lo, hi, open_ = slab_bounds(ca, cb, co)
             out = (true < lo) | (true > hi)
             if out.any():

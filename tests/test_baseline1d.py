@@ -6,11 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from shared import P2
 from torus_cse.baseline1d import Comparison, compare, conv_lengths
 from torus_cse.blocks import Census, from_numpy, is_primitive, make_block
 from torus_cse.errors import CapExceededError, NotPrimitiveError
 
-P2 = make_block([[0, 1], [1, 1]])
 PINNED = json.loads(
     (Path(__file__).parent / "data" / "conv_lengths_pinned.json").read_text())
 

@@ -1,43 +1,23 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
+from shared import P2, P4, all_blocks, col_major, grids, shifts
 from torus_cse.blocks import (
     Block,
     Census,
-    empty_block,
     from_numpy,
     is_primitive,
     make_block,
     rank_of,
-    torus_subblock,
 )
 from torus_cse.errors import (
-    AnchorOutOfRangeError,
-    DimensionMismatchError,
     EmptyBlockError,
     RaggedRowsError,
     SymbolOutOfRangeError,
 )
 from torus_cse.oracle import (Ledger, _is_primitive_cells, _joins, _view,
-                              primitive_blocks)
-
-P2 = make_block([[0, 1], [1, 1]], 2)
-P4 = make_block([[0, 1, 1], [1, 1, 1]], 2)
-
-
-def grids(max_m=4, max_n=4, alphabet=2):
-    return st.integers(1, max_m).flatmap(
-        lambda m: st.integers(1, max_n).flatmap(
-            lambda n: st.lists(
-                st.lists(st.integers(0, alphabet - 1), min_size=n, max_size=n),
-                min_size=m, max_size=m,
-            )
-        )
-    )
+                              primitive_blocks, torus_subblock)
 
 
 class TestConstruction:
@@ -56,6 +36,8 @@ class TestConstruction:
             make_block([[0, 2]], 2)
         with pytest.raises(SymbolOutOfRangeError):
             make_block([[-1, 0]], 2)
+        with pytest.raises(SymbolOutOfRangeError):
+            from_numpy(np.array([[0.5, 1.0], [1.9, 0.2]]), 2)
 
     def test_alphabet_bounds(self):
         with pytest.raises(SymbolOutOfRangeError):
@@ -69,71 +51,21 @@ class TestConstruction:
         assert np.array_equal(b.to_numpy(), arr)
 
     def test_empty_block_needs_zero_dim(self):
-        e = empty_block(3, 0, 2)
+        e = Block(3, 0, (), 2)
         assert e.is_empty and e.m == 3 and e.n == 0
-        with pytest.raises(DimensionMismatchError):
-            empty_block(2, 2, 2)
 
     def test_empty_blocks_compare_equal(self):
-        assert empty_block(3, 0, 2) == empty_block(0, 5, 2)
-        assert hash(empty_block(3, 0, 2)) == hash(empty_block(0, 5, 2))
+        assert Block(3, 0, (), 2) == Block(0, 5, (), 2)
+        assert hash(Block(3, 0, (), 2)) == hash(Block(0, 5, (), 2))
 
     def test_alphabet_ignored_by_equality(self):
         assert make_block([[0, 1]], 2) == make_block([[0, 1]], 4)
 
 
-class TestTorusWindows:
-    def test_wrap_both_axes(self):
-        # window anchored at the far corner wraps to the opposite edges
-        assert torus_subblock(P2, 2, 2, 2, 2) == make_block([[1, 1], [1, 0]], 2)
-
-    def test_full_window_is_identity(self):
-        assert torus_subblock(P2, 1, 1, 2, 2) == P2
-
-    def test_single_row_wrap(self):
-        assert torus_subblock(P4, 1, 3, 1, 3) == make_block([[1, 0, 1]], 2)
-
-    def test_doubled_extent_allowed(self):
-        big = torus_subblock(P2, 1, 1, 4, 4)
-        assert (big.m, big.n) == (4, 4)
-        assert torus_subblock(big, 1, 1, 2, 2) == P2
-
-    def test_zero_size_window_is_empty(self):
-        w = torus_subblock(P2, 1, 2, 2, 0)
-        assert w.is_empty and (w.m, w.n) == (2, 0)
-
-    def test_anchor_validation(self):
-        with pytest.raises(AnchorOutOfRangeError):
-            torus_subblock(P2, 0, 1, 1, 1)
-        with pytest.raises(AnchorOutOfRangeError):
-            torus_subblock(P2, 1, 3, 1, 1)
-        with pytest.raises(AnchorOutOfRangeError):
-            torus_subblock(P2, 1, 1, 5, 1)
-
-    @given(grids())
-    @settings(max_examples=60)
-    def test_window_matches_modular_read(self, rows):
-        p = make_block(rows, 2)
-        for i in range(1, p.m + 1):
-            for j in range(1, p.n + 1):
-                w = torus_subblock(p, i, j, p.m, p.n)
-                for r in range(p.m):
-                    for c in range(p.n):
-                        assert w.at(r, c) == p.at((i - 1 + r) % p.m, (j - 1 + c) % p.n)
-
-
-def shifts(p):
-    """p's distinct torus shifts by direct wrapped reads, in canonical
-    column-major order."""
-    return sorted({torus_subblock(p, i, j, p.m, p.n)
-                   for i in range(1, p.m + 1) for j in range(1, p.n + 1)},
-                  key=lambda b: b.col_key)
-
-
 class TestShiftClasses:
     def test_class_members_of_p2(self):
         cls = shifts(P2)
-        keys = [bytes(m.col_key) for m in cls]
+        keys = [bytes(col_major(m)) for m in cls]
         # column-major keys of the four shifts, ranked by the census
         assert keys == [b"\x00\x01\x01\x01", b"\x01\x00\x01\x01",
                         b"\x01\x01\x00\x01", b"\x01\x01\x01\x00"]
@@ -156,9 +88,9 @@ class TestShiftClasses:
 
     def test_empty_has_no_class(self):
         with pytest.raises(EmptyBlockError):
-            rank_of(empty_block(0, 2, 2))
+            rank_of(Block(0, 2, (), 2))
         with pytest.raises(EmptyBlockError):
-            is_primitive(empty_block(2, 0, 2))
+            is_primitive(Block(2, 0, (), 2))
 
     @given(grids())
     @settings(max_examples=60)
@@ -179,7 +111,7 @@ class TestShiftClasses:
         by_id = {int(ids[i - 1, j - 1]): torus_subblock(p, i, j, p.m, p.n)
                  for i in range(1, p.m + 1) for j in range(1, p.n + 1)}
         assert sorted(by_id) == list(range(len(by_id)))
-        keys = [by_id[r].col_key for r in range(len(by_id))]
+        keys = [col_major(by_id[r]) for r in range(len(by_id))]
         assert keys == sorted(keys)
 
 
@@ -197,8 +129,8 @@ def _agrees_with_oracle(p):
 
 @pytest.mark.parametrize("m,n", [(3, 3), (3, 4)])
 def test_shift_census_matches_oracle_exhaustive_binary(m, n):
-    for cells in itertools.product(range(2), repeat=m * n):
-        _agrees_with_oracle(Block(m, n, cells, 2))
+    for p in all_blocks(m, n):
+        _agrees_with_oracle(p)
 
 
 def test_shift_census_matches_oracle_seeded_quaternary():

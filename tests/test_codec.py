@@ -2,7 +2,6 @@
 
 import collections
 import hashlib
-import itertools
 import math
 import time
 
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shared import P2, all_blocks
 from torus_cse import codec
 from torus_cse.bits import elias_delta_length
 from torus_cse.blocks import Block, from_numpy, is_primitive, make_block
@@ -25,9 +25,6 @@ from torus_cse.errors import (BadMagicError, InconsistentCountsError,
                               UnsupportedVersionError)
 from torus_cse.gridio import write_grid
 
-P2 = make_block([[0, 1], [1, 1]])
-
-
 def delta_code(v):
     """Elias delta code of v as a 0/1 string, spelled out by hand."""
     n = v.bit_length()
@@ -41,22 +38,16 @@ def container(flags, alphabet, bits):
         int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
 
 
-def grids(m, n, alphabet=2):
-    for cells in itertools.product(range(alphabet), repeat=m * n):
-        yield make_block([list(cells[r * n:(r + 1) * n]) for r in range(m)],
-                         alphabet=alphabet)
-
-
 # ---- round trips ----
 
 @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 1), (2, 2), (2, 3), (3, 3)])
 def test_roundtrip_exhaustive_binary(m, n):
-    for p in grids(m, n):
+    for p in all_blocks(m, n):
         assert decompress(compress(p)) == p
 
 
 def test_roundtrip_exhaustive_ternary_2x2():
-    for p in grids(2, 2, alphabet=3):
+    for p in all_blocks(2, 2, alphabet=3):
         assert decompress(compress(p)) == p
 
 

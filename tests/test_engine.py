@@ -1,4 +1,5 @@
-"""Array walker vs the oracle's reference walk, and decoder-side replay."""
+"""Array walker vs the oracle's reference walk, decoder-side replay, and the
+size caps."""
 
 import hashlib
 import itertools
@@ -9,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
-from torus_cse.codec import compress, decompress
-from torus_cse.engine import Truth, Walk, _take
+from torus_cse.codec import _MAX_CELLS, compress, decompress
+from torus_cse.engine import Truth, Walk, _take, block_caps
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
-from torus_cse.oracle import DERIVE, _schedule, transmitted_records
+from torus_cse.oracle import (DERIVE, _schedule, primitive_blocks,
+                              transmitted_records)
 
 
 def encode_walk(grid, alphabet, walk_cls=Walk):
@@ -58,11 +60,30 @@ def decode_grid(m, n, alphabet, records, rank):
     return walk.member_grid(rank)
 
 
+def rebuild(p):
+    """The engine decoder's block from the reference walk's records."""
+    grid = decode_grid(p.m, p.n, p.alphabet, transmitted_records(p), rank_of(p))
+    return from_numpy(grid, alphabet=p.alphabet)
+
+
 def all_primitive_grids(m, n, alphabet=2):
-    for cells in itertools.product(range(alphabet), repeat=m * n):
-        g = np.array(cells, dtype=np.int64).reshape(m, n)
-        if is_primitive(from_numpy(g, alphabet=alphabet)):
-            yield g
+    for p in primitive_blocks(m, n, alphabet):
+        yield p.to_numpy().astype(np.int64)
+
+
+def test_caps_clamp_to_one():
+    assert block_caps(2, 2, 2) == (1, 1)
+    assert block_caps(16, 16, 2) == (1, 1)
+    assert block_caps(64, 64, 2) == (1, 1)
+
+
+def test_caps_grow_eventually():
+    assert block_caps(65536, 4, 2) == (2, 1)
+    # the widest binary grid this tall that the codec takes still has a B2
+    # size, which is why the class is kept
+    assert 65536 * 64 == _MAX_CELLS
+    assert block_caps(65536, 64, 2) == (2, 1)
+    assert block_caps(1 << 22, 1, 3) == (1, 1)
 
 
 @pytest.mark.parametrize("m,n,alphabet,step", [
@@ -97,6 +118,33 @@ def test_matches_reference_past_the_frontier(shape, alphabet, seed):
     walk.run()
     assert len(walk.max1) < shape[0] * shape[1]
     assert encode_records(g, alphabet) == transmitted_records(p)
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
+    def test_exhaustive_binary(self, shape):
+        m, n = shape
+        seen = 0
+        for p in primitive_blocks(m, n):
+            assert rebuild(p) == p
+            seen += 1
+        assert seen > 0
+
+    @pytest.mark.parametrize("shape", [(2, 4), (4, 2), (3, 4)])
+    def test_sampled_binary(self, shape):
+        m, n = shape
+        pool = list(primitive_blocks(m, n))
+        for p in pool[::7]:
+            assert rebuild(p) == p
+
+    def test_exhaustive_ternary_2x2(self):
+        for p in primitive_blocks(2, 2, alphabet=3):
+            assert rebuild(p) == p
+
+    def test_sampled_quaternary_2x3(self):
+        pool = list(primitive_blocks(2, 3, alphabet=4))
+        for p in pool[::31]:
+            assert rebuild(p) == p
 
 
 def test_roundtrip_ternary_2x2_exhaustive():

@@ -1,15 +1,15 @@
 """Verification suite plumbing and the interval sweeper."""
 
 import numpy as np
+from hypothesis import given, settings
 
+from shared import P2, P4, grids
 from torus_cse.blocks import Census, from_numpy, make_block
 from torus_cse.oracle import Ledger, coding_order
-from torus_cse.verify import (VerifyReport, census_soundness,
-                              check_count_identities, check_interval_soundness,
-                              corpus_blocks, run_exhaustive, run_lemmas,
-                              run_random)
-
-P4 = make_block([[0, 1, 1], [1, 1, 1]])
+from torus_cse.verify import (VerifyReport, census_identities,
+                              census_soundness, check_count_identities,
+                              check_interval_soundness, corpus_blocks,
+                              run_exhaustive, run_lemmas, run_random)
 
 
 def test_exhaustive_small_shapes():
@@ -37,6 +37,29 @@ def test_identities_on_samples():
     for shape in [(2, 2), (5, 7), (9, 6)]:
         p = from_numpy(rng.integers(0, 2, size=shape), alphabet=2)
         assert check_count_identities(p) == []
+
+
+# the identities are checked on the census ids the ledger is read from
+def test_identities_hold():
+    assert check_count_identities(P4) == []
+
+
+def test_identities_catch_corruption():
+    census = Census(P2.to_numpy())
+    census.counts(1, 1)[0] += 1
+    msgs = census_identities(census)
+    assert any("sum" in m for m in msgs)
+    census = Census(P4.to_numpy())
+    census.counts(2, 2)[0] += 1
+    msgs = census_identities(census)
+    assert "size (1,2): bottom row extension sum breaks at id 0" in msgs
+    assert "size (2,1): right column extension sum breaks at id 0" in msgs
+
+
+@given(grids(4, 4))
+@settings(max_examples=25, deadline=None)
+def test_identities_on_random_blocks(rows):
+    assert check_count_identities(make_block(rows, 2)) == []
 
 
 def test_interval_soundness_on_samples():
