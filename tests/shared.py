@@ -5,6 +5,7 @@ import itertools
 from hypothesis import strategies as st
 
 from torus_cse.blocks import Block, make_block
+from torus_cse.engine import Walk
 from torus_cse.oracle import _view, torus_subblock
 
 P2 = make_block([[0, 1], [1, 1]])
@@ -40,3 +41,26 @@ def shifts(p):
     return sorted({torus_subblock(p, i, j, p.m, p.n)
                    for i in range(1, p.m + 1) for j in range(1, p.n + 1)},
                   key=col_major)
+
+
+def pull_from(records, check=True):
+    """A pull that answers each batch with the next records, one per count."""
+    stream = iter(records)
+
+    def pull(k, l, cls, lo, hi):
+        batch = [next(stream) for _ in range(len(lo))]
+        if check:
+            assert [r[:5] for r in batch] == [
+                (k, l, cls, int(a), int(b)) for a, b in zip(lo, hi)]
+        return [r[5] for r in batch]
+
+    return stream, pull
+
+
+def decode_grid(m, n, alphabet, records, rank):
+    stream, pull = pull_from(records)
+
+    walk = Walk(m, n, alphabet, pull=pull)
+    walk.run()
+    assert next(stream, None) is None, "decoder consumed too few values"
+    return walk.member_grid(rank)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shared import decode_grid, pull_from
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
 from torus_cse.codec import _MAX_CELLS, compress, decompress
 from torus_cse.engine import Truth, Walk, _take, block_caps
@@ -35,35 +36,6 @@ def encode_walk(grid, alphabet, walk_cls=Walk):
 
 def encode_records(grid, alphabet):
     return encode_walk(grid, alphabet)[0]
-
-
-def pull_from(records, check=True):
-    """A pull that answers each batch with the next records, one per count."""
-    stream = iter(records)
-
-    def pull(k, l, cls, lo, hi):
-        batch = [next(stream) for _ in range(len(lo))]
-        if check:
-            assert [r[:5] for r in batch] == [
-                (k, l, cls, int(a), int(b)) for a, b in zip(lo, hi)]
-        return [r[5] for r in batch]
-
-    return stream, pull
-
-
-def decode_grid(m, n, alphabet, records, rank):
-    stream, pull = pull_from(records)
-
-    walk = Walk(m, n, alphabet, pull=pull)
-    walk.run()
-    assert next(stream, None) is None, "decoder consumed too few values"
-    return walk.member_grid(rank)
-
-
-def rebuild(p):
-    """The engine decoder's block from the reference walk's records."""
-    grid = decode_grid(p.m, p.n, p.alphabet, transmitted_records(p), rank_of(p))
-    return from_numpy(grid, alphabet=p.alphabet)
 
 
 def all_primitive_grids(m, n, alphabet=2):
@@ -118,33 +90,6 @@ def test_matches_reference_past_the_frontier(shape, alphabet, seed):
     walk.run()
     assert len(walk.max1) < shape[0] * shape[1]
     assert encode_records(g, alphabet) == transmitted_records(p)
-
-
-class TestRoundTrip:
-    @pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 2), (3, 3)])
-    def test_exhaustive_binary(self, shape):
-        m, n = shape
-        seen = 0
-        for p in primitive_blocks(m, n):
-            assert rebuild(p) == p
-            seen += 1
-        assert seen > 0
-
-    @pytest.mark.parametrize("shape", [(2, 4), (4, 2), (3, 4)])
-    def test_sampled_binary(self, shape):
-        m, n = shape
-        pool = list(primitive_blocks(m, n))
-        for p in pool[::7]:
-            assert rebuild(p) == p
-
-    def test_exhaustive_ternary_2x2(self):
-        for p in primitive_blocks(2, 2, alphabet=3):
-            assert rebuild(p) == p
-
-    def test_sampled_quaternary_2x3(self):
-        pool = list(primitive_blocks(2, 3, alphabet=4))
-        for p in pool[::31]:
-            assert rebuild(p) == p
 
 
 def test_roundtrip_ternary_2x2_exhaustive():

@@ -1,53 +1,28 @@
 """The oracle's feasibility intervals and rules, its transmitted records, and
 the engine decoder replaying them."""
 
-import itertools
-
 import numpy as np
 import pytest
 
+from shared import P2, P4, decode_grid
 from torus_cse.blocks import from_numpy, is_primitive, make_block, rank_of
 from torus_cse.errors import NotPrimitiveError
-from torus_cse.engine import Walk
 from torus_cse.oracle import (B1, B3, DERIVE, FORCED, TRANSMIT, Ledger, Rule,
-                              _schedule, coding_order, transmitted_records)
-
-P2 = make_block([[0, 1], [1, 1]])
-P4 = make_block([[0, 1, 1], [1, 1, 1]])
-
-
-def all_blocks(m, n, alphabet=2):
-    for cells in itertools.product(range(alphabet), repeat=m * n):
-        yield make_block(
-            [list(cells[i * n:(i + 1) * n]) for i in range(m)], alphabet=alphabet
-        )
-
-
-def primitive_blocks(m, n, alphabet=2):
-    return [p for p in all_blocks(m, n, alphabet) if is_primitive(p)]
+                              _schedule, coding_order, primitive_blocks,
+                              transmitted_records)
 
 
 def rebuild(p):
-    """Decode the reference walk's transmitted values with the engine decoder."""
-    stream = iter(transmitted_records(p))
-
-    def pull(k, l, cls, lo, hi):
-        batch = [next(stream) for _ in range(len(lo))]
-        assert [r[:5] for r in batch] == [
-            (k, l, cls, int(a), int(b)) for a, b in zip(lo, hi)]
-        return [r[5] for r in batch]
-
-    walk = Walk(p.m, p.n, p.alphabet, pull=pull)
-    walk.run()
-    assert next(stream, None) is None, "decoder consumed too few values"
-    return from_numpy(walk.member_grid(rank_of(p)), alphabet=p.alphabet)
+    """The engine decoder's block from the reference walk's records."""
+    grid = decode_grid(p.m, p.n, p.alphabet, transmitted_records(p), rank_of(p))
+    return from_numpy(grid, alphabet=p.alphabet)
 
 
 class TestIntervals:
     def test_interval_basics(self):
         # a rule's interval is the intersection of its axis intervals
         narrowed = 0
-        for p in primitive_blocks(3, 3)[::9]:
+        for p in list(primitive_blocks(3, 3))[::9]:
             led = Ledger(p)
             for w in led.candidates(3, 2) + led.candidates(2, 3):
                 cols, rows = led.interval(w, 1), led.interval(w, 0)
@@ -156,7 +131,7 @@ class TestPlan:
                 assert lo <= v <= hi
 
     def test_b1_count_is_alphabet_minus_one(self):
-        for p in primitive_blocks(2, 2, alphabet=3)[:20]:
+        for p in list(primitive_blocks(2, 2, alphabet=3))[:20]:
             records = transmitted_records(p)
             assert sum(1 for r in records if r[2] == B1) == 2
 
@@ -174,7 +149,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("shape", [(2, 4), (4, 2), (3, 4)])
     def test_sampled_binary(self, shape):
         m, n = shape
-        pool = primitive_blocks(m, n)
+        pool = list(primitive_blocks(m, n))
         for p in pool[::7]:
             assert rebuild(p) == p
 
@@ -183,7 +158,7 @@ class TestRoundTrip:
             assert rebuild(p) == p
 
     def test_sampled_quaternary_2x3(self):
-        pool = primitive_blocks(2, 3, alphabet=4)
+        pool = list(primitive_blocks(2, 3, alphabet=4))
         for p in pool[::31]:
             assert rebuild(p) == p
 
