@@ -4,8 +4,8 @@ A block is an m-by-n grid of symbols 0..J-1.  Treating the block as one
 period of a doubly-periodic tiling of the plane turns every anchor cell into
 the top-left corner of arbitrarily large wrapped windows.  ``Census`` is the
 one array routine that enumerates those windows: per-anchor window ids and
-counts per size, which primitivity, rank, the encoder's walk, verification,
-the generators and the 1D baseline all read, and the slab joins that
+counts per size, which primitivity, rank, verification, the generators and
+the 1D baseline all read, and the slab joins that
 verification and the 1D baseline bound counts by.  The brute-force
 ``oracle`` keeps its own census and reads none of this but ``Block``.
 Blocks are immutable and hashable so they can key count tables directly.
@@ -165,9 +165,8 @@ class Census:
     For each window size (k, l), ``ids(k, l)`` is an (m, n) array whose entry
     at 0-based anchor (i, j) is the id of the k-by-l window anchored there:
     its position among the distinct windows of that size in the canonical
-    column-major order.  ``counts(k, l)`` holds the anchors per id, and
-    ``keys(k, l)`` the sorted distinct keys the ids were ranked by.  A size
-    comes from two smaller ones,
+    column-major order, and ``counts(k, l)`` holds the anchors per id.  A
+    size comes from two smaller ones,
 
         W(k, l) = W(k, l-1) * S(k, 1) + roll(W(k, 1), -(l-1), axis=1),
         W(k, 1) = W(k-1, 1) * S(1, 1) + roll(W(1, 1), -(k-1), axis=0),
@@ -177,7 +176,6 @@ class Census:
     keys stay below (m*n)^2, inside int64.  Each size is built once, in a
     loop after the missing sizes on its chain of heads, (k, l-1) ... (k, 1),
     (k-1, 1) ... (1, 1), and kept, as are its first anchors once asked for.
-    ``keys`` holds this split only, the one the encoder walk probes with.
     ``joins(k, l)`` pairs the (k, l-1) windows that overlap in k-by-(l-2),
     the candidates the interval sweep and the 1D baseline bound.
 
@@ -187,16 +185,15 @@ class Census:
     a window twice as wide two side-by-side windows.  Pairs compare like
     the column-major keys, so the ids are the same in O(log m + log n)
     steps instead of m + n - 2.  None of these sizes is stored where
-    ``keys`` and ``counts`` read.
+    ``ids`` and ``counts`` read.
     """
 
     def __init__(self, grid: np.ndarray) -> None:
         grid = np.asarray(grid)
         self.m, self.n = grid.shape
-        syms, inv = np.unique(grid, return_inverse=True)
+        inv = np.unique(grid, return_inverse=True)[1]
         inv = inv.reshape(self.m, self.n).astype(np.int64)
-        self._sizes = {(1, 1): (inv, syms.astype(np.int64),
-                                np.bincount(inv.ravel()).astype(np.int64))}
+        self._sizes = {(1, 1): (inv, np.bincount(inv.ravel()).astype(np.int64))}
         self._first: dict[tuple[int, int], np.ndarray] = {}
 
     def _size(self, k: int, l: int):
@@ -213,22 +210,19 @@ class Census:
             head, last, shift, axis = (k - 1, 1), (1, 1), k - 1, 0
         else:
             head, last, shift, axis = (k, l - 1), (k, 1), l - 1, 1
-        last_ids, _, last_counts = self._sizes[last]
+        last_ids, last_counts = self._sizes[last]
         pair = (self._sizes[head][0] * np.int64(len(last_counts))
                 + np.roll(last_ids, -shift, axis=axis))
-        keys, inv, counts = np.unique(
-            pair.ravel(), return_inverse=True, return_counts=True)
+        inv, counts = np.unique(
+            pair.ravel(), return_inverse=True, return_counts=True)[1:]
         self._sizes[(k, l)] = (inv.reshape(self.m, self.n).astype(np.int64),
-                               keys, counts.astype(np.int64))
+                               counts.astype(np.int64))
 
     def ids(self, k: int, l: int) -> np.ndarray:
         return self._size(k, l)[0]
 
-    def keys(self, k: int, l: int) -> np.ndarray:
-        return self._size(k, l)[1]
-
     def counts(self, k: int, l: int) -> np.ndarray:
-        return self._size(k, l)[2]
+        return self._size(k, l)[1]
 
     def first_anchors(self, k: int, l: int) -> np.ndarray:
         """Row-major flat index of the first anchor showing each id."""

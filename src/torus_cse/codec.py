@@ -21,8 +21,8 @@ from functools import reduce
 import numpy as np
 
 from .bits import elias_delta_bits, elias_delta_decode
-from .blocks import Block, from_numpy
-from .engine import B1, B2, B3, Truth, Walk
+from .blocks import Block, Census, from_numpy
+from .engine import B1, B2, B3, Walk
 from .errors import (BadMagicError, InconsistentCountsError,
                      NotPrimitiveError, TooLargeError, TrailingDataError,
                      TruncatedStreamError, UnsupportedVersionError)
@@ -93,14 +93,6 @@ def _container(flags: int, p: Block, body: np.ndarray) -> tuple[bytes, int]:
     return header + np.packbits(bits).tobytes(), len(bits)
 
 
-def _coded_truth(p: Block) -> Truth | None:
-    """The census the coded path walks, or None for an escape-path input."""
-    if p.m < 2 or p.n < 2:
-        return None
-    truth = Truth(p.to_numpy())
-    return truth if truth.primitive else None
-
-
 def compress(p: Block, strict: bool = False) -> bytes:
     return compress_with_stats(p, strict)[0]
 
@@ -112,13 +104,14 @@ def compress_with_stats(p: Block, strict: bool = False
     if p.size > _MAX_CELLS:
         raise TooLargeError(
             f"{p.m}x{p.n} grid exceeds the {_MAX_CELLS}-cell cap")
-    truth = _coded_truth(p)
-    if truth is None:
+    grid = p.to_numpy()
+    census = Census(grid) if p.m >= 2 and p.n >= 2 else None
+    if census is None or not census.primitive:
         if strict:
             raise NotPrimitiveError(
                 "coded path needs a primitive grid with both dimensions >= 2")
         return _compress_escape(p)
-    return _encode(p, truth)
+    return _encode(p, grid, census.rank)
 
 
 def _compress_escape(p: Block) -> tuple[bytes, CodewordStats]:
@@ -134,9 +127,10 @@ def _compress_escape(p: Block) -> tuple[bytes, CodewordStats]:
         transmitted={B1: 0, B2: 0, B3: 0}, per_size={})
 
 
-def _encode(p: Block, truth: Truth) -> tuple[bytes, CodewordStats]:
+def _encode(p: Block, grid: np.ndarray, rank: int
+            ) -> tuple[bytes, CodewordStats]:
     """Coded container of p and the ideal-codelength attribution of its
-    counts, from one encoder walk."""
+    counts, from one encoder walk over its cells `grid`."""
     rc = RangeEncoder()
     ideal = {B1: 0.0, B2: 0.0, B3: 0.0}
     txcnt = {B1: 0, B2: 0, B3: 0}
@@ -150,8 +144,8 @@ def _encode(p: Block, truth: Truth) -> tuple[bytes, CodewordStats]:
         txcnt[cls] += len(widths)
         per_size[(k, l)] = per_size.get((k, l), 0) + len(widths)
 
-    Walk(p.m, p.n, p.alphabet, truth=truth, sink=sink).run()
-    rc.encode([truth.rank], [_rank_width(p.size)])
+    Walk(p.m, p.n, p.alphabet, grid=grid, sink=sink).run()
+    rc.encode([rank], [_rank_width(p.size)])
     body = np.unpackbits(np.frombuffer(rc.flush(), dtype=np.uint8))
     container, total_bits = _container(0, p, body)
     l1, l2, l3 = ideal[B1], ideal[B2], ideal[B3]

@@ -10,10 +10,11 @@ numpy array programs.  A size's candidates come from one join of
 overlapping slab pairs along the axis that expands fewer pairs; that choice
 is for speed only, since either join gives the same candidates in the same
 canonical order.  The decoder runs the exact same table builds as the
-encoder, which keeps the two in lockstep by construction.  The encoder finds
-each size's census keys among its candidate probes (`Truth.counts_for`), so
-the table it keeps is the grid's census by construction: that one lookup is
-its table check.
+encoder, which keeps the two in lockstep by construction.  The encoder keys
+each anchor of the grid like a candidate, by its first slab's and last edge
+strip's ids, and finds it among the candidate probes; the counts are the
+finds per candidate, so its tables are the grid's census by construction,
+and that one lookup is its table check.
 
 The empty window is a size too: one shared table with a single id, counted
 at all m*n anchors, stands for every (k, 0) and (0, l).  A table one wide
@@ -209,15 +210,17 @@ def _sums_hold(fams, values) -> bool:
 
 
 class Walk:
-    """Shared table walker; passing `truth` switches encoder mode on."""
+    """Shared table walker; passing the `grid` switches encoder mode on,
+    and `truth` then maps sizes to the anchor ids the next build reads."""
 
-    def __init__(self, m, n, alphabet, *, truth=None, pull=None, sink=None):
+    def __init__(self, m, n, alphabet, *, grid=None, pull=None, sink=None):
         self.m = m
         self.n = n
         self.mn = m * n
         self.J = alphabet
         self.cap_k, self.cap_l = block_caps(m, n, alphabet)
-        self.truth = truth
+        self.grid = grid
+        self.truth = None if grid is None else {}
         self.pull = pull
         self.sink = sink
         empty = _Table(1)
@@ -272,7 +275,8 @@ class Walk:
         lo = np.zeros(J - 1, dtype=np.int64)
         hi = np.full(J - 1, mn - 1, dtype=np.int64)
         if self.truth is not None:
-            counts = self.truth.counts_for(1, 1, np.arange(J))
+            counts = np.bincount(self.grid.ravel(), minlength=J)
+            self.truth[(1, 1)] = (np.cumsum(counts > 0) - 1)[self.grid]
             self.sink(1, 1, B1, lo, hi, counts[:-1])
         else:
             counts = np.zeros(J, dtype=np.int64)
@@ -382,13 +386,37 @@ class Walk:
             probe = probe[order]
 
         lo, hi, transmit = self._dispositions(k, l, cand, near)
-        values = self._resolve(k, l, cand, near, probe, lo, hi, transmit)
+        at = None if self.truth is None else self._anchors(k, l, near, probe)
+        values = self._resolve(k, l, cand, near, at, lo, hi, transmit)
 
         mask = values > 0
         tab = _take(cand, mask)
         tab.count = values[mask]
         tab.keys[nat] = (probe[mask], None)
+        if at is not None:
+            # the next build, (k, l+1) or (k+1, 1), reads (k, l), (k, 1), (1, 1)
+            self.truth = {s: a for s, a in self.truth.items()
+                          if s in ((1, 1), (k, 1))}
+            self.truth[(k, l)] = (np.cumsum(mask) - 1)[at]
         self._finish_table(k, l, tab, near)
+
+    def _anchors(self, k, l, near, probe) -> np.ndarray:
+        """Each anchor's position among the ascending candidate probes of
+        (k, l), keyed like them by the ids of its first slab and last edge
+        strip along the native axis; every anchor must be found."""
+        nat = _native(l)
+        slab, strip = ((k, l - 1), (k, 1)) if nat else ((k - 1, 1), (1, 1))
+        key = (self.truth[slab] * np.int64(near[nat][2].n)
+               + np.roll(self.truth[strip], 1 - (k, l)[nat], axis=nat))
+        # sorted, the keys search the probes in one cache-friendly sweep
+        order = np.argsort(key, axis=None)
+        found, ok = _find(probe, key.ravel()[order])
+        if not ok.all():
+            raise InconsistentCountsError(
+                f"walked table diverges from the grid at size ({k},{l})")
+        at = np.empty(key.size, dtype=np.int64)
+        at[order] = found
+        return at.reshape(key.shape)
 
     def _dispositions(self, k, l, cand, near):
         """Each candidate's interval [lo, hi] and whether it is transmitted.
@@ -435,9 +463,10 @@ class Walk:
                 f"decoded count outside its interval at size ({k},{l})")
         return values
 
-    def _resolve(self, k, l, cand, near, probe, lo, hi, transmit):
+    def _resolve(self, k, l, cand, near, at, lo, hi, transmit):
         """Fill in every candidate count; code the ones marked `transmit`.
 
+        The encoder counts the candidate positions `at` of its anchors.
         The decoder starts from the counts whose interval is one point and
         the pulled ones.  One sweep over the four slab families derives the
         rest on a consistent stream.  Only when the sweep leaves a count
@@ -451,8 +480,8 @@ class Walk:
         t_idx = np.flatnonzero(transmit)
 
         lo_t, hi_t = lo[t_idx], hi[t_idx]
-        if self.truth is not None:
-            true_vals = self.truth.counts_for(k, l, probe)
+        if at is not None:
+            true_vals = np.bincount(at.ravel(), minlength=cand.n)
             sent = true_vals[t_idx]
             if ((sent < lo_t) | (sent > hi_t)).any():
                 raise InconsistentCountsError(
@@ -622,20 +651,3 @@ class Walk:
                 f"size ({K},{L})")
         i, j = divmod(int(at[0]), n)
         return np.roll(grid, (-i, -j), axis=(0, 1))
-
-
-class Truth(Census):
-    """The grid's torus census, read the way the encoder walk asks for it:
-    one lookup per built size, which is also the encoder's table check."""
-
-    def counts_for(self, k, l, probe) -> np.ndarray:
-        """True counts for the ascending candidate probes of size (k, l),
-        keyed like the walk's tables, 0 where no window shows; every window
-        of the grid must be among the probes."""
-        idx, ok = _find(probe, self.keys(k, l))
-        if not ok.all():
-            raise InconsistentCountsError(
-                f"walked table diverges from the grid at size ({k},{l})")
-        counts = np.zeros(len(probe), dtype=np.int64)
-        counts[idx] = self.counts(k, l)
-        return counts

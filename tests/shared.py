@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 from hypothesis import strategies as st
 
 from torus_cse.blocks import Block, make_block
@@ -10,6 +11,15 @@ from torus_cse.oracle import _view, torus_subblock
 
 P2 = make_block([[0, 1], [1, 1]])
 P4 = make_block([[0, 1, 1], [1, 1, 1]])
+
+
+def near_periodic_tile():
+    """A 32x32 binary grid: a 4x8 tile repeated, with one cell flipped to
+    break every nontrivial shift symmetry."""
+    rng = np.random.default_rng(8)
+    g = np.tile(rng.integers(0, 2, size=(4, 8)), (8, 4))
+    g[5, 19] ^= 1
+    return g
 
 
 def grids(max_m=4, max_n=4, alphabet=2):

@@ -7,7 +7,6 @@ it reports honest numbers and is expected to stay red.  The reasoning lives
 in the project notes, not here.
 """
 
-import math
 import time
 
 import numpy as np

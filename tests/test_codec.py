@@ -4,21 +4,22 @@ import collections
 import hashlib
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shared import P2, all_blocks
+from shared import P2, all_blocks, near_periodic_tile
 from torus_cse import codec
 from torus_cse.bits import elias_delta_length
-from torus_cse.blocks import Block, from_numpy, is_primitive, make_block
+from torus_cse.blocks import (Block, Census, from_numpy, is_primitive,
+                              make_block)
 from torus_cse.cli import main
 from torus_cse.codec import (FLAG_ESCAPE, HEADER_LEN, MAGIC, VERSION,
-                             CodewordStats, compress, compress_with_stats,
-                             decompress, stats)
-from torus_cse.engine import Truth, Walk
+                             compress, compress_with_stats, decompress, stats)
+from torus_cse.engine import Walk
 from torus_cse.errors import (BadMagicError, InconsistentCountsError,
                               NotPrimitiveError, TooLargeError, TorusCseError,
                               TrailingDataError, TruncatedStreamError,
@@ -247,7 +248,7 @@ def _interior_readout_block():
     """12x12 Bernoulli(0.3) grid that the decoder reads off size (4,6),
     so its consistency checks run on tables short of the full size."""
     g = np.random.default_rng(0).choice(2, size=(12, 12), p=[0.7, 0.3])
-    walk = Walk(12, 12, 2, truth=Truth(g), sink=lambda *a: None)
+    walk = Walk(12, 12, 2, grid=g, sink=lambda *a: None)
     walk.run()
     assert walk.readout[0] == (4, 6)
     return from_numpy(g, alphabet=2)
@@ -432,6 +433,45 @@ def test_cli_compress_oversize_exits_1(tmp_path, capsys, monkeypatch):
     assert main(["compress", "-i", str(src),
                  "-o", str(tmp_path / "wide.tcse")]) == 1
     assert "cap" in capsys.readouterr().err
+
+
+# ---- encoder resources ----
+
+def test_compress_builds_no_census_size(monkeypatch):
+    # the encoder counts each size on the tables it walks; a Census gives
+    # only the shift ids, by doubling, and stores no window size
+    def refuse(self, k, l):
+        raise AssertionError(f"compress built census size ({k},{l})")
+
+    p = from_numpy(np.random.default_rng(5).integers(0, 3, size=(9, 11)), 3)
+    monkeypatch.setattr(Census, "_build", refuse)
+    data = compress(p, strict=True)
+    monkeypatch.undo()
+    assert decompress(data) == p
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the tracemalloc peak it reached above its start."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        return fn(*args), tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("grid", [
+    (np.random.default_rng(1).random((64, 64)) < 0.2).astype(np.uint8),
+    near_periodic_tile(),
+], ids=["bernoulli64", "tile32"])
+def test_encoder_peak_stays_near_the_decoders(grid):
+    # both sides build the same tables; the encoder adds only the anchor
+    # ids of the few sizes its next build reads
+    p = from_numpy(grid, 2)
+    data, enc = traced_peak(compress, p)
+    back, dec = traced_peak(decompress, data)
+    assert back == p and not data[7] & FLAG_ESCAPE
+    assert enc <= 1.2 * dec, (enc, dec)
 
 
 # ---- golden containers ----

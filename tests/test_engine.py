@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shared import decode_grid, pull_from
+from shared import decode_grid, near_periodic_tile, pull_from
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
 from torus_cse.codec import _MAX_CELLS, compress, decompress
-from torus_cse.engine import Truth, Walk, _take, block_caps
+from torus_cse.engine import Walk, _take, block_caps
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
 from torus_cse.oracle import (DERIVE, _schedule, primitive_blocks,
                               transmitted_records)
@@ -28,8 +28,8 @@ def encode_walk(grid, alphabet, walk_cls=Walk):
         records.extend((k, l, cls, int(a), int(b), int(v))
                        for a, b, v in zip(lo, hi, values))
 
-    walk = walk_cls(grid.shape[0], grid.shape[1], alphabet,
-                    truth=Truth(grid), sink=sink)
+    walk = walk_cls(grid.shape[0], grid.shape[1], alphabet, grid=grid,
+                    sink=sink)
     walk.run()
     return records, walk
 
@@ -86,7 +86,7 @@ def test_matches_reference_past_the_frontier(shape, alphabet, seed):
     g = np.random.default_rng(seed).integers(0, alphabet, size=shape)
     p = from_numpy(g, alphabet=alphabet)
     assert is_primitive(p), "seed chosen to give a primitive block"
-    walk = Walk(*shape, alphabet, truth=Truth(g), sink=lambda *a: None)
+    walk = Walk(*shape, alphabet, grid=g, sink=lambda *a: None)
     walk.run()
     assert len(walk.max1) < shape[0] * shape[1]
     assert encode_records(g, alphabet) == transmitted_records(p)
@@ -167,8 +167,9 @@ def test_bad_pulled_batch_names_its_size(change):
 
 
 def test_encoder_catches_a_missing_window():
-    # a window lost from the candidates must not pass silently: the census
-    # lookup that gives the encoder its counts finds every window
+    # a window lost from the candidates must not pass silently: the lookup
+    # of every anchor among the candidate probes, which gives the encoder
+    # its counts, must find each one
     g = np.random.default_rng(4).integers(0, 2, size=(6, 6))
     assert len(Census(g).counts(1, 2)) == 4
 
@@ -404,38 +405,6 @@ def test_consistent_streams_never_narrow(monkeypatch):
     assert checked >= 40
 
 
-def sink_calls(g, alphabet, truth):
-    """The repr of every sink call of an encoder walk on `truth`; every
-    built table is checked against `truth.keys` on the way."""
-    calls = []
-    Walk(*g.shape, alphabet, truth=truth,
-         sink=lambda *a: calls.append(repr(a))).run()
-    return calls
-
-
-def test_walk_keys_unaffected_by_reading_primitive_first():
-    # `primitive` and `rank` double to the full size; the walk's keys must
-    # still come from its own split whichever is read first
-    rng = np.random.default_rng(1234)
-    checked = 0
-    while checked < 12:
-        m, n = (int(x) for x in rng.integers(2, 17, size=2))
-        alphabet = int(rng.choice([2, 3, 4]))
-        g = rng.integers(0, alphabet, size=(m, n))
-        truth = Truth(g)
-        if not truth.primitive:
-            continue
-        rank = truth.rank
-        calls = sink_calls(g, alphabet, truth)
-        fresh = Census(g)
-        for k in range(1, m + 1):
-            for l in range(1, n + 1):
-                assert np.array_equal(truth.keys(k, l), fresh.keys(k, l))
-        assert rank == int(fresh.ids(m, n)[0, 0])
-        assert calls == sink_calls(g, alphabet, Truth(g))
-        checked += 1
-
-
 def test_member_grid_rank_bounds():
     g = np.array([[0, 1], [1, 1]], dtype=np.int64)
     walk = Walk(2, 2, 2, pull=pull_from(encode_records(g, 2))[1])
@@ -449,7 +418,7 @@ def test_member_grid_rank_bounds():
 def test_member_grid_matches_shift_for_every_rank():
     g = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 1]], dtype=np.int64)
     p = from_numpy(g, alphabet=2)
-    walk = Walk(3, 3, 2, truth=Truth(g), sink=lambda *a: None)
+    walk = Walk(3, 3, 2, grid=g, sink=lambda *a: None)
     walk.run()
     seen = set()
     for r in range(9):
@@ -472,21 +441,23 @@ def test_transmissions_stop_once_settled():
 def frontier_walk(g, alphabet):
     """Encoder walk of g, checked against the grid's census: a table is
     built at exactly the sizes that are not settled, a readout size is
-    recorded, and the grid reads back off it."""
+    recorded, the grid reads back off it, and the walk ends holding the
+    anchor ids of three sizes at most."""
     m, n = g.shape
-    truth = Truth(g)
-    walk = Walk(m, n, alphabet, truth=truth, sink=lambda *a: None)
+    census = Census(g)
+    walk = Walk(m, n, alphabet, grid=g, sink=lambda *a: None)
     walk.run()
+    assert len(walk.truth) <= 3
 
     def once(k, l):
-        return bool(truth.counts(k, l).max() == 1)
+        return bool(census.counts(k, l).max() == 1)
 
     full = {(k, l) for k in range(1, m + 1) for l in range(1, n + 1)
             if not ((l >= 3 and once(k, l - 2)) or (k >= 3 and once(k - 2, l)))}
     assert set(walk.max1) == full
     assert walk.readout is not None
     assert walk.readout[0] in full
-    assert np.array_equal(walk.member_grid(truth.rank), g)
+    assert np.array_equal(walk.member_grid(census.rank), g)
     return walk
 
 
@@ -513,26 +484,22 @@ def test_readout_seeded(alphabet):
 
 
 def test_near_periodic_tile_reads_out_at_full_size():
-    rng = np.random.default_rng(8)
-    g = np.tile(rng.integers(0, 2, size=(4, 8)), (8, 4))
-    g[5, 19] ^= 1  # breaks every nontrivial shift symmetry
-    walk = frontier_walk(g, 2)
+    walk = frontier_walk(near_periodic_tile(), 2)
     assert walk.readout[0] == (32, 32)
 
 
 def interior_readout_walk():
     g = np.random.default_rng(0).choice(2, size=(12, 12), p=[0.7, 0.3])
-    truth = Truth(g)
-    walk = Walk(12, 12, 2, truth=truth, sink=lambda *a: None)
+    walk = Walk(12, 12, 2, grid=g, sink=lambda *a: None)
     walk.run()
     K, L = walk.readout[0]
     assert K < 12 and L < 12
-    return g, truth, walk
+    return g, Census(g), walk
 
 
 def test_member_grid_every_rank_from_interior_readout():
-    g, truth, walk = interior_readout_walk()
-    ids = truth.ids(12, 12)
+    g, census, walk = interior_readout_walk()
+    ids = census.ids(12, 12)
     for i in range(12):
         for j in range(12):
             want = np.roll(g, (-i, -j), axis=(0, 1))
@@ -540,9 +507,9 @@ def test_member_grid_every_rank_from_interior_readout():
 
 
 def test_member_grid_rejects_links_that_do_not_tile():
-    _, truth, walk = interior_readout_walk()
+    _, census, walk = interior_readout_walk()
     tab = walk.readout[1]
     second = tab.link[1][1]
     second[[0, 1]] = second[[1, 0]]
     with pytest.raises(InconsistentCountsError, match=r"size \(\d+,\d+\)"):
-        walk.member_grid(truth.rank)
+        walk.member_grid(census.rank)
