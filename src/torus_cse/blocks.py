@@ -2,13 +2,16 @@
 
 A block is an m-by-n grid of symbols 0..J-1.  Treating the block as one
 period of a doubly-periodic tiling of the plane turns every anchor cell into
-the top-left corner of arbitrarily large wrapped windows.  ``Census`` is the
-one array routine that enumerates those windows: per-anchor window ids and
-counts per size, which primitivity, rank, verification, the generators and
-the 1D baseline all read, and the slab joins that
-verification and the 1D baseline bound counts by.  The brute-force
-``oracle`` keeps its own census and reads none of this but ``Block``.
-Blocks are immutable and hashable so they can key count tables directly.
+the top-left corner of arbitrarily large wrapped windows.  One ranking step,
+``_ranked``, names those windows: it pairs each anchor's window id with the
+id a shift further along an axis and ranks the pairs.  ``Census`` runs it at
+shift 1 for per-anchor window ids, counts and pair keys per size, which
+verification, the generators and the 1D baseline read, and the slab joins
+that verification and the 1D baseline bound counts by.  ``shift_ids`` runs
+it at doubling shifts for the full-size ids that primitivity, rank and the
+decoder's readout read.  The brute-force ``oracle`` keeps its own census
+and reads none of this but ``Block``.  Blocks are immutable and hashable so
+they can key count tables directly.
 
 Census anchors are 0-based (i, j).  The canonical linear order on
 equal-sized blocks is lexicographic on the column-major flattening (columns
@@ -19,7 +22,6 @@ because every empty window occurs at every anchor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,15 +32,13 @@ MIN_ALPHABET = 2
 MAX_ALPHABET = 256
 
 
-def _check_alphabet(j: int) -> int:
-    if not MIN_ALPHABET <= j <= MAX_ALPHABET:
-        raise SymbolOutOfRangeError(f"alphabet size {j} outside [{MIN_ALPHABET}, {MAX_ALPHABET}]")
-    return j
-
-
 @dataclass(frozen=True)
 class Block:
-    """Immutable m-by-n grid; cells stored row-major as a flat tuple."""
+    """Immutable m-by-n grid; cells stored row-major as a flat tuple.
+
+    The alphabet J lies in 2..256 and every cell in 0..J-1; the constructor
+    refuses anything else with ``SymbolOutOfRangeError``.
+    """
 
     m: int
     n: int
@@ -50,6 +50,14 @@ class Block:
             raise RaggedRowsError(
                 f"cell count {len(self.cells)} does not match {self.m}x{self.n}"
             )
+        if not MIN_ALPHABET <= self.alphabet <= MAX_ALPHABET:
+            raise SymbolOutOfRangeError(
+                f"alphabet size {self.alphabet} outside "
+                f"[{MIN_ALPHABET}, {MAX_ALPHABET}]")
+        if self.cells and not (0 <= min(self.cells)
+                               and max(self.cells) < self.alphabet):
+            raise SymbolOutOfRangeError(
+                f"symbols outside 0..{self.alphabet - 1}")
 
     # Empty blocks all behave as the same object for counting purposes, so
     # equality and hashing ignore which dimension is the zero one.
@@ -89,7 +97,6 @@ class Block:
 
 def make_block(rows: Sequence[Sequence[int]], alphabet: int = 2) -> Block:
     """Build a block from nested row lists, validating shape and symbols."""
-    _check_alphabet(alphabet)
     rows = [list(r) for r in rows]
     m = len(rows)
     if m == 0:
@@ -101,20 +108,17 @@ def make_block(rows: Sequence[Sequence[int]], alphabet: int = 2) -> Block:
     flat = []
     for r in rows:
         for v in r:
-            if not isinstance(v, (int, np.integer)) or not 0 <= int(v) < alphabet:
-                raise SymbolOutOfRangeError(f"symbol {v!r} outside 0..{alphabet - 1}")
+            if not isinstance(v, (int, np.integer)):
+                raise SymbolOutOfRangeError(f"symbol {v!r} is not an integer")
             flat.append(int(v))
     return Block(m, n, tuple(flat), alphabet)
 
 
 def from_numpy(arr: np.ndarray, alphabet: int) -> Block:
-    _check_alphabet(alphabet)
     if arr.ndim != 2:
         raise RaggedRowsError(f"expected a 2-D array, got shape {arr.shape}")
     if arr.dtype.kind not in "biu":
         raise SymbolOutOfRangeError(f"symbols must be integers, not {arr.dtype}")
-    if arr.size and (arr.min() < 0 or arr.max() >= alphabet):
-        raise SymbolOutOfRangeError("array values outside alphabet range")
     return Block(arr.shape[0], arr.shape[1], tuple(int(v) for v in arr.ravel()), alphabet)
 
 
@@ -159,41 +163,54 @@ def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,
     return left, order[member] if order is not None else member
 
 
+def _ranked(ids: np.ndarray, shift: int, axis: int):
+    """(ids, keys) of the windows that join each anchor's window to the one
+    `shift` further along `axis`.
+
+    A pair's key is its first id times the number of ids plus its second,
+    so the keys ascend with the (first, second) pairs, and an anchor's new
+    id is its key's position among the distinct keys.  The keys stay below
+    (m*n)^2, inside int64.
+    """
+    pair = ids * (ids.max() + 1) + np.roll(ids, -shift, axis=axis)
+    keys, inv = np.unique(pair.ravel(), return_inverse=True)
+    return inv.reshape(ids.shape), keys
+
+
+def _symbol_ids(grid: np.ndarray):
+    """(ids, symbols) of the grid's single cells."""
+    symbols, inv = np.unique(grid, return_inverse=True)
+    return inv.reshape(grid.shape).astype(np.int64), symbols
+
+
 class Census:
     """Torus window census of one grid, built size by size on demand.
 
     For each window size (k, l), ``ids(k, l)`` is an (m, n) array whose entry
     at 0-based anchor (i, j) is the id of the k-by-l window anchored there:
     its position among the distinct windows of that size in the canonical
-    column-major order, and ``counts(k, l)`` holds the anchors per id.  A
-    size comes from two smaller ones,
+    column-major order.  ``counts(k, l)`` holds the anchors per id, and
+    ``keys(k, l)`` the ascending keys the ids rank (the symbols at (1, 1)).
+    A window is the join of its two overlapping slabs, one column (or one
+    row) shorter, so a size comes from the one before it by ``_ranked``,
 
-        W(k, l) = W(k, l-1) * S(k, 1) + roll(W(k, 1), -(l-1), axis=1),
-        W(k, 1) = W(k-1, 1) * S(1, 1) + roll(W(1, 1), -(k-1), axis=0),
+        W(k, l) = W(k, l-1) * S(k, l-1) + roll(W(k, l-1), -1, axis=1),
+        W(k, 1) = W(k-1, 1) * S(k-1, 1) + roll(W(k-1, 1), -1, axis=0),
 
-    where S counts distinct windows, so a key pairs a window's first l-1
-    columns with its last column (or first k-1 cells with its last).  The
-    keys stay below (m*n)^2, inside int64.  Each size is built once, in a
-    loop after the missing sizes on its chain of heads, (k, l-1) ... (k, 1),
+    where S counts distinct windows.  The pairs rank like the column-major
+    order: windows whose first slabs agree have last slabs that differ only
+    in their last column (or cell).  Each size is built once, in a loop
+    after the missing sizes on its chain of heads, (k, l-1) ... (k, 1),
     (k-1, 1) ... (1, 1), and kept, as are its first anchors once asked for.
     ``joins(k, l)`` pairs the (k, l-1) windows that overlap in k-by-(l-2),
     the candidates the interval sweep and the 1D baseline bound.
-
-    ``shift_ids``, the (m, n) ids that ``primitive``, ``rank`` and the
-    decoder's readout read, come instead by doubling (Karp, Miller and
-    Rosenberg, 1972): a column twice as tall pairs two stacked columns, and
-    a window twice as wide two side-by-side windows.  Pairs compare like
-    the column-major keys, so the ids are the same in O(log m + log n)
-    steps instead of m + n - 2.  None of these sizes is stored where
-    ``ids`` and ``counts`` read.
     """
 
     def __init__(self, grid: np.ndarray) -> None:
         grid = np.asarray(grid)
         self.m, self.n = grid.shape
-        inv = np.unique(grid, return_inverse=True)[1]
-        inv = inv.reshape(self.m, self.n).astype(np.int64)
-        self._sizes = {(1, 1): (inv, np.bincount(inv.ravel()).astype(np.int64))}
+        ids, symbols = _symbol_ids(grid)
+        self._sizes = {(1, 1): (ids, np.bincount(ids.ravel()), symbols)}
         self._first: dict[tuple[int, int], np.ndarray] = {}
 
     def _size(self, k: int, l: int):
@@ -206,23 +223,18 @@ class Census:
         return self._sizes[(k, l)]
 
     def _build(self, k: int, l: int) -> None:
-        if l == 1:
-            head, last, shift, axis = (k - 1, 1), (1, 1), k - 1, 0
-        else:
-            head, last, shift, axis = (k, l - 1), (k, 1), l - 1, 1
-        last_ids, last_counts = self._sizes[last]
-        pair = (self._sizes[head][0] * np.int64(len(last_counts))
-                + np.roll(last_ids, -shift, axis=axis))
-        inv, counts = np.unique(
-            pair.ravel(), return_inverse=True, return_counts=True)[1:]
-        self._sizes[(k, l)] = (inv.reshape(self.m, self.n).astype(np.int64),
-                               counts.astype(np.int64))
+        head, axis = ((k - 1, 1), 0) if l == 1 else ((k, l - 1), 1)
+        ids, keys = _ranked(self._sizes[head][0], 1, axis)
+        self._sizes[(k, l)] = (ids, np.bincount(ids.ravel()), keys)
 
     def ids(self, k: int, l: int) -> np.ndarray:
         return self._size(k, l)[0]
 
     def counts(self, k: int, l: int) -> np.ndarray:
         return self._size(k, l)[1]
+
+    def keys(self, k: int, l: int) -> np.ndarray:
+        return self._size(k, l)[2]
 
     def first_anchors(self, k: int, l: int) -> np.ndarray:
         """Row-major flat index of the first anchor showing each id."""
@@ -236,66 +248,51 @@ class Census:
         windows agree on their (k, l-2) overlap: a's last l-2 columns are
         b's first.  Pairs ascend by a, then by b.  At l == 2 the overlap is
         the empty window, one id counted at all m*n anchors."""
-        first = self.first_anchors(k, l - 1)
         if l == 2:
-            head = tail = np.zeros(len(first), dtype=np.int64)
+            head = tail = np.zeros(len(self.counts(k, 1)), dtype=np.int64)
             overlap = np.array([self.m * self.n], dtype=np.int64)
         else:
-            ids = self.ids(k, l - 2)
-            head = ids.ravel()[first]
-            tail = np.roll(ids, -1, axis=1).ravel()[first]
+            # a (k, l-1) key is its first slab's id times the overlap's id
+            # count plus its last slab's id; the keys ascend, so the heads do
             overlap = self.counts(k, l - 2)
-        order = np.argsort(head, kind="stable")
-        a, b = _expand_groups(order, head[order], tail, len(overlap))
+            head, tail = np.divmod(self.keys(k, l - 1), len(overlap))
+        a, b = _expand_groups(None, head, tail, len(overlap))
         return a, b, overlap[tail[a]]
 
-    @cached_property
-    def shift_ids(self) -> np.ndarray:
-        """The (m, n) ids, reached by doubling; equal to ``ids(m, n)``."""
-        ids = _doubled(self._sizes[(1, 1)][0], self.m, 0)
-        return _doubled(ids, self.n, 1)
 
-    @property
-    def primitive(self) -> bool:
-        """True when all m*n torus shifts of the grid are distinct."""
-        return int(self.shift_ids.max()) + 1 == self.m * self.n
+def shift_ids(grid: np.ndarray) -> np.ndarray:
+    """The (m, n) ids of the grid's torus shifts; ``Census(grid).ids(m, n)``.
 
-    @property
-    def rank(self) -> int:
-        """Position of the grid itself among its distinct shifts."""
-        return int(self.shift_ids[0, 0])
-
-
-def _doubled(ids: np.ndarray, period: int, axis: int) -> np.ndarray:
-    """The ids of `ids`' windows stretched to `period` along `axis`.
-
-    Each step pairs a window with the one right after it and re-ranks the
-    pairs, doubling the length.  On the torus a window longer than the
-    period is its first `period` cells and then a repeat of them, so it
+    They come by doubling (Karp, Miller and Rosenberg, 1972): each
+    ``_ranked`` step pairs a window with the one right after it, so a
+    column twice as tall pairs two stacked columns, and then a window twice
+    as wide two side-by-side windows.  On the torus a window longer than
+    the period is its first `period` cells and then a repeat of them, so it
     sorts and ranks like them; and once every anchor's window is distinct,
     longer windows sort like their distinct first parts.  Either way the
-    doubling can stop.
+    doubling can stop, after O(log m + log n) steps instead of m + n - 2.
     """
-    have = 1
-    while have < period and ids.max() + 1 < ids.size:
-        pair = ids * np.int64(ids.max() + 1) + np.roll(ids, -have, axis=axis)
-        ids = np.unique(pair.ravel(), return_inverse=True)[1].reshape(
-            ids.shape)
-        have *= 2
+    ids, symbols = _symbol_ids(grid)
+    distinct = len(symbols)
+    for axis, period in enumerate(grid.shape):
+        have = 1
+        while have < period and distinct < ids.size:
+            ids, keys = _ranked(ids, have, axis)
+            distinct, have = len(keys), 2 * have
     return ids
 
 
-def _census(p: Block) -> Census:
+def _shift_ids_of(p: Block) -> np.ndarray:
     if p.is_empty:
         raise EmptyBlockError("empty block has no shift class")
-    return Census(p.to_numpy())
+    return shift_ids(p.to_numpy())
 
 
 def is_primitive(p: Block) -> bool:
     """True when all m*n torus shifts of p are distinct."""
-    return _census(p).primitive
+    return int(_shift_ids_of(p).max()) + 1 == p.size
 
 
 def rank_of(p: Block) -> int:
     """Position of p inside its canonically ordered shift class."""
-    return _census(p).rank
+    return int(_shift_ids_of(p)[0, 0])

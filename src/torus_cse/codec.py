@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .bits import elias_delta_bits, elias_delta_decode
-from .blocks import Block, Census, from_numpy
+from .blocks import Block, from_numpy, shift_ids
 from .engine import B1, B2, B3, Walk
 from .errors import (BadMagicError, InconsistentCountsError,
                      NotPrimitiveError, TooLargeError, TrailingDataError,
@@ -105,13 +105,13 @@ def compress_with_stats(p: Block, strict: bool = False
         raise TooLargeError(
             f"{p.m}x{p.n} grid exceeds the {_MAX_CELLS}-cell cap")
     grid = p.to_numpy()
-    census = Census(grid) if p.m >= 2 and p.n >= 2 else None
-    if census is None or not census.primitive:
+    ids = shift_ids(grid) if p.m >= 2 and p.n >= 2 else None
+    if ids is None or int(ids.max()) + 1 != p.size:
         if strict:
             raise NotPrimitiveError(
                 "coded path needs a primitive grid with both dimensions >= 2")
         return _compress_escape(p)
-    return _encode(p, grid, census.rank)
+    return _encode(p, grid, int(ids[0, 0]))
 
 
 def _compress_escape(p: Block) -> tuple[bytes, CodewordStats]:

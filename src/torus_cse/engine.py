@@ -32,7 +32,7 @@ first (K, L) with K, L >= 2 whose windows are all distinct and whose torus
 shift links are known, because (K, L-1) is all-distinct or L = n, and
 (K-1, L) is all-distinct or K = m.  Its right and down links lay out every
 anchor's id, and so one torus shift of the grid.  The (m, n) ids of that
-shift, which `Census.shift_ids` reaches by doubling, then say which shift
+shift, which `blocks.shift_ids` reaches by doubling, then say which shift
 carries the transmitted rank.
 
 Transmitted counts cross the walk's boundary a size at a time.  The encoder
@@ -63,7 +63,7 @@ import math
 
 import numpy as np
 
-from .blocks import Census, _expand_groups, _find, slab_bounds
+from .blocks import _expand_groups, _find, shift_ids, slab_bounds
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
 _MAX_PASSES = 500
@@ -644,7 +644,7 @@ class Walk:
             raise InconsistentCountsError(
                 f"shift links do not tile the torus at size ({K},{L})")
         grid = self.sym[self.tabs[(K, 1)].edge[0][0][tab.edge[1][0][ids]]]
-        at = np.flatnonzero(Census(grid).shift_ids == rank)
+        at = np.flatnonzero(shift_ids(grid) == rank)
         if len(at) != 1:
             raise InconsistentCountsError(
                 f"rank {rank} does not pick one shift of the grid read at "

@@ -1,8 +1,9 @@
 """Verification suites: round-trip sweeps, census identities, interval checks.
 
 The interval sweep reads its candidates off ``Census.joins``, the slab
-pairs of every size along the census's column axis; the grid's transpose
-covers the row axis.
+pairs of every size along the census's column axis, and finds each joined
+pair's true count among ``Census.keys``, which rank exactly those pairs;
+the grid's transpose covers the row axis.
 """
 
 from __future__ import annotations
@@ -162,16 +163,11 @@ def census_soundness(census: Census, axis_name: str) -> tuple[int, list[str]]:
             if not len(a):
                 bad.append(f"{axis_name} ({k},{l}): no joinable slabs")
                 break
-            prev_ids, prev_cnt = census.ids(k, l - 1), census.counts(k, l - 1)
-            s = len(prev_cnt)
+            prev_cnt = census.counts(k, l - 1)
             ca = prev_cnt[a]
             cb = prev_cnt[b]
-            # the (k, l) ids ascend with their (first, last) slab-id pairs
-            joins = (prev_ids * s + np.roll(prev_ids, -1, axis=1)).ravel()
-            uk = joins[census.first_anchors(k, l)]
-            uc = census.counts(k, l)
-            pos, found = _find(uk, a * s + b)
-            true = np.where(found, uc[pos], 0)
+            pos, found = _find(census.keys(k, l), a * len(prev_cnt) + b)
+            true = np.where(found, census.counts(k, l)[pos], 0)
             lo, hi, open_ = slab_bounds(ca, cb, co)
             out = (true < lo) | (true > hi)
             if out.any():

@@ -10,6 +10,7 @@ from torus_cse.blocks import (
     is_primitive,
     make_block,
     rank_of,
+    shift_ids,
 )
 from torus_cse.errors import (
     EmptyBlockError,
@@ -44,6 +45,18 @@ class TestConstruction:
             make_block([[0]], 1)
         with pytest.raises(SymbolOutOfRangeError):
             make_block([[0]], 257)
+
+    @pytest.mark.parametrize("m,n,cells,alphabet", [
+        (1, 3, (0, 2, 1), 2), (2, 2, (0, 0, 0, 0), 1),
+        (2, 2, (0, 1, 1, 1), 300), (2, 2, (0, 5, 1, 1), 2),
+        (2, 2, (0, -1, 1, 1), 2),
+    ], ids=["cell-2-of-J2", "J1", "J300", "cell-5-of-J2", "negative-cell"])
+    def test_constructor_checks_alphabet_and_cells(self, m, n, cells, alphabet):
+        # a Block built directly is public input too: unchecked, these made
+        # compress code a wrong grid, emit an undecodable container or raise
+        # a bare ValueError or OverflowError
+        with pytest.raises(SymbolOutOfRangeError):
+            Block(m, n, cells, alphabet)
 
     def test_numpy_round_trip(self):
         arr = np.array([[0, 1, 2], [2, 0, 1]], dtype=np.uint8)
@@ -189,14 +202,31 @@ def test_doubled_shift_ids_match_column_by_column():
     periodic = 0
     for g in doubling_corpus():
         m, n = g.shape
-        doubled, stepped = Census(g), Census(g)
-        ids = stepped.ids(m, n)
-        assert np.array_equal(doubled.shift_ids, ids)
-        assert doubled.primitive == (len(stepped.counts(m, n)) == m * n)
-        assert doubled.rank == int(ids[0, 0])
-        assert not doubled._sizes.keys() - {(1, 1)}
-        periodic += not doubled.primitive
+        census, p = Census(g), from_numpy(g, 4)
+        ids = census.ids(m, n)
+        assert np.array_equal(shift_ids(g), ids)
+        assert is_primitive(p) == (len(census.counts(m, n)) == m * n)
+        assert rank_of(p) == int(ids[0, 0])
+        periodic += not is_primitive(p)
     assert periodic >= 20
+
+
+def test_census_keys_pair_the_slab_ids_at_first_anchors():
+    # each size's keys are the (first, last) slab-id pairs of its ids, as
+    # read at each id's first anchor
+    checked = 0
+    for g in doubling_corpus():
+        m, n = g.shape
+        census = Census(g)
+        for k in range(1, m + 1):
+            for l in range(1 + (k == 1), n + 1):
+                head, axis = ((k - 1, 1), 0) if l == 1 else ((k, l - 1), 1)
+                ids, s = census.ids(*head), len(census.counts(*head))
+                pairs = (ids * s + np.roll(ids, -1, axis=axis)).ravel()
+                assert np.array_equal(census.keys(k, l),
+                                      pairs[census.first_anchors(k, l)])
+                checked += 1
+    assert checked > 1000
 
 
 def test_census_builds_each_size_once(monkeypatch):
@@ -230,4 +260,4 @@ def test_census_builds_each_size_once(monkeypatch):
 def test_census_of_a_wide_grid_does_not_recurse():
     g = np.random.default_rng(2000).integers(0, 2, size=(2, 2000))
     census = Census(g)
-    assert np.array_equal(census.ids(2, 2000), Census(g).shift_ids)
+    assert np.array_equal(census.ids(2, 2000), shift_ids(g))

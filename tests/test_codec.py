@@ -3,8 +3,10 @@
 import collections
 import hashlib
 import math
+import re
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +88,13 @@ def test_header_layout_coded():
     # payload starts with E(2) E(2) = 0100 0100
     assert c[9] == 0x44
     assert len(c) == stats(P2).container_bytes
+
+
+def test_readme_freebie_hex():
+    # the reader check README gives: the 2x2 grid rows (0 1),(1 1)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    [hexed] = re.findall(r"compresses to hex `([0-9a-f]+)`", readme)
+    assert compress(make_block([[0, 1], [1, 1]])) == bytes.fromhex(hexed)
 
 
 def test_escape_container_frozen_bytes():
@@ -438,16 +447,14 @@ def test_cli_compress_oversize_exits_1(tmp_path, capsys, monkeypatch):
 # ---- encoder resources ----
 
 def test_compress_builds_no_census_size(monkeypatch):
-    # the encoder counts each size on the tables it walks; a Census gives
-    # only the shift ids, by doubling, and stores no window size
-    def refuse(self, k, l):
-        raise AssertionError(f"compress built census size ({k},{l})")
+    # both sides count each size on the tables they walk, and the shift ids
+    # come by doubling, so neither compress nor decompress makes a Census
+    def refuse(self, grid):
+        raise AssertionError("the codec constructed a Census")
 
     p = from_numpy(np.random.default_rng(5).integers(0, 3, size=(9, 11)), 3)
-    monkeypatch.setattr(Census, "_build", refuse)
-    data = compress(p, strict=True)
-    monkeypatch.undo()
-    assert decompress(data) == p
+    monkeypatch.setattr(Census, "__init__", refuse)
+    assert decompress(compress(p, strict=True)) == p
 
 
 def traced_peak(fn, *args):

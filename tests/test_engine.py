@@ -60,8 +60,9 @@ def test_caps_grow_eventually():
 
 @pytest.mark.parametrize("m,n,alphabet,step", [
     (2, 2, 2, 1), (2, 3, 2, 1), (3, 2, 2, 1), (3, 3, 2, 1),
-    (2, 4, 2, 1), (4, 2, 2, 1), (2, 3, 4, 31),
-], ids=["2-2", "2-3", "3-2", "3-3", "2-4", "4-2", "2-3-J4-every31"])
+    (2, 4, 2, 1), (4, 2, 2, 1), (2, 3, 4, 31), (2, 2, 3, 1), (3, 4, 2, 7),
+], ids=["2-2", "2-3", "3-2", "3-3", "2-4", "4-2", "2-3-J4-every31",
+        "2-2-J3", "3-4-every7"])
 def test_matches_reference_exhaustive_binary(m, n, alphabet, step):
     checked = 0
     for g in itertools.islice(all_primitive_grids(m, n, alphabet), 0, None, step):
@@ -90,14 +91,6 @@ def test_matches_reference_past_the_frontier(shape, alphabet, seed):
     walk.run()
     assert len(walk.max1) < shape[0] * shape[1]
     assert encode_records(g, alphabet) == transmitted_records(p)
-
-
-def test_roundtrip_ternary_2x2_exhaustive():
-    for g in all_primitive_grids(2, 2, alphabet=3):
-        p = from_numpy(g, alphabet=3)
-        records = encode_records(g, 3)
-        back = decode_grid(2, 2, 3, records, rank_of(p))
-        assert np.array_equal(back, g)
 
 
 @settings(max_examples=60, deadline=None)
@@ -457,7 +450,8 @@ def frontier_walk(g, alphabet):
     assert set(walk.max1) == full
     assert walk.readout is not None
     assert walk.readout[0] in full
-    assert np.array_equal(walk.member_grid(census.rank), g)
+    assert np.array_equal(
+        walk.member_grid(rank_of(from_numpy(g, alphabet=alphabet))), g)
     return walk
 
 
@@ -494,12 +488,12 @@ def interior_readout_walk():
     walk.run()
     K, L = walk.readout[0]
     assert K < 12 and L < 12
-    return g, Census(g), walk
+    return g, walk
 
 
 def test_member_grid_every_rank_from_interior_readout():
-    g, census, walk = interior_readout_walk()
-    ids = census.ids(12, 12)
+    g, walk = interior_readout_walk()
+    ids = Census(g).ids(12, 12)
     for i in range(12):
         for j in range(12):
             want = np.roll(g, (-i, -j), axis=(0, 1))
@@ -507,9 +501,9 @@ def test_member_grid_every_rank_from_interior_readout():
 
 
 def test_member_grid_rejects_links_that_do_not_tile():
-    _, census, walk = interior_readout_walk()
+    g, walk = interior_readout_walk()
     tab = walk.readout[1]
     second = tab.link[1][1]
     second[[0, 1]] = second[[1, 0]]
     with pytest.raises(InconsistentCountsError, match=r"size \(\d+,\d+\)"):
-        walk.member_grid(census.rank)
+        walk.member_grid(rank_of(from_numpy(g, alphabet=2)))

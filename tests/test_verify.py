@@ -5,6 +5,7 @@ from hypothesis import given, settings
 
 from shared import P2, P4, grids
 from torus_cse.blocks import Census, from_numpy, make_block
+from torus_cse.cli import main
 from torus_cse.oracle import Ledger, coding_order
 from torus_cse.verify import (VerifyReport, census_identities,
                               census_soundness, check_count_identities,
@@ -17,6 +18,14 @@ def test_exhaustive_small_shapes():
         rep = run_exhaustive(m, n)
         assert rep.passed
         assert rep.checked == total
+
+
+def test_exhaustive_out_of_range_alphabet_is_one_error(capsys):
+    # the first block of the sweep is refused, not compressed
+    assert main(["verify", "--mode", "exhaustive", "--size", "1x2",
+                 "--alphabet", "300"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
 
 
 def test_random_suite():
