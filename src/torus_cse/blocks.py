@@ -50,10 +50,7 @@ class Block:
             raise RaggedRowsError(
                 f"cell count {len(self.cells)} does not match {self.m}x{self.n}"
             )
-        if not MIN_ALPHABET <= self.alphabet <= MAX_ALPHABET:
-            raise SymbolOutOfRangeError(
-                f"alphabet size {self.alphabet} outside "
-                f"[{MIN_ALPHABET}, {MAX_ALPHABET}]")
+        check_alphabet(self.alphabet)
         if self.cells and not (0 <= min(self.cells)
                                and max(self.cells) < self.alphabet):
             raise SymbolOutOfRangeError(
@@ -95,6 +92,13 @@ class Block:
         return f"Block({[list(r) for r in self.rows]}, J={self.alphabet})"
 
 
+def check_alphabet(alphabet: int) -> None:
+    """Refuse an alphabet size outside 2..256 with SymbolOutOfRangeError."""
+    if not MIN_ALPHABET <= alphabet <= MAX_ALPHABET:
+        raise SymbolOutOfRangeError(
+            f"alphabet size {alphabet} outside [{MIN_ALPHABET}, {MAX_ALPHABET}]")
+
+
 def make_block(rows: Sequence[Sequence[int]], alphabet: int = 2) -> Block:
     """Build a block from nested row lists, validating shape and symbols."""
     rows = [list(r) for r in rows]
@@ -119,7 +123,9 @@ def from_numpy(arr: np.ndarray, alphabet: int) -> Block:
         raise RaggedRowsError(f"expected a 2-D array, got shape {arr.shape}")
     if arr.dtype.kind not in "biu":
         raise SymbolOutOfRangeError(f"symbols must be integers, not {arr.dtype}")
-    return Block(arr.shape[0], arr.shape[1], tuple(int(v) for v in arr.ravel()), alphabet)
+    if arr.dtype.kind == "b":
+        arr = arr.view(np.uint8)  # so tolist() gives ints, not bools
+    return Block(arr.shape[0], arr.shape[1], tuple(arr.ravel().tolist()), alphabet)
 
 
 def slab_bounds(a: np.ndarray, b: np.ndarray, w: np.ndarray):

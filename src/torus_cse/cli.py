@@ -68,6 +68,8 @@ def _parse_size(text: str) -> tuple[int, int]:
         m, n = int(parts[0]), int(parts[1])
     except ValueError:
         raise BadSpecError(f"size must look like 16x24, got {text!r}") from None
+    if m < 1 or n < 1:
+        raise BadSpecError(f"size must be at least 1x1, got {text!r}")
     return m, n
 
 
@@ -131,6 +133,8 @@ def _cmd_verify(args) -> int:
         m, n = _parse_size(args.size)
         rep = run_exhaustive(m, n, args.alphabet)
     elif args.mode == "random":
+        if args.count < 1 or args.max < 1:
+            raise BadSpecError("--count and --max must be at least 1")
         rep = run_random(count=args.count, max_side=args.max, seed=args.seed)
     else:
         m, n = _parse_size(args.size)

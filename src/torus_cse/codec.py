@@ -23,7 +23,7 @@ import numpy as np
 from .bits import elias_delta_bits, elias_delta_decode
 from .blocks import Block, from_numpy, shift_ids
 from .engine import B1, B2, B3, Walk
-from .errors import (BadMagicError, InconsistentCountsError,
+from .errors import (BadMagicError, EmptyBlockError, InconsistentCountsError,
                      NotPrimitiveError, TooLargeError, TrailingDataError,
                      TruncatedStreamError, UnsupportedVersionError)
 from .rangecoder import RangeDecoder, RangeEncoder
@@ -101,6 +101,8 @@ def compress_with_stats(p: Block, strict: bool = False
                         ) -> tuple[bytes, CodewordStats]:
     """The container of p and the length accounting of the same encoder
     walk; `strict` refuses escape-path inputs."""
+    if p.is_empty:
+        raise EmptyBlockError("cannot compress an empty block")
     if p.size > _MAX_CELLS:
         raise TooLargeError(
             f"{p.m}x{p.n} grid exceeds the {_MAX_CELLS}-cell cap")

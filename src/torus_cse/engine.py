@@ -25,7 +25,9 @@ larger size.
 Once every window of (k, l-2) or (k-2, l) occurs exactly once, (k, l) and
 every larger size extend uniquely and carry no transmissions: the walk stops
 at this settled frontier and builds no table beyond it.  The sizes it does
-build form a down-set, so no built size ever reads a skipped one.
+build form a down-set, so no built size ever reads a skipped one.  The
+frontier never moves right as k grows, so after each row the walk drops
+every table wider than that row built.
 
 The decoder reads the grid off one built size instead, the readout size: the
 first (K, L) with K, L >= 2 whose windows are all distinct and whose torus
@@ -237,6 +239,7 @@ class Walk:
 
     def run(self) -> None:
         for k in range(1, self.m + 1):
+            width = 0
             for l in range(1, self.n + 1):
                 if self._settled(k, l):
                     break  # so is every size right of it in row k
@@ -244,7 +247,8 @@ class Walk:
                     self._build_11()
                 else:
                     self._full(k, l)
-            self._prune_row(k)
+                width = l
+            self._prune_row(k, width)
 
     def _settled(self, k: int, l: int) -> bool:
         """True when (k, l-2) or (k-2, l) has every window once.
@@ -261,12 +265,21 @@ class Walk:
             return B1
         return B2 if (k <= self.cap_k and l <= self.cap_l) else B3
 
-    def _prune_row(self, k: int) -> None:
-        # row k-2 has fed its last lookup; strips and row 1 stay for good
-        r = k - 2
-        if r >= 2:
+    def _prune_row(self, k: int, width: int) -> None:
+        """Drop the tables no later build reads once row k built up to
+        `width`: row k-2, and every table of rows 1 and k-1 wider.
+
+        The settled frontier never moves right as k grows: if (k, l-2) or
+        (k-2, l) has every window once, so does (k+1, l-2) or (k-1, l).  So
+        no later row builds wider than row k.  Strips (k, 1) stay for good.
+        """
+        tabs = self.tabs
+        if k >= 4:
             for l in range(2, self.n + 1):
-                self.tabs.pop((r, l), None)
+                tabs.pop((k - 2, l), None)
+        for r in {1, max(1, k - 1)}:
+            for l in range(max(width, 1) + 1, self.n + 1):
+                tabs.pop((r, l), None)
 
     # ---- (1,1) ----
 

@@ -10,7 +10,7 @@ import os
 
 import numpy as np
 
-from .blocks import Block, from_numpy
+from .blocks import MAX_ALPHABET, MIN_ALPHABET, Block, from_numpy
 from .errors import GridFormatError, UnknownExtensionError
 
 _TEXT_EXTS = (".txt", ".grid")
@@ -59,19 +59,21 @@ def read_pgm(data: bytes) -> Block:
             raise GridFormatError("PGM raster shorter than width*height")
         cells = np.frombuffer(raster, dtype=np.uint8)
     else:
-        vals = [int(tok) for _, tok in toks]
+        try:
+            vals = [int(tok) for _, tok in toks]
+        except ValueError:
+            raise GridFormatError("non-numeric PGM sample") from None
         if len(vals) < width * height:
             raise GridFormatError("PGM raster shorter than width*height")
-        cells = np.array(vals[:width * height], dtype=np.int64)
-    if cells.max(initial=0) > maxval:
-        raise GridFormatError("PGM sample exceeds maxval")
-    grid = cells.reshape(height, width)
+        # Python ints, so no sample overflows before the range check
+        cells = np.array(vals[:width * height], dtype=object)
+    if cells.min() < 0 or cells.max() > maxval:
+        raise GridFormatError("PGM sample outside 0..maxval")
+    grid = cells.reshape(height, width).astype(np.uint8, copy=False)
     return from_numpy(grid, alphabet=maxval + 1)
 
 
 def write_pgm(p: Block) -> bytes:
-    if p.alphabet > 256:
-        raise GridFormatError(f"alphabet {p.alphabet} does not fit PGM")
     header = f"P5\n{p.n} {p.m}\n{p.alphabet - 1}\n".encode()
     return header + bytes(p.cells)
 
@@ -88,7 +90,7 @@ def read_grid_text(text: str) -> Block:
         alphabet, m, n = (int(t) for t in head)
     except ValueError:
         raise GridFormatError("non-numeric grid text header") from None
-    if alphabet < 2 or m < 1 or n < 1:
+    if not MIN_ALPHABET <= alphabet <= MAX_ALPHABET or m < 1 or n < 1:
         raise GridFormatError(f"unusable grid header J={alphabet} {m}x{n}")
     if len(lines) - 1 != m:
         raise GridFormatError(f"expected {m} rows, found {len(lines) - 1}")
@@ -100,11 +102,10 @@ def read_grid_text(text: str) -> Block:
             raise GridFormatError(f"non-numeric cell in row {ln!r}") from None
         if len(row) != n:
             raise GridFormatError(f"row width {len(row)}, expected {n}")
+        if min(row) < 0 or max(row) >= alphabet:
+            raise GridFormatError("cell outside the declared alphabet")
         rows.append(row)
-    grid = np.array(rows, dtype=np.int64)
-    if grid.min() < 0 or grid.max() >= alphabet:
-        raise GridFormatError("cell outside the declared alphabet")
-    return from_numpy(grid, alphabet=alphabet)
+    return from_numpy(np.array(rows, dtype=np.uint8), alphabet=alphabet)
 
 
 def write_grid_text(p: Block) -> str:
@@ -120,8 +121,14 @@ def read_grid(path: str) -> Block:
         with open(path, "rb") as fh:
             return read_pgm(fh.read())
     if ext in _TEXT_EXTS:
-        with open(path, "r", encoding="ascii") as fh:
-            return read_grid_text(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("ascii")
+        except UnicodeDecodeError as exc:
+            raise GridFormatError(
+                f"grid text has a non-ASCII byte at offset {exc.start}") from None
+        return read_grid_text(text)
     raise UnknownExtensionError(f"no grid format for {ext!r} (use .pgm, .txt, .grid)")
 
 

@@ -354,8 +354,7 @@ def _run_prefix(p: Block, upto: Optional[int], passive_last: bool):
     if not 0 <= upto <= len(sched):
         raise OversizeQueryError(
             f"prefix {upto} out of range 0..{len(sched)}")
-    members = [cells for cells in product(range(p.alphabet), repeat=p.size)
-               if _is_primitive_cells(cells, p.m, p.n)]
+    members = [q.cells for q in _primitive_universe(p.m, p.n, p.alphabet)]
     steps: list[RatioStep] = []
     censuses: dict[tuple, dict[tuple, int]] = {}
     cen_size: Optional[tuple[int, int]] = None

@@ -1,7 +1,8 @@
 """Byte-oriented range coder for sequences of uniform integer intervals.
 
-48-bit coding window, renormalized a byte at a time with deferred
-carry propagation.  Encoding value v in an interval of width w costs
+48-bit coding window, renormalized a byte at a time.  The encoder writes
+into memory, so a carry out of the window is added straight into the bytes
+it has already written.  Encoding value v in an interval of width w costs
 log2(w) bits up to rounding; the flush tail plus rounding stays under
 8 bits total for the widths this codec uses (asserted by tests).
 
@@ -20,16 +21,12 @@ from functools import partial
 _BITS = 48
 _MASK = (1 << _BITS) - 1
 _BOT = 1 << (_BITS - 8)
-_TOPBYTE = 0xFF << (_BITS - 8)
 
 
 class RangeEncoder:
     def __init__(self) -> None:
         self._low = 0
         self._range = _MASK
-        self._cache = 0
-        self._pending = 0
-        self._started = False
         self._out = bytearray()
         self._flushed = False
 
@@ -61,34 +58,32 @@ class RangeEncoder:
             self._low, self._range = low, rng
 
     def _shift(self, low: int) -> int:
-        """Settle the top byte of `low`; returns `low` shifted past it."""
-        if low < _TOPBYTE or low > _MASK:
-            carry = low >> _BITS
-            if self._started:
-                self._out.append((self._cache + carry) & 0xFF)
-            elif carry:
-                raise AssertionError("carry into empty stream")
-            if self._pending:
-                self._out.extend(bytes([(0xFF + carry) & 0xFF]) * self._pending)
-                self._pending = 0
-            self._cache = (low >> (_BITS - 8)) & 0xFF
-            self._started = True
-        else:
-            # top byte is 0xFF: hold it back until a carry can no longer
-            # ripple through
-            self._pending += 1
+        """Write the top byte of `low`, first adding its carry into the
+        bytes already written; returns `low` shifted past it.
+
+        A carry turns trailing 0xFF bytes to 0x00 and raises the byte before
+        them; the coded value stays in the initial interval, so it never
+        runs past the first byte.
+        """
+        out = self._out
+        if low > _MASK:
+            i = len(out) - 1
+            while out[i] == 0xFF:
+                out[i] = 0
+                i -= 1
+            out[i] += 1
+        out.append((low >> (_BITS - 8)) & 0xFF)
         return (low << 8) & _MASK
 
     def flush(self) -> bytes:
-        """Pick a short representative of the final interval and drain it."""
+        """Round to a short representative of the final interval and write
+        its top byte; its low 40 bits are zero, which the decoder reads past
+        the end."""
         if not self._flushed:
             self._flushed = True
             g = min(self._range.bit_length() - 1, _BITS - 1)
             low = ((self._low + (1 << g) - 1) >> g) << g
-            self._low = self._shift(self._shift(low))
-            if self._pending:
-                self._out.extend(b"\xff" * self._pending)
-                self._pending = 0
+            self._low = self._shift(low)
         return bytes(self._out)
 
 

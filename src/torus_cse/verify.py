@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import Block, Census, _find, from_numpy, is_primitive, slab_bounds
+from .blocks import (Block, Census, _find, check_alphabet, from_numpy,
+                     is_primitive, slab_bounds)
 from .codec import compress, decompress
 from .errors import TorusCseError
 from .oracle import lemma1_check, lemma2_violations, primitive_blocks
@@ -51,6 +52,7 @@ class VerifyReport:
 
 def run_exhaustive(m: int, n: int, alphabet: int = 2) -> VerifyReport:
     """Round-trip every block of one shape through the codec."""
+    check_alphabet(alphabet)
     rep = VerifyReport(f"exhaustive {m}x{n} J={alphabet}")
     t0 = time.time()
     for cells in itertools.product(range(alphabet), repeat=m * n):
@@ -93,6 +95,7 @@ def run_random(count: int = 500, max_side: int = 32, seed: int = 0,
 
 def run_lemmas(m: int = 3, n: int = 3, alphabet: int = 2) -> VerifyReport:
     """Both enumeration lemmas over every primitive block of one shape."""
+    check_alphabet(alphabet)
     rep = VerifyReport(f"lemmas {m}x{n} J={alphabet}")
     t0 = time.time()
     for p in primitive_blocks(m, n, alphabet):

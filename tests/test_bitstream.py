@@ -179,6 +179,25 @@ def roundtrip(steps):
     return data, got
 
 
+def model_bytes(steps):
+    """The coder's bytes from the same 48-bit range arithmetic with `low`
+    never masked, so every carry lands where it belongs by itself."""
+    low, rng, shifts = 0, (1 << 48) - 1, 0
+    for v, w in steps:
+        if w == 1:
+            continue
+        r = rng // w
+        low += v * r
+        rng = rng - v * r if v == w - 1 else r
+        while rng < 1 << 40:
+            low <<= 8
+            rng <<= 8
+            shifts += 1
+    g = min(rng.bit_length() - 1, 47)
+    low = ((low + (1 << g) - 1) >> g) << g
+    return (low >> 40).to_bytes(shifts + 1, "big")
+
+
 def split_points(draw, n):
     cuts = draw(st.lists(st.integers(0, n), max_size=8))
     return sorted(set(cuts) | {0, n})
@@ -221,6 +240,25 @@ class TestRangeCoder:
         steps = [(w - 1, w) for w in [2] * 100 + [4096] * 20 + [3] * 50]
         _, got = roundtrip(steps)
         assert got == [v for v, _ in steps]
+
+    def test_bytes_match_unbounded_model(self):
+        # 40% top slots leave runs of 0xFF bytes for a carry to ripple over
+        rng = random.Random(19)
+        for trial in range(2000):
+            steps = []
+            for _ in range(rng.randrange(0, 60)):
+                w = rng.choice([2, 3, 7, 256, 1 << 20, 1 << 40,
+                                rng.randint(1, 1 << 40)])
+                steps.append((w - 1 if rng.random() < 0.4
+                              else rng.randrange(w), w))
+            enc = RangeEncoder()
+            at = 0
+            while at < len(steps):
+                batch = steps[at:at + rng.randrange(1, 12)]
+                enc.encode([v for v, _ in batch], [w for _, w in batch])
+                at += len(batch)
+            data = enc.flush()
+            assert data == model_bytes(steps), trial
 
     def test_low_slots_round_trip(self):
         steps = [(0, w) for w in [2] * 100 + [1 << 30] * 5]

@@ -63,6 +63,13 @@ class TestConstruction:
         b = from_numpy(arr, 3)
         assert np.array_equal(b.to_numpy(), arr)
 
+    @pytest.mark.parametrize("dtype", [bool, np.uint8, np.int64])
+    def test_numpy_cells_are_python_ints(self, dtype):
+        # a text grid prints them, as 1 and not True or np.uint8(1)
+        b = from_numpy(np.array([[0, 1, 1], [1, 0, 1]], dtype=dtype), 2)
+        assert b.cells == (0, 1, 1, 1, 0, 1)
+        assert all(type(v) is int for v in b.cells)
+
     def test_empty_block_needs_zero_dim(self):
         e = Block(3, 0, (), 2)
         assert e.is_empty and e.m == 3 and e.n == 0

@@ -22,7 +22,8 @@ from torus_cse.cli import main
 from torus_cse.codec import (FLAG_ESCAPE, HEADER_LEN, MAGIC, VERSION,
                              compress, compress_with_stats, decompress, stats)
 from torus_cse.engine import Walk
-from torus_cse.errors import (BadMagicError, InconsistentCountsError,
+from torus_cse.errors import (BadMagicError, EmptyBlockError,
+                              InconsistentCountsError,
                               NotPrimitiveError, TooLargeError, TorusCseError,
                               TrailingDataError, TruncatedStreamError,
                               UnsupportedVersionError)
@@ -140,6 +141,15 @@ def test_escape_bytes_match_cell_by_cell_writes(shape, alphabet):
     for cut in range(HEADER_LEN, len(c)):
         with pytest.raises(TruncatedStreamError):
             decompress(c[:cut])
+
+
+@pytest.mark.parametrize("p", [make_block([]), Block(0, 3, (), 2),
+                               Block(3, 0, (), 5)], ids=["0x0", "0x3", "3x0"])
+def test_compress_refuses_empty_block(p):
+    # as is_primitive and rank_of do, not from inside the dimension code
+    for run in (compress, stats):
+        with pytest.raises(EmptyBlockError):
+            run(p)
 
 
 def test_alphabet_byte_tracks_block():

@@ -93,6 +93,16 @@ def test_matches_reference_past_the_frontier(shape, alphabet, seed):
     assert encode_records(g, alphabet) == transmitted_records(p)
 
 
+def test_walk_keeps_no_table_wider_than_a_later_row_builds():
+    # no row builds wider than the row above it, so once row 2 stops at
+    # width 25 the rest of row 1 is read no more
+    g = (np.random.default_rng(1).random((64, 64)) < 0.2).astype(np.uint8)
+    walk = encode_walk(g, 2)[1]
+    widest = max(l for k, l in walk.max1 if k == 2)
+    assert widest == 25
+    assert max(l for k, l in walk.tabs if k == 1) <= widest
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_roundtrip_random_small(data):

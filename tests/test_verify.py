@@ -1,6 +1,7 @@
 """Verification suite plumbing and the interval sweeper."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 
 from shared import P2, P4, grids
@@ -25,6 +26,27 @@ def test_exhaustive_out_of_range_alphabet_is_one_error(capsys):
     assert main(["verify", "--mode", "exhaustive", "--size", "1x2",
                  "--alphabet", "300"]) == 1
     err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("args,code", [
+    (["lemmas", "--size", "2x2", "--alphabet", "0"], 1),
+    (["lemmas", "--size", "2x2", "--alphabet", "1"], 1),
+    (["exhaustive", "--size", "2x2", "--alphabet", "0"], 1),
+    (["exhaustive", "--size", "0x2"], 2),
+    (["lemmas", "--size", "0x2"], 2),
+    (["exhaustive", "--size", "2x-1"], 2),
+    (["random", "--max", "0"], 2),
+    (["random", "--count", "0"], 2),
+], ids=["lemmas-J0", "lemmas-J1", "exhaustive-J0", "exhaustive-0x2",
+        "lemmas-0x2", "exhaustive-2x-1", "random-max0", "random-count0"])
+def test_unusable_verify_arguments_are_one_error(args, code, capsys):
+    # an alphabet outside 2..256 is bad data (1), a size, count or side
+    # below 1 a usage error (2); none may run to a traceback or a verdict
+    assert main(["verify", "--mode", *args]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
 
 
