@@ -154,19 +154,19 @@ def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,
     `group_of` must be ascending over the dense ids 0..ngroups-1, so each
     group's run starts at the exclusive cumsum of the group sizes.  Returns
     (left index repeated per match, matched positions mapped through
-    `order` when given).
+    `order` when given, and per probe its run base: the match at position
+    g of `group_of` is output number base + g).
     """
     sizes = np.bincount(group_of, minlength=ngroups)
     first = np.cumsum(sizes) - sizes
     runs = sizes[probes]
-    starts = first[probes]
     total = int(runs.sum())
+    base = np.cumsum(runs) - runs - first[probes]
     left = np.repeat(np.arange(len(probes), dtype=np.int64), runs)
     if total == 0:
-        return left, np.zeros(0, dtype=np.int64)
-    offs = np.cumsum(runs) - runs
-    member = np.arange(total, dtype=np.int64) - offs[left] + starts[left]
-    return left, order[member] if order is not None else member
+        return left, np.zeros(0, dtype=np.int64), base
+    member = np.arange(total, dtype=np.int64) - base[left]
+    return left, order[member] if order is not None else member, base
 
 
 def _ranked(ids: np.ndarray, shift: int, axis: int):
@@ -262,7 +262,7 @@ class Census:
             # count plus its last slab's id; the keys ascend, so the heads do
             overlap = self.counts(k, l - 2)
             head, tail = np.divmod(self.keys(k, l - 1), len(overlap))
-        a, b = _expand_groups(None, head, tail, len(overlap))
+        a, b, _ = _expand_groups(None, head, tail, len(overlap))
         return a, b, overlap[tail[a]]
 
 

@@ -8,7 +8,9 @@ coder's bytes (the count section, then the shift rank); the escape body
 and grids thinner than 2 in either dimension, so compression is a total
 function up to the _MAX_CELLS cap, which both sides enforce.  The payload
 ends inside the container's last byte, whose spare bits are zero; the
-decoder rejects a container with more or fewer bits.
+decoder rejects a container with more or fewer bits.  It stops a coded walk
+once the range decoder has used 64 bits more than the body holds, so decode
+time is bounded by the payload length, not by the size its dims claim.
 """
 
 from __future__ import annotations
@@ -196,7 +198,16 @@ def decompress(data: bytes) -> Block:
     dec = RangeDecoder(np.packbits(body).tobytes())
 
     def pull(k, l, cls, lo, hi):
-        return lo + np.array(dec.decode((hi - lo + 1).tolist()), dtype=np.int64)
+        values = lo + np.array(dec.decode((hi - lo + 1).tolist()),
+                               dtype=np.int64)
+        # the end check asks 8 * used <= len(body), so a valid payload never
+        # trips this; past 64 bits of slack the walk stops, whatever size
+        # the dims claim
+        if 8 * dec.used > len(body) + 64:
+            raise TruncatedStreamError(
+                f"coded payload used up at size ({k},{l}): "
+                f"{dec.used} bytes decoded from {len(body)} bits")
+        return values
 
     walk = Walk(m, n, alphabet, pull=pull)
     walk.run()

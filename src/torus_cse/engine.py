@@ -10,11 +10,13 @@ numpy array programs.  A size's candidates come from one join of
 overlapping slab pairs along the axis that expands fewer pairs; that choice
 is for speed only, since either join gives the same candidates in the same
 canonical order.  The decoder runs the exact same table builds as the
-encoder, which keeps the two in lockstep by construction.  The encoder keys
-each anchor of the grid like a candidate, by its first slab's and last edge
-strip's ids, and finds it among the candidate probes; the counts are the
-finds per candidate, so its tables are the grid's census by construction,
-and that one lookup is its table check.
+encoder, which keeps the two in lockstep by construction.  The encoder reads
+each anchor's candidate off the join: the anchor's window joins its slab
+with the slab one step further along the join axis, and the join lists that
+pair at a place fixed by the two slab ids, so a few gathers per size find
+every anchor's candidate.  The counts are the anchors per candidate, so its
+tables are the grid's census by construction, and checking that each
+anchor's candidate is made of its two slabs is its table check.
 
 The empty window is a size too: one shared table with a single id, counted
 at all m*n anchors, stands for every (k, 0) and (0, l).  A table one wide
@@ -212,8 +214,14 @@ def _sums_hold(fams, values) -> bool:
 
 
 class Walk:
-    """Shared table walker; passing the `grid` switches encoder mode on,
-    and `truth` then maps sizes to the anchor ids the next build reads."""
+    """Shared table walker; passing the `grid` switches encoder mode on.
+
+    In encoder mode `truth` maps sizes to the (m, n) int32 ids of the
+    windows at every anchor, kept for rows k-1 and k while row k builds,
+    since a build reads the size one shorter along its join axis; `step`
+    holds the flat index of each anchor's neighbour one row down and one
+    column right.  `run` leaves `truth` empty.
+    """
 
     def __init__(self, m, n, alphabet, *, grid=None, pull=None, sink=None):
         self.m = m
@@ -223,6 +231,10 @@ class Walk:
         self.cap_k, self.cap_l = block_caps(m, n, alphabet)
         self.grid = grid
         self.truth = None if grid is None else {}
+        if grid is not None:
+            flat = np.arange(self.mn).reshape(m, n)
+            self.step = (np.roll(flat, -1, axis=0).ravel(),
+                         np.roll(flat, -1, axis=1).ravel())
         self.pull = pull
         self.sink = sink
         empty = _Table(1)
@@ -249,6 +261,8 @@ class Walk:
                     self._full(k, l)
                 width = l
             self._prune_row(k, width)
+        if self.truth is not None:
+            self.truth.clear()
 
     def _settled(self, k: int, l: int) -> bool:
         """True when (k, l-2) or (k-2, l) has every window once.
@@ -267,12 +281,16 @@ class Walk:
 
     def _prune_row(self, k: int, width: int) -> None:
         """Drop the tables no later build reads once row k built up to
-        `width`: row k-2, and every table of rows 1 and k-1 wider.
+        `width`: row k-2, and every table of rows 1 and k-1 wider; and the
+        anchor ids of row k-1, since row k+1 reads only row k's.
 
         The settled frontier never moves right as k grows: if (k, l-2) or
         (k-2, l) has every window once, so does (k+1, l-2) or (k-1, l).  So
         no later row builds wider than row k.  Strips (k, 1) stay for good.
         """
+        if self.truth is not None:
+            for size in [s for s in self.truth if s[0] < k]:
+                del self.truth[size]
         tabs = self.tabs
         if k >= 4:
             for l in range(2, self.n + 1):
@@ -289,7 +307,8 @@ class Walk:
         hi = np.full(J - 1, mn - 1, dtype=np.int64)
         if self.truth is not None:
             counts = np.bincount(self.grid.ravel(), minlength=J)
-            self.truth[(1, 1)] = (np.cumsum(counts > 0) - 1)[self.grid]
+            self.truth[(1, 1)] = (np.cumsum(counts > 0, dtype=np.int32)
+                                  - 1)[self.grid]
             self.sink(1, 1, B1, lo, hi, counts[:-1])
         else:
             counts = np.zeros(J, dtype=np.int64)
@@ -336,7 +355,9 @@ class Walk:
     @staticmethod
     def _pairs(ax, near):
         """(first, second) ids of every slab pair along `ax` that agrees on
-        its overlap, ascending by first slab, then by last edge."""
+        its overlap, ascending by first slab, then by last edge; and per
+        first slab the base of its run, so that the pair whose second slab
+        has sorted position g among the slabs sits at base + g."""
         slab, overlap, _ = near[ax]
         first, second = slab.link[ax]
         perm = _keyed(slab, ax)[1]
@@ -344,9 +365,11 @@ class Walk:
             first = first[perm]
         return _expand_groups(perm, first, second, overlap.n)
 
-    def _fields(self, ax, near, first, second) -> _Table:
+    def _fields(self, ax, near, first, second):
         """Links and edges of the candidates joined along `ax` from slab
-        pairs; drops the ones whose slab along the other axis is absent."""
+        pairs; drops the ones whose slab along the other axis is absent.
+        Returns the candidates and the mask of the pairs kept, or None
+        where all are."""
         slab, _, strip = near[ax]
         last = slab.edge[ax][1][second]
         cand = _Table(len(first))
@@ -354,7 +377,7 @@ class Walk:
         cand.edge[ax] = (slab.edge[ax][0][first], last)
         o = 1 - ax
         if near[o] is None:
-            return cand
+            return cand, None
         cross = near[o][0]
         p, ok1 = _lookup(cross, ax, slab.link[o][0][first],
                          strip.link[o][0][last])
@@ -362,13 +385,15 @@ class Walk:
                          strip.link[o][1][last])
         cand.link[o] = (p, q)
         keep = ok1 & ok2
-        if not keep.all():
+        if keep.all():
+            keep = None
+        else:
             cand = _take(cand, keep)
             p, q = cand.link[o]
         # the first cross slab starts with the candidate's first line, the
         # second ends with its last
         cand.edge[o] = (cross.edge[o][0][p], cross.edge[o][1][q])
-        return cand
+        return cand, keep
 
     # ---- full path ----
 
@@ -389,47 +414,78 @@ class Walk:
             ax = 0
         else:
             ax = 0 if self._join_cost(0, near) < self._join_cost(1, near) else 1
-        cand = self._fields(ax, near, *self._pairs(ax, near))
+        first, second, base = self._pairs(ax, near)
+        cand, keep = self._fields(ax, near, first, second)
+        # past here only the encoder's anchors read the join, so the rest
+        # of it is let go before the build's peak
+        del first, second
+        if self.truth is None:
+            base = keep = None
         nat = _native(l)
         probe = (cand.link[nat][0] * np.int64(near[nat][2].n)
                  + cand.edge[nat][1])
+        order = None
         if ax != nat:
             order = np.argsort(probe, kind="stable")
             cand = _take(cand, order)
             probe = probe[order]
 
         lo, hi, transmit = self._dispositions(k, l, cand, near)
-        at = None if self.truth is None else self._anchors(k, l, near, probe)
+        at = None
+        if self.truth is not None:
+            at = self._anchors(k, l, ax, near, cand, base, keep, order)
         values = self._resolve(k, l, cand, near, at, lo, hi, transmit)
 
         mask = values > 0
         tab = _take(cand, mask)
         tab.count = values[mask]
         tab.keys[nat] = (probe[mask], None)
-        if at is not None:
-            # the next build, (k, l+1) or (k+1, 1), reads (k, l), (k, 1), (1, 1)
-            self.truth = {s: a for s, a in self.truth.items()
-                          if s in ((1, 1), (k, 1))}
-            self.truth[(k, l)] = (np.cumsum(mask) - 1)[at]
         self._finish_table(k, l, tab, near)
+        if at is not None:
+            self._retain(k, l, (np.cumsum(mask, dtype=np.int32) - 1)[at])
 
-    def _anchors(self, k, l, near, probe) -> np.ndarray:
-        """Each anchor's position among the ascending candidate probes of
-        (k, l), keyed like them by the ids of its first slab and last edge
-        strip along the native axis; every anchor must be found."""
-        nat = _native(l)
-        slab, strip = ((k, l - 1), (k, 1)) if nat else ((k - 1, 1), (1, 1))
-        key = (self.truth[slab] * np.int64(near[nat][2].n)
-               + np.roll(self.truth[strip], 1 - (k, l)[nat], axis=nat))
-        # sorted, the keys search the probes in one cache-friendly sweep
-        order = np.argsort(key, axis=None)
-        found, ok = _find(probe, key.ravel()[order])
-        if not ok.all():
+    def _anchors(self, k, l, ax, near, cand, base, keep, order) -> np.ndarray:
+        """Each anchor's candidate index at (k, l), read off the join.
+
+        The anchor's window joins its slab `a` along `ax` with `b`, the
+        slab one step further along `ax`.  The join lists the pairs in one
+        run per first slab, each run in its second slabs' sorted order, so
+        (a, b) sits at `base[a]` plus b's sorted position.  The `keep` mask
+        of `_fields` and the reorder to native `order` then carry that place
+        to the candidate.  Each candidate must be made of its anchors' two
+        slabs: that is the encoder's one table check.  An anchor whose pair
+        was dropped, or whose place falls off a range, lands (clipped) on
+        some other candidate, so the same check catches it.
+        """
+        # the ids are kept as int32, but int64 indices gather faster
+        slab = (k - 1, l) if ax == 0 else (k, l - 1)
+        a = self.truth[slab].ravel().astype(np.int64)
+        b = a[self.step[ax]]
+        perm = _keyed(near[ax][0], ax)[1]
+        at = base[a] + (b if perm is None else _inverse(perm)[b])
+        if keep is not None:
+            at = np.take(np.cumsum(keep) - 1, at, mode="clip")
+        if order is not None:  # a permutation of the candidates
+            at = np.take(_inverse(order), at, mode="clip")
+        else:
+            at = np.clip(at, 0, cand.n - 1)
+        first, second = cand.link[ax]
+        if not ((first[at] == a) & (second[at] == b)).all():
             raise InconsistentCountsError(
                 f"walked table diverges from the grid at size ({k},{l})")
-        at = np.empty(key.size, dtype=np.int64)
-        at[order] = found
-        return at.reshape(key.shape)
+        return at.reshape(self.m, self.n)
+
+    def _retain(self, k, l, ids) -> None:
+        """Keep the anchor ids of (k, l) for (k, l+1) and (k+1, l), and drop
+        those of row k-1 that row k reads no more: (k-1, l), and once (k, l)
+        has every window once, every size right of (k-1, l+1), since (k, l+2)
+        is then settled."""
+        truth = self.truth
+        truth[(k, l)] = ids
+        truth.pop((k - 1, l), None)
+        if self.max1[(k, l)]:
+            for size in [s for s in truth if s[0] == k - 1 and s[1] > l + 1]:
+                del truth[size]
 
     def _dispositions(self, k, l, cand, near):
         """Each candidate's interval [lo, hi] and whether it is transmitted.

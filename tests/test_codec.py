@@ -384,6 +384,19 @@ def test_coded_body_at_every_bit_offset(m, n):
             decompress(c[:cut])
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_payload_budget_stops_a_large_claim(seed):
+    # 16 random payload bytes under dims that claim 256x256: the decoder
+    # must stop once it has used 64 bits more than the payload holds,
+    # rather than walk the claimed size
+    bits = delta_code(256) * 2
+    bits += "0" * (-len(bits) % 8)
+    data = container(0, 2, bits) + np.random.default_rng(seed).bytes(16)
+    with pytest.raises(TruncatedStreamError,
+                       match=r"used up at size \(\d+,\d+\): \d+ bytes"):
+        decompress(data)
+
+
 def test_corrupt_delta_length_does_not_allocate():
     # 36 leading zeros announce a value of about 2^(2^36) bits
     data = container(0, 2, "0" * 36 + "1" * 100)

@@ -170,9 +170,9 @@ def test_bad_pulled_batch_names_its_size(change):
 
 
 def test_encoder_catches_a_missing_window():
-    # a window lost from the candidates must not pass silently: the lookup
-    # of every anchor among the candidate probes, which gives the encoder
-    # its counts, must find each one
+    # a window lost from the candidates must not pass silently: the
+    # candidate each anchor's place in the join leads to, which gives the
+    # encoder its counts, must be made of the anchor's two slabs
     g = np.random.default_rng(4).integers(0, 2, size=(6, 6))
     assert len(Census(g).counts(1, 2)) == 4
 
@@ -180,16 +180,126 @@ def test_encoder_catches_a_missing_window():
         dropped = False
 
         def _fields(self, ax, near, first, second):
-            cand = super()._fields(ax, near, first, second)
+            cand, keep = super()._fields(ax, near, first, second)
             if self.dropped:
-                return cand
+                return cand, keep
             self.dropped = True  # the first join is size (1,2)'s
-            return _take(cand, np.arange(1, cand.n))
+            return _take(cand, np.arange(1, cand.n)), keep
 
     with pytest.raises(InconsistentCountsError,
                        match=r"walked table diverges from the grid at size "
                              r"\(1,2\)"):
         encode_walk(g, 2, DropsOne)
+
+
+class JoinLogWalk(Walk):
+    """An encoder walk that notes the join axis of every size it builds,
+    and calls `built(k, l)` after each."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.joins = {}
+
+    def built(self, k, l):
+        pass
+
+    def _build_11(self):
+        super()._build_11()
+        self.built(1, 1)
+
+    def _full(self, k, l):
+        self.building = (k, l)
+        super()._full(k, l)
+        self.built(k, l)
+
+    def _pairs(self, ax, near):
+        self.joins[self.building] = ax
+        return super()._pairs(ax, near)
+
+
+class LosesAnchorWindow(JoinLogWalk):
+    """Loses the window at anchor (0, 0) from the candidates of `target`."""
+
+    target = None
+
+    def _fields(self, ax, near, first, second):
+        cand, keep = super()._fields(ax, near, first, second)
+        k, l = self.building
+        if (k, l) != self.target:
+            return cand, keep
+        ids = self.truth[(k - 1, l) if ax == 0 else (k, l - 1)]
+        lost = ((cand.link[ax][0] == ids[0, 0])
+                & (cand.link[ax][1] == ids[1 - ax, ax]))
+        assert lost.sum() == 1
+        return _take(cand, ~lost), keep
+
+
+@pytest.mark.parametrize("target", [(3, 2), (3, 1)],
+                         ids=["row-joined", "strip"])
+def test_encoder_catches_a_missing_window_on_row_joins(target):
+    # (3,2) is this grid's first interior size joined along the rows, so
+    # its candidates are reordered to the native column key after the join
+    g = np.random.default_rng(4).integers(0, 2, size=(6, 6))
+    joins = encode_walk(g, 2, JoinLogWalk)[1].joins
+    assert min(s for s, ax in joins.items() if ax == 0 and s[1] >= 2) == (3, 2)
+    assert joins[target] == 0
+    walk_cls = type("Loses", (LosesAnchorWindow,), {"target": target})
+    with pytest.raises(InconsistentCountsError,
+                       match=r"walked table diverges from the grid at size "
+                             rf"\({target[0]},{target[1]}\)"):
+        encode_walk(g, 2, walk_cls)
+
+
+class ParityWalk(JoinLogWalk):
+    """Checks each size's anchor ids against the grid's census as it is
+    built."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.census = Census(self.grid)
+
+    def built(self, k, l):
+        ids = self.census.ids(k, l)
+        assert np.array_equal(self.truth[(k, l)], ids), (k, l)
+
+
+class RetentionWalk(JoinLogWalk):
+    """Checks after each build that only rows k-1 and k of anchor ids are
+    held, as int32."""
+
+    def built(self, k, l):
+        assert {r for r, _ in self.truth} <= {k - 1, k}, (k, l)
+        assert all(ids.dtype == np.int32 for ids in self.truth.values())
+
+
+def seeded_grids(count=20):
+    """`count` primitive grids of sides 4..16, J cycling through 2, 4, 16."""
+    rng = np.random.default_rng(20)
+    out = []
+    while len(out) < count:
+        alphabet = (2, 4, 16)[len(out) % 3]
+        g = rng.integers(0, alphabet, size=tuple(rng.integers(4, 17, size=2)))
+        if is_primitive(from_numpy(g, alphabet=alphabet)):
+            out.append((g, alphabet))
+    return out
+
+
+def test_walk_ids_match_the_census():
+    grids = [(g, 2) for m, n in ((3, 3), (3, 4))
+             for g in all_primitive_grids(m, n)]
+    grids += seeded_grids() + [(near_periodic_tile(), 2)]
+    kinds = set()
+    for g, alphabet in grids:
+        walk = encode_walk(g, alphabet, ParityWalk)[1]
+        kinds |= {"strip" if l == 1 else ("columns", "rows")[1 - ax]
+                  for (k, l), ax in walk.joins.items()}
+    assert kinds == {"columns", "rows", "strip"}
+
+
+def test_walk_holds_two_rows_of_anchor_ids():
+    for g, alphabet in seeded_grids() + [(near_periodic_tile(), 2)]:
+        walk = encode_walk(g, alphabet, RetentionWalk)[1]
+        assert walk.joins and walk.truth == {}
 
 
 def test_corrupt_value_handled_gracefully():
