@@ -51,8 +51,12 @@ class Block:
                 f"cell count {len(self.cells)} does not match {self.m}x{self.n}"
             )
         check_alphabet(self.alphabet)
-        if self.cells and not (0 <= min(self.cells)
-                               and max(self.cells) < self.alphabet):
+        try:
+            # bytes() refuses any cell that is not an integer in 0..255
+            bad = bool(self.cells) and max(bytes(self.cells)) >= self.alphabet
+        except (TypeError, ValueError):
+            bad = True
+        if bad:
             raise SymbolOutOfRangeError(
                 f"symbols outside 0..{self.alphabet - 1}")
 

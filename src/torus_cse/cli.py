@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
 from .baseline1d import compare
 from .blocks import from_numpy, is_primitive
-from .codec import CodewordStats, compress_with_stats, decompress
+from .codec import _MAX_CELLS, CodewordStats, compress_with_stats, decompress
 from .errors import BadSpecError, TorusCseError, UnknownExtensionError
 from .generate import SourceSpec, alphabet_of, entropy_bits, generate
 from .gridio import read_grid, write_grid
@@ -117,6 +118,8 @@ def _build_spec(args) -> SourceSpec:
 
 def _cmd_gen(args) -> int:
     spec = _build_spec(args)
+    if spec.m * spec.n > _MAX_CELLS:
+        raise BadSpecError(f"size {args.size} exceeds the {_MAX_CELLS}-cell cap")
     grid = generate(spec)
     p = from_numpy(grid, alphabet=alphabet_of(spec))
     write_grid(args.output, p)
@@ -133,8 +136,10 @@ def _cmd_verify(args) -> int:
         m, n = _parse_size(args.size)
         rep = run_exhaustive(m, n, args.alphabet)
     elif args.mode == "random":
-        if args.count < 1 or args.max < 1:
-            raise BadSpecError("--count and --max must be at least 1")
+        # a draw is refused before it is made if the codec would refuse it
+        if args.count < 1 or not 1 <= args.max <= math.isqrt(_MAX_CELLS):
+            raise BadSpecError("--count must be at least 1, and --max in "
+                               f"1..{math.isqrt(_MAX_CELLS)}")
         rep = run_random(count=args.count, max_side=args.max, seed=args.seed)
     else:
         m, n = _parse_size(args.size)

@@ -11,6 +11,10 @@ ends inside the container's last byte, whose spare bits are zero; the
 decoder rejects a container with more or fewer bits.  It stops a coded walk
 once the range decoder has used 64 bits more than the body holds, so decode
 time is bounded by the payload length, not by the size its dims claim.
+
+The `engine` walk hands over only counts and one torus shift of the grid.
+This module books each batch to its section by size, and codes the rank
+that picks the grid's own shift.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ import numpy as np
 
 from .bits import elias_delta_bits, elias_delta_decode
 from .blocks import Block, from_numpy, shift_ids
-from .engine import B1, B2, B3, Walk
+from .engine import Walk
 from .errors import (BadMagicError, EmptyBlockError, InconsistentCountsError,
                      NotPrimitiveError, TooLargeError, TrailingDataError,
                      TruncatedStreamError, UnsupportedVersionError)
@@ -34,6 +38,8 @@ MAGIC = b"2DCSE1"
 VERSION = 1
 FLAG_ESCAPE = 0x01
 HEADER_LEN = 9
+# transmission sections: singles, small sizes under the caps, everything else
+B1, B2, B3 = "B1", "B2", "B3"
 
 # sanity cap so a corrupt header cannot provoke an enormous decode walk;
 # compress refuses larger grids, so it never emits a container decompress
@@ -57,6 +63,24 @@ def _check_end(what: str, left: int, spare: np.ndarray) -> None:
 def _rank_width(mn: int) -> int:
     # power-of-two width, so the rank costs exactly ceil(log2 mn) bits
     return 1 << (mn - 1).bit_length()
+
+
+def block_caps(m: int, n: int, alphabet: int) -> tuple[int, int]:
+    """Height/width caps splitting small sizes from the long tail.
+
+    The nominal formula floor(sqrt(log_J log_J m)) collapses to 0 or is
+    undefined for small m, so both caps are clamped to at least 1.  They
+    stay: a binary grid 65536 tall fits the cell cap and reaches B2 at (2, 1).
+    """
+
+    def cap(dim: int) -> int:
+        inner = math.log(dim, alphabet) if dim > 1 else 0.0
+        if inner <= 1.0:
+            return 1
+        # tiny epsilon so exact squares survive float rounding
+        return max(1, math.floor(math.sqrt(math.log(inner, alphabet)) + 1e-9))
+
+    return cap(m), cap(n)
 
 
 @dataclass(frozen=True)
@@ -139,8 +163,10 @@ def _encode(p: Block, grid: np.ndarray, rank: int
     ideal = {B1: 0.0, B2: 0.0, B3: 0.0}
     txcnt = {B1: 0, B2: 0, B3: 0}
     per_size: dict = {}
+    cap_k, cap_l = block_caps(p.m, p.n, p.alphabet)
 
-    def sink(k, l, cls, lo, hi, values):
+    def sink(k, l, lo, hi, values):
+        cls = B1 if k == l == 1 else B2 if k <= cap_k and l <= cap_l else B3
         widths = (hi - lo + 1).tolist()
         rc.encode((values - lo).tolist(), widths)
         # summed one width at a time, in coding order
@@ -197,7 +223,7 @@ def decompress(data: bytes) -> Block:
             "coded payload needs both dimensions at least 2")
     dec = RangeDecoder(np.packbits(body).tobytes())
 
-    def pull(k, l, cls, lo, hi):
+    def pull(k, l, lo, hi):
         values = lo + np.array(dec.decode((hi - lo + 1).tolist()),
                                dtype=np.int64)
         # the end check asks 8 * used <= len(body), so a valid payload never
@@ -214,7 +240,17 @@ def decompress(data: bytes) -> Block:
     [rank] = dec.decode([_rank_width(m * n)])
     end = 8 * dec.used
     _check_end("coded", len(body) - end, body[end:])
-    return from_numpy(walk.member_grid(rank), alphabet)
+    if not 0 <= rank < m * n:
+        raise InconsistentCountsError(f"rank {rank} out of range")
+    grid = walk.member_grid()
+    at = np.flatnonzero(shift_ids(grid) == rank)
+    if len(at) != 1:
+        K, L = walk.readout[0]
+        raise InconsistentCountsError(
+            f"rank {rank} does not pick one shift of the grid read at "
+            f"size ({K},{L})")
+    i, j = divmod(int(at[0]), n)
+    return from_numpy(np.roll(grid, (-i, -j), axis=(0, 1)), alphabet)
 
 
 def stats(p: Block) -> CodewordStats:

@@ -35,18 +35,17 @@ The decoder reads the grid off one built size instead, the readout size: the
 first (K, L) with K, L >= 2 whose windows are all distinct and whose torus
 shift links are known, because (K, L-1) is all-distinct or L = n, and
 (K-1, L) is all-distinct or K = m.  Its right and down links lay out every
-anchor's id, and so one torus shift of the grid.  The (m, n) ids of that
-shift, which `blocks.shift_ids` reaches by doubling, then say which shift
-carries the transmitted rank.
+anchor's id, and so one torus shift of the grid; which shift the encoder
+sent is the codec's to say.
 
 Transmitted counts cross the walk's boundary a size at a time.  The encoder
-calls `sink(k, l, cls, lo, hi, values)` and the decoder calls
-`pull(k, l, cls, lo, hi) -> values`, with int64 arrays in canonical
-candidate order: once for the J-1 single-symbol counts at (1, 1), then once
-per size that transmits at least one count.  The decoder checks a pulled
-batch against its intervals in one step; a batch of the wrong length or
-with a value outside [lo, hi] raises `InconsistentCountsError` naming the
-size.
+calls `sink(k, l, lo, hi, values)` and the decoder calls
+`pull(k, l, lo, hi) -> values`, with int64 arrays in canonical candidate
+order: once for the J-1 single-symbol counts at (1, 1), then once per size
+that transmits at least one count.  The decoder checks a pulled batch
+against its intervals in one step; a batch of the wrong length or with a
+value outside [lo, hi] raises `InconsistentCountsError` naming the size.
+The walk only counts; the caller books and codes the batches.
 
 A count whose interval is one point is known to both sides; that covers
 every count with a slab that fills its overlap.  Every other untransmitted
@@ -63,41 +62,12 @@ checked last, are the consistency gate that catches a lie at any size.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .blocks import _expand_groups, _find, shift_ids, slab_bounds
+from .blocks import _expand_groups, _find, slab_bounds
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
 _MAX_PASSES = 500
-
-# transmission classes: singles, small sizes under the caps, everything else
-B1 = "B1"
-B2 = "B2"
-B3 = "B3"
-
-
-def block_caps(m: int, n: int, alphabet: int) -> tuple[int, int]:
-    """Height/width caps splitting small sizes from the long tail.
-
-    The nominal formula floor(sqrt(log_J log_J m)) collapses to 0 or is
-    undefined for small m, so both caps are clamped to at least 1.  They
-    stay: a binary grid 65536 tall fits the cell cap and reaches B2 at (2, 1).
-    """
-
-    def cap(dim: int) -> int:
-        inner = math.log(dim, alphabet) if dim > 1 else 0.0
-        if inner <= 1.0:
-            return 1
-        outer = math.log(inner, alphabet)
-        if outer <= 0.0:
-            return 1
-        # tiny epsilon so exact squares survive float rounding
-        return max(1, math.floor(math.sqrt(outer) + 1e-9))
-
-    return cap(m), cap(n)
-
 
 class _Table:
     """Positive windows of one size, canonically ordered, with slab links.
@@ -228,7 +198,6 @@ class Walk:
         self.n = n
         self.mn = m * n
         self.J = alphabet
-        self.cap_k, self.cap_l = block_caps(m, n, alphabet)
         self.grid = grid
         self.truth = None if grid is None else {}
         if grid is not None:
@@ -274,11 +243,6 @@ class Walk:
         return ((l >= 3 and self.max1.get((k, l - 2), True))
                 or (k >= 3 and self.max1.get((k - 2, l), True)))
 
-    def _cls(self, k: int, l: int) -> str:
-        if k == 1 and l == 1:
-            return B1
-        return B2 if (k <= self.cap_k and l <= self.cap_l) else B3
-
     def _prune_row(self, k: int, width: int) -> None:
         """Drop the tables no later build reads once row k built up to
         `width`: row k-2, and every table of rows 1 and k-1 wider; and the
@@ -309,10 +273,10 @@ class Walk:
             counts = np.bincount(self.grid.ravel(), minlength=J)
             self.truth[(1, 1)] = (np.cumsum(counts > 0, dtype=np.int32)
                                   - 1)[self.grid]
-            self.sink(1, 1, B1, lo, hi, counts[:-1])
+            self.sink(1, 1, lo, hi, counts[:-1])
         else:
             counts = np.zeros(J, dtype=np.int64)
-            counts[:-1] = self._pulled(1, 1, B1, lo, hi)
+            counts[:-1] = self._pulled(1, 1, lo, hi)
             counts[J - 1] = mn - counts[:-1].sum()
         if counts[J - 1] < 0 or counts[J - 1] > mn - 1:
             raise InconsistentCountsError("single counts do not sum to the area")
@@ -521,9 +485,9 @@ class Walk:
                 f"interval bounds crossed at size ({k},{l})")
         return lo, hi, transmit
 
-    def _pulled(self, k, l, cls, lo, hi) -> np.ndarray:
+    def _pulled(self, k, l, lo, hi) -> np.ndarray:
         """One size's transmitted counts from `pull`, checked in one step."""
-        values = np.asarray(self.pull(k, l, cls, lo, hi), dtype=np.int64)
+        values = np.asarray(self.pull(k, l, lo, hi), dtype=np.int64)
         if values.shape != lo.shape:
             raise InconsistentCountsError(
                 f"pulled {values.size} counts for {lo.size} at size ({k},{l})")
@@ -545,7 +509,6 @@ class Walk:
         candidate, checked last, are the consistency gate; they alone cover
         a size with nothing to derive.
         """
-        cls = self._cls(k, l)
         t_idx = np.flatnonzero(transmit)
 
         lo_t, hi_t = lo[t_idx], hi[t_idx]
@@ -556,12 +519,12 @@ class Walk:
                 raise InconsistentCountsError(
                     f"true count escapes its interval at size ({k},{l})")
             if len(t_idx):
-                self.sink(k, l, cls, lo_t, hi_t, sent)
+                self.sink(k, l, lo_t, hi_t, sent)
             return true_vals
 
         values = np.where(lo == hi, lo, np.int64(-1))
         if len(t_idx):
-            values[t_idx] = self._pulled(k, l, cls, lo_t, hi_t)
+            values[t_idx] = self._pulled(k, l, lo_t, hi_t)
 
         fams = []
         for ax in (1, 0):
@@ -686,16 +649,13 @@ class Walk:
         down, right = shift
         return right, down
 
-    def member_grid(self, rank: int) -> np.ndarray:
-        """The member of the shift class whose (m, n) census id is `rank`.
+    def member_grid(self) -> np.ndarray:
+        """The torus shift of the grid laid out from the readout size.
 
         Anchor ids are laid out from id 0 along the readout size's shift
-        links, each anchor's cell is the top-left symbol of its window, and
-        the torus shift that puts id `rank` at the origin is returned.
+        links, and each anchor's cell is the top-left symbol of its window.
         """
         m, n = self.m, self.n
-        if not 0 <= rank < self.mn:
-            raise InconsistentCountsError(f"rank {rank} out of range")
         if self.readout is None:
             raise InconsistentCountsError(
                 "no size has every window once with known shift links")
@@ -712,11 +672,4 @@ class Walk:
                 and np.array_equal(down[ids], np.roll(ids, -1, axis=0))):
             raise InconsistentCountsError(
                 f"shift links do not tile the torus at size ({K},{L})")
-        grid = self.sym[self.tabs[(K, 1)].edge[0][0][tab.edge[1][0][ids]]]
-        at = np.flatnonzero(shift_ids(grid) == rank)
-        if len(at) != 1:
-            raise InconsistentCountsError(
-                f"rank {rank} does not pick one shift of the grid read at "
-                f"size ({K},{L})")
-        i, j = divmod(int(at[0]), n)
-        return np.roll(grid, (-i, -j), axis=(0, 1))
+        return self.sym[self.tabs[(K, 1)].edge[0][0][tab.edge[1][0][ids]]]

@@ -18,7 +18,7 @@ from .blocks import (Block, Census, _find, check_alphabet, from_numpy,
                      is_primitive, slab_bounds)
 from .codec import compress, decompress
 from .errors import TorusCseError
-from .oracle import lemma1_check, lemma2_violations, primitive_blocks
+from .oracle import _guard, lemma1_check, lemma2_violations, primitive_blocks
 
 _MAX_FAILURES = 8
 
@@ -51,8 +51,9 @@ class VerifyReport:
 
 
 def run_exhaustive(m: int, n: int, alphabet: int = 2) -> VerifyReport:
-    """Round-trip every block of one shape through the codec."""
+    """Round-trip every block of one shape, up to the oracle's 2^20 cap."""
     check_alphabet(alphabet)
+    _guard(m, n, alphabet)
     rep = VerifyReport(f"exhaustive {m}x{n} J={alphabet}")
     t0 = time.time()
     for cells in itertools.product(range(alphabet), repeat=m * n):

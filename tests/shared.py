@@ -54,23 +54,33 @@ def shifts(p):
 
 
 def pull_from(records, check=True):
-    """A pull that answers each batch with the next records, one per count."""
+    """A pull that answers each batch with the next (k, l, lo, hi, value)
+    records, one per count."""
     stream = iter(records)
 
-    def pull(k, l, cls, lo, hi):
+    def pull(k, l, lo, hi):
         batch = [next(stream) for _ in range(len(lo))]
         if check:
-            assert [r[:5] for r in batch] == [
-                (k, l, cls, int(a), int(b)) for a, b in zip(lo, hi)]
-        return [r[5] for r in batch]
+            assert [r[:4] for r in batch] == [
+                (k, l, int(a), int(b)) for a, b in zip(lo, hi)]
+        return [r[4] for r in batch]
 
     return stream, pull
 
 
-def decode_grid(m, n, alphabet, records, rank):
+def decode_grid(m, n, alphabet, records):
+    """The torus shift of the grid that the decoder walk reads off records."""
     stream, pull = pull_from(records)
 
     walk = Walk(m, n, alphabet, pull=pull)
     walk.run()
     assert next(stream, None) is None, "decoder consumed too few values"
-    return walk.member_grid(rank)
+    return walk.member_grid()
+
+
+def is_shift(a, g):
+    """Whether the array a is one of g's torus shifts."""
+    m, n = g.shape
+    return a.shape == g.shape and any(
+        np.array_equal(np.roll(g, (-i, -j), axis=(0, 1)), a)
+        for i in range(m) for j in range(n))

@@ -49,12 +49,14 @@ class TestConstruction:
     @pytest.mark.parametrize("m,n,cells,alphabet", [
         (1, 3, (0, 2, 1), 2), (2, 2, (0, 0, 0, 0), 1),
         (2, 2, (0, 1, 1, 1), 300), (2, 2, (0, 5, 1, 1), 2),
-        (2, 2, (0, -1, 1, 1), 2),
-    ], ids=["cell-2-of-J2", "J1", "J300", "cell-5-of-J2", "negative-cell"])
+        (2, 2, (0, -1, 1, 1), 2), (2, 1, (0.5, 1), 2), (2, 1, ("a", 1), 2),
+        (2, 1, (None, 1), 2),
+    ], ids=["cell-2-of-J2", "J1", "J300", "cell-5-of-J2", "negative-cell",
+            "half-cell", "str-cell", "none-cell"])
     def test_constructor_checks_alphabet_and_cells(self, m, n, cells, alphabet):
         # a Block built directly is public input too: unchecked, these made
         # compress code a wrong grid, emit an undecodable container or raise
-        # a bare ValueError or OverflowError
+        # a bare ValueError, OverflowError or TypeError
         with pytest.raises(SymbolOutOfRangeError):
             Block(m, n, cells, alphabet)
 

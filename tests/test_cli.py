@@ -3,11 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from torus_cse import cli
 from torus_cse.blocks import from_numpy, make_block
 from torus_cse.cli import main
 from torus_cse.codec import compress, stats
 from torus_cse.engine import Walk
 from torus_cse.gridio import write_grid
+from torus_cse.verify import VerifyReport
 
 SCHEMA = {"escape", "m", "n", "J", "l0", "l1", "l2", "l3",
           "total_bits", "bits_per_symbol", "transmitted"}
@@ -114,6 +116,39 @@ def test_bad_gen_params_are_usage_errors(tmp_path, capsys):
                  "--size", "4x4", "-o", out]) == 2
     assert main(["gen", "--kind", "iid", "--params", ".8,.2",
                  "--size", "4by4", "-o", out]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--mode", "random", "--max", "2049"],
+    ["gen", "--kind", "iid", "--params", "0.5,0.5", "--size", "2048x2049"],
+    ["gen", "--kind", "iid", "--params", "0.5,0.5", "--size", "4194305x1"],
+], ids=["random-max", "gen-square", "gen-column"])
+def test_oversized_draws_are_usage_errors(args, tmp_path, capsys, monkeypatch):
+    # a grid past the codec's 2^22-cell cap is refused before it is drawn
+    def draw(*args, **kwargs):
+        raise AssertionError("an oversized grid was drawn")
+
+    monkeypatch.setattr(cli, "run_random", draw)
+    monkeypatch.setattr(cli, "generate", draw)
+    out = ["-o", str(tmp_path / "big.pgm")] if args[0] == "gen" else []
+    assert main(args + out) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_largest_random_side_is_drawn(capsys, monkeypatch):
+    sides = []
+
+    def run_random(count, max_side, seed):
+        sides.append(max_side)
+        return VerifyReport("random", checked=1)
+
+    monkeypatch.setattr(cli, "run_random", run_random)
+    assert main(["verify", "--mode", "random", "--max", "2048"]) == 0
+    assert sides == [2048]
     capsys.readouterr()
 
 

@@ -19,8 +19,9 @@ from torus_cse.bits import elias_delta_length
 from torus_cse.blocks import (Block, Census, from_numpy, is_primitive,
                               make_block)
 from torus_cse.cli import main
-from torus_cse.codec import (FLAG_ESCAPE, HEADER_LEN, MAGIC, VERSION,
-                             compress, compress_with_stats, decompress, stats)
+from torus_cse.codec import (_MAX_CELLS, FLAG_ESCAPE, HEADER_LEN, MAGIC,
+                             VERSION, _encode, block_caps, compress,
+                             compress_with_stats, decompress, stats)
 from torus_cse.engine import Walk
 from torus_cse.errors import (BadMagicError, EmptyBlockError,
                               InconsistentCountsError,
@@ -176,6 +177,31 @@ def test_stats_binary_transmits_one_single():
         p = from_numpy(rng.integers(0, 2, size=(8, 8)), alphabet=2)
         if is_primitive(p):
             assert stats(p).transmitted["B1"] == 1
+
+
+def test_caps_clamp_to_one():
+    assert block_caps(2, 2, 2) == (1, 1)
+    assert block_caps(16, 16, 2) == (1, 1)
+    assert block_caps(64, 64, 2) == (1, 1)
+
+
+def test_caps_grow_eventually():
+    assert block_caps(65536, 4, 2) == (2, 1)
+    # the widest binary grid this tall that the codec takes still has a B2
+    # size, which is why the class is kept
+    assert 65536 * 64 == _MAX_CELLS
+    assert block_caps(65536, 64, 2) == (2, 1)
+    assert block_caps(1 << 22, 1, 3) == (1, 1)
+
+
+def test_stats_books_the_size_under_the_caps_to_l2():
+    # 65536 rows is the shortest binary height with cap 2, so (2, 1) is
+    # the one size under the caps past the singles, and its one transmitted
+    # count is the only B2
+    g = np.random.default_rng(1).integers(0, 2, size=(65536, 2))
+    s = stats(from_numpy(g, alphabet=2))
+    assert s.transmitted["B1"] == s.transmitted["B2"] == 1
+    assert s.l2 > 0
 
 
 def test_stats_rejects_escape_inputs():
@@ -434,6 +460,17 @@ def test_decompress_is_total_on_random_payloads():
         assert time.perf_counter() - t0 < 2.0, data.hex()
     assert {"decoded", "TruncatedStreamError", "InconsistentCountsError",
             "TrailingDataError"} <= set(verdicts)
+
+
+def test_rank_out_of_range_is_refused():
+    # the rank is coded ceil(log2 mn) bits wide, so a 3x3 container can
+    # carry a rank 9..15 that names no shift
+    g = np.array([[0, 0, 1], [1, 0, 1], [0, 1, 1]])
+    p = from_numpy(g, alphabet=2)
+    for rank in (9, 15):
+        with pytest.raises(InconsistentCountsError,
+                           match=rf"rank {rank} out of range"):
+            decompress(_encode(p, g, rank)[0])
 
 
 # ---- size cap ----

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from shared import P2, P4, grids
+from torus_cse import verify
 from torus_cse.blocks import Census, from_numpy, make_block
 from torus_cse.cli import main
 from torus_cse.oracle import Ledger, coding_order
@@ -27,6 +28,20 @@ def test_exhaustive_out_of_range_alphabet_is_one_error(capsys):
                  "--alphabet", "300"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_exhaustive_refuses_more_blocks_than_the_cap(capsys, monkeypatch):
+    # 2^36 blocks of 6x6: refused up front, as lemmas refuses them, before
+    # the first block is compressed
+    def compress(p):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(verify, "compress", compress)
+    assert main(["verify", "--mode", "exhaustive", "--size", "6x6"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and "cap" in err[0]
 
 
 @pytest.mark.parametrize("args,code", [
