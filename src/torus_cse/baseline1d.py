@@ -32,7 +32,6 @@ class BaselineStats:
     """Ideal section lengths of the conventional coder, in bits."""
 
     n: int
-    super_alphabet: int
     l0: float
     l1: float
     l2: float
@@ -84,7 +83,7 @@ def conv_lengths(p: Block, m_cap: int = _M_CAP) -> BaselineStats:
         else:
             l3 += bits
             c3 += sent
-    return BaselineStats(n, big_a, l0, l1, l2, l3,
+    return BaselineStats(n, l0, l1, l2, l3,
                          {"C1": big_a - 1, "C2": c2, "C3": c3}, middle_empty)
 
 

@@ -142,8 +142,8 @@ def slab_bounds(a: np.ndarray, b: np.ndarray, w: np.ndarray):
 def _find(sorted_keys: np.ndarray, probe: np.ndarray):
     """searchsorted with a found mask; -1 where absent.
 
-    `sorted_keys` is never empty: every installed table, every census size
-    and every built size's candidate probe has at least one entry.
+    `sorted_keys` is never empty: `engine._lookup` searches an installed
+    table and `verify.census_soundness` a census size, both nonempty.
     """
     idx = np.searchsorted(sorted_keys, probe)
     idx_c = np.minimum(idx, len(sorted_keys) - 1)

@@ -14,8 +14,9 @@ import sys
 from typing import Optional
 
 from .baseline1d import compare
-from .blocks import from_numpy, is_primitive
-from .codec import _MAX_CELLS, CodewordStats, compress_with_stats, decompress
+from .blocks import from_numpy
+from .codec import (_MAX_CELLS, CodewordStats, coded_rank, compress_with_stats,
+                    decompress)
 from .errors import BadSpecError, TorusCseError, UnknownExtensionError
 from .generate import SourceSpec, alphabet_of, entropy_bits, generate
 from .gridio import read_grid, write_grid
@@ -118,16 +119,17 @@ def _build_spec(args) -> SourceSpec:
 
 def _cmd_gen(args) -> int:
     spec = _build_spec(args)
+    alphabet = alphabet_of(spec)
     if spec.m * spec.n > _MAX_CELLS:
         raise BadSpecError(f"size {args.size} exceeds the {_MAX_CELLS}-cell cap")
     grid = generate(spec)
-    p = from_numpy(grid, alphabet=alphabet_of(spec))
+    p = from_numpy(grid, alphabet=alphabet)
     write_grid(args.output, p)
     h, how = entropy_bits(spec, grid)
     print(f"{args.output}: {p.m}x{p.n} J={p.alphabet} seed={spec.seed}")
     print(f"H = {h:.4f} bits/symbol ({how})")
-    if not is_primitive(p):
-        print("note: grid is not primitive; the codec will take the raw path")
+    if coded_rank(p.to_numpy()) is None:
+        print("note: the codec will take the raw path for this grid")
     return 0
 
 

@@ -133,13 +133,21 @@ def compress_with_stats(p: Block, strict: bool = False
         raise TooLargeError(
             f"{p.m}x{p.n} grid exceeds the {_MAX_CELLS}-cell cap")
     grid = p.to_numpy()
-    ids = shift_ids(grid) if p.m >= 2 and p.n >= 2 else None
-    if ids is None or int(ids.max()) + 1 != p.size:
+    rank = coded_rank(grid)
+    if rank is None:
         if strict:
             raise NotPrimitiveError(
                 "coded path needs a primitive grid with both dimensions >= 2")
         return _compress_escape(p)
-    return _encode(p, grid, int(ids[0, 0]))
+    return _encode(p, grid, rank)
+
+
+def coded_rank(grid: np.ndarray) -> int | None:
+    """The grid's rank among its torus shifts; None if it takes escape."""
+    if min(grid.shape) < 2:
+        return None
+    ids = shift_ids(grid)
+    return int(ids[0, 0]) if int(ids.max()) + 1 == ids.size else None
 
 
 def _compress_escape(p: Block) -> tuple[bytes, CodewordStats]:
@@ -172,7 +180,7 @@ def _encode(p: Block, grid: np.ndarray, rank: int
         # summed one width at a time, in coding order
         ideal[cls] = reduce(operator.add, map(math.log2, widths), ideal[cls])
         txcnt[cls] += len(widths)
-        per_size[(k, l)] = per_size.get((k, l), 0) + len(widths)
+        per_size[(k, l)] = len(widths)
 
     Walk(p.m, p.n, p.alphabet, grid=grid, sink=sink).run()
     rc.encode([rank], [_rank_width(p.size)])

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocks import Census
+from .blocks import MAX_ALPHABET, Census
 from .errors import BadSpecError
 
 _TOL = 1e-9
@@ -29,8 +29,8 @@ class SourceSpec:
 
 
 def _check_distribution(probs, what: str) -> None:
-    if len(probs) < 2:
-        raise BadSpecError(f"{what} needs at least two symbols")
+    if not 2 <= len(probs) <= MAX_ALPHABET:
+        raise BadSpecError(f"{what} needs 2 to {MAX_ALPHABET} symbols")
     if any(q < 0 for q in probs):
         raise BadSpecError(f"{what} has a negative probability")
     if abs(sum(probs) - 1.0) > _TOL:

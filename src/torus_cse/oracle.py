@@ -94,21 +94,6 @@ def window_census(p: Block, k: int, l: int) -> dict[Block, int]:
     return {Block(k, l, w, p.alphabet): c for w, c in raw.items()}
 
 
-@dataclass(frozen=True)
-class TypeClass:
-    """Primitive same-shape blocks indistinguishable under one constraint."""
-
-    source: Block
-    constraint: tuple  # ("size", k, l) or ("prefix", i)
-    members: tuple[Block, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, q: Block) -> bool:
-        return q in self.members
-
-
 @lru_cache(maxsize=1)
 def _primitive_universe(m: int, n: int, alphabet: int) -> tuple[Block, ...]:
     return tuple(primitive_blocks(m, n, alphabet))
@@ -128,17 +113,15 @@ def _census_classes(m: int, n: int, alphabet: int, k: int, l: int
     return {key: tuple(members) for key, members in groups.items()}
 
 
-def type_class(p: Block, k: int, l: int) -> TypeClass:
+def type_class(p: Block, k: int, l: int) -> tuple[Block, ...]:
     """Members match p's full (k, l) count table; (0, 0) means unconstrained."""
     _guard(p.m, p.n, p.alphabet)
     if not (k >= 1 and l >= 1):
-        members = _primitive_universe(p.m, p.n, p.alphabet)
-    elif k > p.m or l > p.n:
+        return _primitive_universe(p.m, p.n, p.alphabet)
+    if k > p.m or l > p.n:
         raise OversizeQueryError(f"window {k}x{l} exceeds block {p.m}x{p.n}")
-    else:
-        members = _census_classes(p.m, p.n, p.alphabet, k, l).get(
-            _census_key(p.cells, p.m, p.n, k, l), ())
-    return TypeClass(p, ("size", k, l), members)
+    return _census_classes(p.m, p.n, p.alphabet, k, l).get(
+        _census_key(p.cells, p.m, p.n, k, l), ())
 
 
 def lemma1_check(p: Block, k: int, l: int) -> bool:
@@ -150,12 +133,11 @@ def lemma1_check(p: Block, k: int, l: int) -> bool:
     """
     if k < 1 or l < 1:
         raise OversizeQueryError("the entropy bound needs a nonempty window")
-    tc = type_class(p, k, l)
     mn = p.size
     cen = _census(p.cells, p.m, p.n, k, l)
     bound = -(mn / (k * l)) * sum(
         (c / mn) * math.log2(c / mn) for c in cen.values())
-    return math.log2(len(tc)) <= bound + 1e-9
+    return math.log2(len(type_class(p, k, l))) <= bound + 1e-9
 
 
 # ---- the reference walk: candidates and their rules ----
@@ -377,16 +359,15 @@ def _run_prefix(p: Block, upto: Optional[int], passive_last: bool):
     return members, steps
 
 
-def prefix_class(p: Block, i: int) -> TypeClass:
+def prefix_class(p: Block, i: int) -> tuple[Block, ...]:
     """Members match p's counts on the first i canonical candidates."""
     members, _ = _run_prefix(p, i, passive_last=False)
-    blocks = tuple(Block(p.m, p.n, cells, p.alphabet) for cells in members)
-    return TypeClass(p, ("prefix", i), blocks)
+    return tuple(Block(p.m, p.n, cells, p.alphabet) for cells in members)
 
 
-def lemma2_violations(p: Block, passive_last: bool = False) -> list[str]:
+def lemma2_violations(p: Block) -> list[str]:
     """Non-transmitted steps that shrank the class; empty means the sweep holds."""
-    _, steps = _run_prefix(p, None, passive_last)
+    _, steps = _run_prefix(p, None, passive_last=False)
     return [f"{s.block!r} ({s.cls}) shrank {s.before} -> {s.after}"
             for s in steps if not s.transmitted and s.after != s.before]
 

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,9 +9,9 @@ import pytest
 from torus_cse import cli
 from torus_cse.blocks import from_numpy, make_block
 from torus_cse.cli import main
-from torus_cse.codec import compress, stats
+from torus_cse.codec import compress, compress_with_stats, stats
 from torus_cse.engine import Walk
-from torus_cse.gridio import write_grid
+from torus_cse.gridio import read_grid, write_grid
 from torus_cse.verify import VerifyReport
 
 SCHEMA = {"escape", "m", "n", "J", "l0", "l1", "l2", "l3",
@@ -43,6 +46,22 @@ def test_gen_reproducible(tmp_path, capsys):
     capsys.readouterr()
     assert paths[0].read_bytes() == paths[1].read_bytes()
     assert paths[0].read_bytes() != paths[2].read_bytes()
+
+
+@pytest.mark.parametrize("kind, params, size, escape", [
+    ("iid", "0.5,0.5", "1x16", True),
+    ("iid", "0.5,0.5", "16x1", True),
+    ("markov2d", "h=0,1|1,0;v=0,1|1,0", "4x4", True),  # a tiled checkerboard
+    ("iid", "0.5,0.5", "4x4", False),
+], ids=["row", "column", "tiled", "primitive"])
+def test_gen_notes_the_raw_path_as_the_codec_takes_it(
+        tmp_path, capsys, kind, params, size, escape):
+    path = tmp_path / "g.pgm"
+    assert main(["gen", "--kind", kind, "--params", params, "--size", size,
+                 "--seed", "1", "-o", str(path)]) == 0
+    _, s = compress_with_stats(read_grid(str(path)))
+    assert s.escape is escape
+    assert ("raw path" in capsys.readouterr().out) is escape
 
 
 def test_stats_matches_library(tmp_path, capsys):
@@ -123,9 +142,16 @@ def test_bad_gen_params_are_usage_errors(tmp_path, capsys):
     ["verify", "--mode", "random", "--max", "2049"],
     ["gen", "--kind", "iid", "--params", "0.5,0.5", "--size", "2048x2049"],
     ["gen", "--kind", "iid", "--params", "0.5,0.5", "--size", "4194305x1"],
-], ids=["random-max", "gen-square", "gen-column"])
+    ["gen", "--kind", "iid", "--params", ",".join(["0.0025"] * 400),
+     "--size", "4x4"],
+    ["gen", "--kind", "markov2d", "--params", "h={0};v={0}".format("|".join(
+        ",".join("1" if j == i else "0" for j in range(257))
+        for i in range(257))), "--size", "4x4"],
+], ids=["random-max", "gen-square", "gen-column", "gen-iid-alphabet",
+        "gen-markov-alphabet"])
 def test_oversized_draws_are_usage_errors(args, tmp_path, capsys, monkeypatch):
-    # a grid past the codec's 2^22-cell cap is refused before it is drawn
+    # a grid past the codec's 2^22-cell cap, or with more symbols than a
+    # container holds, is refused before it is drawn
     def draw(*args, **kwargs):
         raise AssertionError("an oversized grid was drawn")
 
@@ -203,3 +229,16 @@ def test_compare_notes_empty_middle_regime(tmp_path, capsys):
     write_grid(str(path), p)
     assert main(["compare", "-i", str(path)]) == 0
     assert "long regime" in capsys.readouterr().out
+
+
+def test_readme_commands_parse():
+    # every `torus-cse ...` line of README's sh blocks, continuations joined
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = [line for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+             for line in block.replace("\\\n", " ").splitlines()
+             if line.startswith("torus-cse ")]
+    argvs = [shlex.split(line)[1:] for line in lines]
+    for argv in argvs:
+        cli.build_parser().parse_args(argv)
+    assert {argv[0] for argv in argvs} == {
+        "gen", "compress", "decompress", "stats", "verify", "compare"}

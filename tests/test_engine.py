@@ -482,6 +482,21 @@ def test_derive_reports_an_undetermined_cycle():
                      np.zeros(4, dtype=np.int64), np.ones(4, dtype=np.int64))
 
 
+def test_derive_stops_at_its_pass_cap():
+    # both families hold the same two unknowns in one group, one asking
+    # for a sum of 10000 and the other 9999: each pass shrinks both
+    # intervals by one, so the cap fires long before they cross
+    fams = [(np.array([0, 0]), np.array([10000])),
+            (np.array([0, 0]), np.array([9999]))]
+    values = np.full(2, -1, dtype=np.int64)
+    with pytest.raises(UnderdeterminedCountsError,
+                       match=r"^count propagation did not settle at size "
+                             r"\(2,3\)$"):
+        Walk._derive(2, 3, fams, values, np.arange(2),
+                     np.zeros(2, dtype=np.int64),
+                     np.full(2, 10 ** 6, dtype=np.int64))
+
+
 def consistent_grids():
     """Seeded grids with sides 4..16, and `test_roundtrip_midsize`'s."""
     rng = np.random.default_rng(4016)

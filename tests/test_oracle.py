@@ -73,11 +73,11 @@ def test_independent_of_the_census(monkeypatch):
         (2, 2, B3, 0, 1, 0),
         (2, 2, B3, 0, 1, 0),
     ]
-    assert set(type_class(P2, 2, 2).members) == {
+    assert set(type_class(P2, 2, 2)) == {
         make_block([[0, 1], [1, 1]]), make_block([[1, 0], [1, 1]]),
         make_block([[1, 1], [0, 1]]), make_block([[1, 1], [1, 0]])}
     assert torus_subblock(P2, 2, 2, 2, 2) == make_block([[1, 1], [1, 0]])
-    assert set(shifts(P2)) == set(type_class(P2, 2, 2).members)
+    assert set(shifts(P2)) == set(type_class(P2, 2, 2))
 
 
 def test_census_rejects_oversize():
@@ -86,7 +86,7 @@ def test_census_rejects_oversize():
 
 
 def test_type_class_p2():
-    assert set(type_class(P2, 2, 2).members) == set(shifts(P2))
+    assert set(type_class(P2, 2, 2)) == set(shifts(P2))
     assert len(type_class(P2, 0, 0)) == 8
     assert len(type_class(P2, 1, 2)) >= len(type_class(P2, 2, 2))
     assert len(type_class(P2, 1, 1)) == 4
@@ -95,7 +95,7 @@ def test_type_class_p2():
 
 def test_type_class_full_size_is_shift_class():
     for p in list(primitive_blocks(2, 3))[:8]:
-        assert set(type_class(p, 2, 3).members) == set(shifts(p))
+        assert set(type_class(p, 2, 3)) == set(shifts(p))
 
 
 def test_lemma1_p2():
@@ -146,13 +146,13 @@ def test_prefix_class_chain_p2():
     bl = prefix_blocks(P2)
     prev = None
     for i in range(len(bl) + 1):
-        cur = set(prefix_class(P2, i).members)
+        cur = set(prefix_class(P2, i))
         if prev is not None:
             assert cur <= prev
         prev = cur
     assert prev == set(shifts(P2))
     # constraining both singles equals the size-(1,1) type class
-    assert set(prefix_class(P2, 3).members) == set(type_class(P2, 1, 1).members)
+    assert set(prefix_class(P2, 3)) == set(type_class(P2, 1, 1))
 
 
 def test_prefix_class_rejects_bad_index():

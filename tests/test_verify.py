@@ -8,6 +8,7 @@ from shared import P2, P4, grids
 from torus_cse import verify
 from torus_cse.blocks import Census, from_numpy, make_block
 from torus_cse.cli import main
+from torus_cse.errors import TorusCseError
 from torus_cse.oracle import Ledger, coding_order
 from torus_cse.verify import (VerifyReport, census_identities,
                               census_soundness, check_count_identities,
@@ -69,6 +70,22 @@ def test_random_suite():
     rep = run_random(count=30, max_side=10, seed=3)
     assert rep.passed
     assert rep.checked == 30
+
+
+def test_suites_note_a_bad_round_trip_alike(monkeypatch):
+    # one round-trip check words both suites' notes; each adds its label
+    def decompress(data):
+        raise TorusCseError("bad stream")
+
+    monkeypatch.setattr(verify, "decompress", lambda data: P4)
+    exhaustive = run_exhaustive(1, 2)
+    rand = run_random(count=1, max_side=2, seed=0)
+    assert exhaustive.failures[0] == "(0, 0): round trip changed the block"
+    assert rand.failures == [
+        "trial 0 (2x2 J=16): round trip changed the block"]
+    monkeypatch.setattr(verify, "decompress", decompress)
+    assert run_exhaustive(1, 2).failures[0] == (
+        "(0, 0): TorusCseError: bad stream")
 
 
 def test_lemma_suite_2x2():
