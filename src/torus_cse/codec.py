@@ -138,7 +138,7 @@ def compress_with_stats(p: Block, strict: bool = False
         if strict:
             raise NotPrimitiveError(
                 "coded path needs a primitive grid with both dimensions >= 2")
-        return _compress_escape(p)
+        return _compress_escape(p, grid)
     return _encode(p, grid, rank)
 
 
@@ -150,11 +150,12 @@ def coded_rank(grid: np.ndarray) -> int | None:
     return int(ids[0, 0]) if int(ids.max()) + 1 == ids.size else None
 
 
-def _compress_escape(p: Block) -> tuple[bytes, CodewordStats]:
+def _compress_escape(p: Block, grid: np.ndarray
+                     ) -> tuple[bytes, CodewordStats]:
     cb = _cell_bits(p.alphabet)
     # every cell's cb bits, most significant first, row-major
-    cells = (p.to_numpy().reshape(-1, 1) >> np.arange(cb - 1, -1, -1,
-                                                        dtype=np.uint8)) & 1
+    cells = (grid.reshape(-1, 1) >> np.arange(cb - 1, -1, -1,
+                                              dtype=np.uint8)) & 1
     container, total_bits = _container(FLAG_ESCAPE, p, cells.ravel())
     return container, CodewordStats(
         escape=True, m=p.m, n=p.n, alphabet=p.alphabet,

@@ -16,7 +16,8 @@ with the slab one step further along the join axis, and the join lists that
 pair at a place fixed by the two slab ids, so a few gathers per size find
 every anchor's candidate.  The counts are the anchors per candidate, so its
 tables are the grid's census by construction, and checking that each
-anchor's candidate is made of its two slabs is its table check.
+anchor's candidate is made of its two slabs is its table check.  Each
+table holds its anchors' ids only while a later build may read them.
 
 The empty window is a size too: one shared table with a single id, counted
 at all m*n anchors, stands for every (k, 0) and (0, l).  A table one wide
@@ -55,9 +56,10 @@ counts already known.  One sweep over the four families pins each unknown
 that is alone in its group to that group's residual.  Only if the sweep
 leaves an unknown, pins one outside its interval, or breaks a family sum,
 are the unknowns narrowed against the residuals pass by pass, from the
-state before the sweep; on a bad stream that names the error.  A size with
-nothing to derive skips both.  The family sums over every candidate,
-checked last, are the consistency gate that catches a lie at any size.
+state before the sweep; only a bad stream gets there, and that names the
+error.  A size with nothing to derive skips both.  The family sums over
+every candidate, checked last, are the consistency gate that catches a lie
+at any size.
 """
 
 from __future__ import annotations
@@ -81,10 +83,11 @@ class _Table:
     already run in that order.  `space[ax]` is the id count of the edge
     strip's table.  The ids follow the native key: columns, or rows for a
     table one column wide.  The native keys are set when the table is
-    built; the other axis is keyed on first use.
+    built; the other axis is keyed on first use.  The encoder's `at` holds
+    the (m, n) int32 id of the window at every anchor.
     """
 
-    __slots__ = ("n", "count", "link", "edge", "keys", "space", "is_x")
+    __slots__ = ("n", "count", "link", "edge", "keys", "space", "is_x", "at")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -94,6 +97,7 @@ class _Table:
         self.keys = [None, None]
         self.space = [None, None]
         self.is_x = None  # set on strips: marks the all-(J-1) id
+        self.at = None
 
 
 def _native(l: int) -> int:
@@ -186,11 +190,11 @@ def _sums_hold(fams, values) -> bool:
 class Walk:
     """Shared table walker; passing the `grid` switches encoder mode on.
 
-    In encoder mode `truth` maps sizes to the (m, n) int32 ids of the
-    windows at every anchor, kept for rows k-1 and k while row k builds,
-    since a build reads the size one shorter along its join axis; `step`
-    holds the flat index of each anchor's neighbour one row down and one
-    column right.  `run` leaves `truth` empty.
+    `truth` is the grid in encoder mode and None in decoder mode.  A
+    build reads the anchor ids of the size one shorter along its join
+    axis, so while row k builds only the tables of rows k-1 and k keep
+    their `at`.  `step` holds the flat index of each anchor's neighbour
+    one row down and one column right.
     """
 
     def __init__(self, m, n, alphabet, *, grid=None, pull=None, sink=None):
@@ -198,8 +202,7 @@ class Walk:
         self.n = n
         self.mn = m * n
         self.J = alphabet
-        self.grid = grid
-        self.truth = None if grid is None else {}
+        self.truth = grid
         if grid is not None:
             flat = np.arange(self.mn).reshape(m, n)
             self.step = (np.roll(flat, -1, axis=0).ravel(),
@@ -230,8 +233,6 @@ class Walk:
                     self._full(k, l)
                 width = l
             self._prune_row(k, width)
-        if self.truth is not None:
-            self.truth.clear()
 
     def _settled(self, k: int, l: int) -> bool:
         """True when (k, l-2) or (k-2, l) has every window once.
@@ -245,23 +246,23 @@ class Walk:
 
     def _prune_row(self, k: int, width: int) -> None:
         """Drop the tables no later build reads once row k built up to
-        `width`: row k-2, and every table of rows 1 and k-1 wider; and the
-        anchor ids of row k-1, since row k+1 reads only row k's.
+        `width`: row k-2, and every table of rows 1 and k-1 wider.  A
+        dropped table lets go of its anchor ids too, since the readout may
+        still refer to it.
 
         The settled frontier never moves right as k grows: if (k, l-2) or
         (k-2, l) has every window once, so does (k+1, l-2) or (k-1, l).  So
         no later row builds wider than row k.  Strips (k, 1) stay for good.
         """
-        if self.truth is not None:
-            for size in [s for s in self.truth if s[0] < k]:
-                del self.truth[size]
-        tabs = self.tabs
+        drop = []
         if k >= 4:
-            for l in range(2, self.n + 1):
-                tabs.pop((k - 2, l), None)
+            drop += [(k - 2, l) for l in range(2, self.n + 1)]
         for r in {1, max(1, k - 1)}:
-            for l in range(max(width, 1) + 1, self.n + 1):
-                tabs.pop((r, l), None)
+            drop += [(r, l) for l in range(max(width, 1) + 1, self.n + 1)]
+        for size in drop:
+            tab = self.tabs.pop(size, None)
+            if tab is not None:
+                tab.at = None
 
     # ---- (1,1) ----
 
@@ -269,10 +270,10 @@ class Walk:
         mn, J = self.mn, self.J
         lo = np.zeros(J - 1, dtype=np.int64)
         hi = np.full(J - 1, mn - 1, dtype=np.int64)
+        at = None
         if self.truth is not None:
-            counts = np.bincount(self.grid.ravel(), minlength=J)
-            self.truth[(1, 1)] = (np.cumsum(counts > 0, dtype=np.int32)
-                                  - 1)[self.grid]
+            counts = np.bincount(self.truth.ravel(), minlength=J)
+            at = (np.cumsum(counts > 0, dtype=np.int32) - 1)[self.truth]
             self.sink(1, 1, lo, hi, counts[:-1])
         else:
             counts = np.zeros(J, dtype=np.int64)
@@ -289,6 +290,7 @@ class Walk:
         _one_wide(t, 0)
         _one_wide(t, 1)
         t.is_x = self.sym == J - 1
+        t.at = at
         self._install((1, 1), t)
 
     def _install(self, size, tab: _Table) -> None:
@@ -406,7 +408,13 @@ class Walk:
         tab.keys[nat] = (probe[mask], None)
         self._finish_table(k, l, tab, near)
         if at is not None:
-            self._retain(k, l, (np.cumsum(mask, dtype=np.int32) - 1)[at])
+            tab.at = (np.cumsum(mask, dtype=np.int32) - 1)[at]
+            # no later build reads (k-1, l)'s ids, nor, once (k, l+2) is
+            # settled, those of row k-1 right of l+1
+            right = range(l + 2, self.n + 1) if self.max1[(k, l)] else ()
+            for r in (l, *right):
+                if (k - 1, r) in self.tabs:
+                    self.tabs[(k - 1, r)].at = None
 
     def _anchors(self, k, l, ax, near, cand, base, keep, order) -> np.ndarray:
         """Each anchor's candidate index at (k, l), read off the join.
@@ -422,8 +430,7 @@ class Walk:
         some other candidate, so the same check catches it.
         """
         # the ids are kept as int32, but int64 indices gather faster
-        slab = (k - 1, l) if ax == 0 else (k, l - 1)
-        a = self.truth[slab].ravel().astype(np.int64)
+        a = near[ax][0].at.ravel().astype(np.int64)
         b = a[self.step[ax]]
         perm = _keyed(near[ax][0], ax)[1]
         at = base[a] + (b if perm is None else _inverse(perm)[b])
@@ -438,18 +445,6 @@ class Walk:
             raise InconsistentCountsError(
                 f"walked table diverges from the grid at size ({k},{l})")
         return at.reshape(self.m, self.n)
-
-    def _retain(self, k, l, ids) -> None:
-        """Keep the anchor ids of (k, l) for (k, l+1) and (k+1, l), and drop
-        those of row k-1 that row k reads no more: (k-1, l), and once (k, l)
-        has every window once, every size right of (k-1, l+1), since (k, l+2)
-        is then settled."""
-        truth = self.truth
-        truth[(k, l)] = ids
-        truth.pop((k - 1, l), None)
-        if self.max1[(k, l)]:
-            for size in [s for s in truth if s[0] == k - 1 and s[1] > l + 1]:
-                del truth[size]
 
     def _dispositions(self, k, l, cand, near):
         """Each candidate's interval [lo, hi] and whether it is transmitted.
@@ -549,21 +544,20 @@ class Walk:
         """Narrow the unknown counts `u` of `values` in [lo, hi] through
         the slab families until every one is pinned.
 
-        Each family's residual (its group targets less the known counts) is
-        taken once; a count pinned later leaves `u` and comes off the
-        residual of every family, so each pass touches the unknowns only.
+        Each family step takes its residual afresh, the group targets less
+        the counts known by then, at one bincount over the candidates: only
+        a bad stream gets here, so running residuals would buy speed that no
+        valid stream uses.
         """
-        known = np.maximum(values, 0)  # an unknown (-1) weighs nothing
-        res = [targets - np.bincount(g, weights=known,
-                                     minlength=len(targets)).astype(np.int64)
-               for g, targets in fams]
-        gs = [g[u] for g, _ in fams]
         for _ in range(_MAX_PASSES):
             changed = False
-            for i in range(len(fams)):
-                gu, r = gs[i], res[i]
-                G = len(r)
+            for g, targets in fams:
+                G = len(targets)
+                gu = g[u]
                 ucnt = np.bincount(gu, minlength=G)
+                # an unknown weighs -1 in the sum, so add their number back
+                r = (targets - np.bincount(g, weights=values, minlength=G)
+                     .astype(np.int64) - ucnt)
                 if ((ucnt == 0) & (r != 0)).any() or (r < 0).any():
                     raise InconsistentCountsError(
                         f"family sums off at size ({k},{l})")
@@ -587,15 +581,9 @@ class Walk:
                     values[u] = lo
                     return
                 if settle.any():
-                    pinned = lo[settle]
-                    values[u[settle]] = pinned
-                    for j, gj in enumerate(gs):
-                        res[j] = res[j] - np.bincount(
-                            gj[settle], weights=pinned,
-                            minlength=len(res[j])).astype(np.int64)
+                    values[u[settle]] = lo[settle]
                     rest = ~settle
                     u, lo, hi = u[rest], lo[rest], hi[rest]
-                    gs = [gj[rest] for gj in gs]
             if not changed:
                 break
         else:

@@ -89,14 +89,13 @@ def generate(spec: SourceSpec) -> np.ndarray:
     return g
 
 
-def entropy_bits(spec: SourceSpec, grid: Optional[np.ndarray] = None) -> tuple[float, str]:
-    """Per-cell entropy: analytical for iid, a 2x2 block estimate otherwise."""
+def entropy_bits(spec: SourceSpec, grid: np.ndarray) -> tuple[float, str]:
+    """Per-cell entropy: analytical for iid, a 2x2 block estimate on the
+    spec's `grid` otherwise."""
     alphabet_of(spec)
     if spec.kind == "iid":
         h = -sum(q * math.log2(q) for q in spec.probs if q > 0)
         return h, "analytical"
-    if grid is None:
-        grid = generate(spec)
     freq = Census(grid).counts(2, 2) / grid.size
     h2 = -(freq * np.log2(freq)).sum()
     return float(h2 / 4.0), "estimated"

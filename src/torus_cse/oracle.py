@@ -78,12 +78,18 @@ def _is_primitive_cells(cells, m, n):
     return len(shifts) == m * n
 
 
+def all_blocks(m: int, n: int, alphabet: int = 2) -> Iterator[Block]:
+    """Every block of one shape, primitive or not, in cell-lexicographic
+    order; a shape past the enumeration cap is refused at the call."""
+    _guard(m, n, alphabet)
+    return (Block(m, n, cells, alphabet)
+            for cells in product(range(alphabet), repeat=m * n))
+
+
 def primitive_blocks(m: int, n: int, alphabet: int = 2) -> Iterator[Block]:
     """All primitive blocks of one shape, in cell-lexicographic order."""
-    _guard(m, n, alphabet)
-    for cells in product(range(alphabet), repeat=m * n):
-        if _is_primitive_cells(cells, m, n):
-            yield Block(m, n, cells, alphabet)
+    return (p for p in all_blocks(m, n, alphabet)
+            if _is_primitive_cells(p.cells, m, n))
 
 
 def window_census(p: Block, k: int, l: int) -> dict[Block, int]:

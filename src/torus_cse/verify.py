@@ -8,7 +8,6 @@ the grid's transpose covers the row axis.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass, field
 
@@ -18,7 +17,8 @@ from .blocks import (Block, Census, _find, check_alphabet, from_numpy,
                      is_primitive, slab_bounds)
 from .codec import compress, decompress
 from .errors import TorusCseError
-from .oracle import _guard, lemma1_check, lemma2_violations, primitive_blocks
+from .oracle import (all_blocks, lemma1_check, lemma2_violations,
+                     primitive_blocks)
 
 _MAX_FAILURES = 8
 
@@ -63,11 +63,11 @@ def _round_trip(rep: VerifyReport, label: object, p: Block) -> None:
 def run_exhaustive(m: int, n: int, alphabet: int = 2) -> VerifyReport:
     """Round-trip every block of one shape, up to the oracle's 2^20 cap."""
     check_alphabet(alphabet)
-    _guard(m, n, alphabet)
+    blocks = all_blocks(m, n, alphabet)  # refuses a shape past the cap
     rep = VerifyReport(f"exhaustive {m}x{n} J={alphabet}")
     t0 = time.time()
-    for cells in itertools.product(range(alphabet), repeat=m * n):
-        _round_trip(rep, cells, Block(m, n, cells, alphabet))
+    for p in blocks:
+        _round_trip(rep, p.cells, p)
     rep.elapsed = time.time() - t0
     return rep
 

@@ -1,11 +1,9 @@
 """Blocks, strategies and readers that several test modules share."""
 
-import itertools
-
 import numpy as np
 from hypothesis import strategies as st
 
-from torus_cse.blocks import Block, make_block
+from torus_cse.blocks import make_block
 from torus_cse.engine import Walk
 from torus_cse.oracle import _view, torus_subblock
 
@@ -31,12 +29,6 @@ def grids(max_m=4, max_n=4, alphabet=2):
             )
         )
     )
-
-
-def all_blocks(m, n, alphabet=2):
-    """Every m-by-n block, primitive or not, in cell-lexicographic order."""
-    for cells in itertools.product(range(alphabet), repeat=m * n):
-        yield Block(m, n, cells, alphabet)
 
 
 def col_major(b):

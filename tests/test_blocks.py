@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from shared import P2, P4, all_blocks, col_major, grids, shifts
+from shared import P2, P4, col_major, grids, shifts
 from torus_cse.blocks import (
     Block,
     Census,
@@ -18,7 +18,7 @@ from torus_cse.errors import (
     SymbolOutOfRangeError,
 )
 from torus_cse.oracle import (Ledger, _is_primitive_cells, _joins, _view,
-                              primitive_blocks, torus_subblock)
+                              all_blocks, primitive_blocks, torus_subblock)
 
 
 class TestConstruction:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shared import P2, all_blocks, near_periodic_tile
+from shared import P2, near_periodic_tile
 from torus_cse import codec
 from torus_cse.bits import elias_delta_length
 from torus_cse.blocks import (Block, Census, from_numpy, is_primitive,
@@ -29,6 +29,8 @@ from torus_cse.errors import (BadMagicError, EmptyBlockError,
                               TrailingDataError, TruncatedStreamError,
                               UnsupportedVersionError)
 from torus_cse.gridio import write_grid
+from torus_cse.oracle import all_blocks
+
 
 def delta_code(v):
     """Elias delta code of v as a 0/1 string, spelled out by hand."""

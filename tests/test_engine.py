@@ -221,7 +221,7 @@ class LosesAnchorWindow(JoinLogWalk):
         k, l = self.building
         if (k, l) != self.target:
             return cand, keep
-        ids = self.truth[(k - 1, l) if ax == 0 else (k, l - 1)]
+        ids = near[ax][0].at
         lost = ((cand.link[ax][0] == ids[0, 0])
                 & (cand.link[ax][1] == ids[1 - ax, ax]))
         assert lost.sum() == 1
@@ -250,20 +250,33 @@ class ParityWalk(JoinLogWalk):
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.census = Census(self.grid)
+        self.census = Census(self.truth)
 
     def built(self, k, l):
         ids = self.census.ids(k, l)
-        assert np.array_equal(self.truth[(k, l)], ids), (k, l)
+        assert np.array_equal(self.tabs[(k, l)].at, ids), (k, l)
+
+
+def held_ids(walk):
+    """Size -> anchor ids of every table the walk keeps that holds them,
+    the readout size's too when the walk has dropped it."""
+    tabs = dict(walk.tabs)
+    if walk.readout is not None:
+        tabs.setdefault(*walk.readout)
+    return {size: t.at for size, t in tabs.items() if t.at is not None}
 
 
 class RetentionWalk(JoinLogWalk):
-    """Checks after each build that only rows k-1 and k of anchor ids are
-    held, as int32."""
+    """Checks after each build of (k, l) that only the tables of rows k-1
+    and k hold anchor ids, as int32; and that (k-1, l) holds none, nor,
+    once (k, l) has every window once, any size of row k-1 right of l+1."""
 
     def built(self, k, l):
-        assert {r for r, _ in self.truth} <= {k - 1, k}, (k, l)
-        assert all(ids.dtype == np.int32 for ids in self.truth.values())
+        held = held_ids(self)
+        assert {r for r, _ in held} <= {k - 1, k}, (k, l)
+        assert all(ids.dtype == np.int32 for ids in held.values())
+        done = range(l + 2, self.n + 1) if self.max1[(k, l)] else ()
+        assert not {(k - 1, r) for r in (l, *done)} & set(held), (k, l)
 
 
 def seeded_grids(count=20):
@@ -293,7 +306,7 @@ def test_walk_ids_match_the_census():
 def test_walk_holds_two_rows_of_anchor_ids():
     for g, alphabet in seeded_grids() + [(near_periodic_tile(), 2)]:
         walk = encode_walk(g, alphabet, RetentionWalk)[1]
-        assert walk.joins and walk.truth == {}
+        assert walk.joins and held_ids(walk)
 
 
 def test_corrupt_value_handled_gracefully():
@@ -556,12 +569,11 @@ def frontier_walk(g, alphabet):
     """Encoder walk of g, checked against the grid's census: a table is
     built at exactly the sizes that are not settled, a readout size is
     recorded, the grid reads back off it, and the walk ends holding the
-    anchor ids of three sizes at most."""
+    anchor ids of the last row it built only."""
     m, n = g.shape
     census = Census(g)
     walk = Walk(m, n, alphabet, grid=g, sink=lambda *a: None)
     walk.run()
-    assert len(walk.truth) <= 3
 
     def once(k, l):
         return bool(census.counts(k, l).max() == 1)
@@ -571,6 +583,8 @@ def frontier_walk(g, alphabet):
     assert set(walk.max1) == full
     assert walk.readout is not None
     assert walk.readout[0] in full
+    last = max(k for k, _ in walk.max1)
+    assert {r for r, _ in held_ids(walk)} <= {last}
     assert is_shift(walk.member_grid(), g)
     return walk
 

@@ -85,3 +85,11 @@ def test_oracle_stands_alone():
     found = package_imports("oracle")
     assert found["blocks"] == {"Block"}
     assert not {"engine", "codec", "verify"} & set(found)
+
+
+def test_verify_uses_only_public_oracle_names():
+    # the exhaustive sweep enumerates through `oracle.all_blocks`, guard
+    # and all, not through the oracle's private helpers
+    found = package_imports("verify")
+    assert "all_blocks" in found["oracle"]
+    assert not {name for name in found["oracle"] if name.startswith("_")}
