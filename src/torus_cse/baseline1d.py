@@ -44,15 +44,16 @@ class BaselineStats:
         return self.l0 + self.l1 + self.l2 + self.l3
 
 
-def conv_lengths(p: Block, m_cap: int = _M_CAP) -> BaselineStats:
+def conv_lengths(p: Block) -> BaselineStats:
     """Cost the single-axis scheme on p's column sequence.
 
-    Capped at m <= m_cap and a binary cell alphabet: the super-alphabet
+    Capped at m <= _M_CAP and a binary cell alphabet: the super-alphabet
     is J^m and the up-front section alone is (J^m - 1) counts, so
     anything taller stops being a desk-scale measurement.
     """
-    if p.m > m_cap:
-        raise CapExceededError(f"height {p.m} exceeds the baseline cap {m_cap}")
+    if p.m > _M_CAP:
+        raise CapExceededError(
+            f"height {p.m} exceeds the baseline cap {_M_CAP}")
     if p.alphabet != 2:
         raise CapExceededError("baseline measurements are binary only")
     n = p.n
@@ -107,7 +108,6 @@ class Comparison:
         return self.baseline.total / self.codec.total
 
 
-def compare(p: Block, m_cap: int = _M_CAP) -> Comparison:
+def compare(p: Block) -> Comparison:
     """Both pipelines on one block; raises like either side would."""
-    base = conv_lengths(p, m_cap)
-    return Comparison(base, stats(p))
+    return Comparison(conv_lengths(p), stats(p))

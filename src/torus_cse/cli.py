@@ -142,6 +142,8 @@ def _cmd_verify(args) -> int:
         if args.count < 1 or not 1 <= args.max <= math.isqrt(_MAX_CELLS):
             raise BadSpecError("--count must be at least 1, and --max in "
                                f"1..{math.isqrt(_MAX_CELLS)}")
+        if args.seed < 0:
+            raise BadSpecError(f"--seed {args.seed} is negative")
         rep = run_random(count=args.count, max_side=args.max, seed=args.seed)
     else:
         m, n = _parse_size(args.size)
@@ -152,7 +154,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_compare(args) -> int:
     p = read_grid(args.input)
-    c = compare(p, m_cap=args.m_cap)
+    c = compare(p)
     b, s = c.baseline, c.codec
     print(f"baseline singles (C-i): {c.singles_baseline}    "
           f"codec singles (B1): {c.singles_codec}")
@@ -211,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("compare", help="conventional 1D coder vs this codec")
     m.add_argument("-i", "--input", required=True)
-    m.add_argument("--m-cap", type=int, default=8)
     m.set_defaults(func=_cmd_compare)
     return parser
 

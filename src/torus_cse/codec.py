@@ -101,7 +101,6 @@ class CodewordStats:
     total_bits: int  # payload bits: dims and body, without the padding
     container_bytes: int
     transmitted: dict
-    per_size: dict
 
     @property
     def total(self) -> float:
@@ -161,7 +160,7 @@ def _compress_escape(p: Block, grid: np.ndarray
         escape=True, m=p.m, n=p.n, alphabet=p.alphabet,
         l0=float(total_bits), l1=0.0, l2=0.0, l3=0.0,
         total_bits=total_bits, container_bytes=len(container),
-        transmitted={B1: 0, B2: 0, B3: 0}, per_size={})
+        transmitted={B1: 0, B2: 0, B3: 0})
 
 
 def _encode(p: Block, grid: np.ndarray, rank: int
@@ -171,7 +170,6 @@ def _encode(p: Block, grid: np.ndarray, rank: int
     rc = RangeEncoder()
     ideal = {B1: 0.0, B2: 0.0, B3: 0.0}
     txcnt = {B1: 0, B2: 0, B3: 0}
-    per_size: dict = {}
     cap_k, cap_l = block_caps(p.m, p.n, p.alphabet)
 
     def sink(k, l, lo, hi, values):
@@ -181,7 +179,6 @@ def _encode(p: Block, grid: np.ndarray, rank: int
         # summed one width at a time, in coding order
         ideal[cls] = reduce(operator.add, map(math.log2, widths), ideal[cls])
         txcnt[cls] += len(widths)
-        per_size[(k, l)] = len(widths)
 
     Walk(p.m, p.n, p.alphabet, grid=grid, sink=sink).run()
     rc.encode([rank], [_rank_width(p.size)])
@@ -192,7 +189,7 @@ def _encode(p: Block, grid: np.ndarray, rank: int
         escape=False, m=p.m, n=p.n, alphabet=p.alphabet,
         l0=total_bits - (l1 + l2 + l3), l1=l1, l2=l2, l3=l3,
         total_bits=total_bits, container_bytes=len(container),
-        transmitted=dict(txcnt), per_size=per_size)
+        transmitted=dict(txcnt))
 
 
 def decompress(data: bytes) -> Block:

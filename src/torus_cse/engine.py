@@ -70,6 +70,9 @@ from .blocks import _expand_groups, _find, slab_bounds
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
 _MAX_PASSES = 500
+# key multiplier of every table: ids stay below 2^31, as the anchor ids
+# are int32, so first * _KEY + last orders (first, last) pairs
+_KEY = np.int64(1 << 31)
 
 class _Table:
     """Positive windows of one size, canonically ordered, with slab links.
@@ -78,16 +81,16 @@ class _Table:
     `link[ax]` holds each id's (first, second) slab ids in the table one
     smaller along `ax`, and `edge[ax]` its (first, last) edge strip ids: rows
     (1, l) for ax 0, columns (k, 1) for ax 1.  `keys[ax]` is the ascending
-    (first slab, last edge) key, `link[ax][0] * space[ax] + edge[ax][1]`,
-    with the permutation that sorts the ids by it, or None where the ids
-    already run in that order.  `space[ax]` is the id count of the edge
-    strip's table.  The ids follow the native key: columns, or rows for a
-    table one column wide.  The native keys are set when the table is
-    built; the other axis is keyed on first use.  The encoder's `at` holds
-    the (m, n) int32 id of the window at every anchor.
+    (first slab, last edge) key, `link[ax][0] * _KEY + edge[ax][1]`, with
+    the permutation that sorts the ids by it, or None where the ids
+    already run in that order.  Every table keys by the one multiplier
+    `_KEY`, which exceeds any id.  The ids follow the native key: columns,
+    or rows for a table one column wide.  The native keys are set when the
+    table is built; the other axis is keyed on first use.  The encoder's
+    `at` holds the (m, n) int32 id of the window at every anchor.
     """
 
-    __slots__ = ("n", "count", "link", "edge", "keys", "space", "is_x", "at")
+    __slots__ = ("n", "count", "link", "edge", "keys", "is_x", "at")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -95,7 +98,6 @@ class _Table:
         self.link = [None, None]
         self.edge = [None, None]
         self.keys = [None, None]
-        self.space = [None, None]
         self.is_x = None  # set on strips: marks the all-(J-1) id
         self.at = None
 
@@ -114,7 +116,6 @@ def _one_wide(tab: _Table, ax: int) -> None:
     tab.link[ax] = (empty, empty)
     tab.edge[ax] = (ar, ar)
     tab.keys[ax] = (ar, None)
-    tab.space[ax] = tab.n
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -127,7 +128,7 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
 def _keyed(tab: _Table, ax: int):
     """(sorted key, perm or None) of `tab` along `ax`, built on first use."""
     if tab.keys[ax] is None:
-        key = tab.link[ax][0] * np.int64(tab.space[ax]) + tab.edge[ax][1]
+        key = tab.link[ax][0] * _KEY + tab.edge[ax][1]
         perm = np.argsort(key, kind="stable")
         tab.keys[ax] = (key[perm], perm)
     return tab.keys[ax]
@@ -137,7 +138,7 @@ def _lookup(tab: _Table, ax: int, first: np.ndarray, last: np.ndarray):
     """Ids of `tab` whose first slab and last edge along `ax` are given,
     with a found mask; -1 where absent."""
     key, perm = _keyed(tab, ax)
-    ids, ok = _find(key, first * np.int64(tab.space[ax]) + last)
+    ids, ok = _find(key, first * _KEY + last)
     if perm is None:
         return ids, ok
     return np.where(ok, perm[np.maximum(ids, 0)], -1), ok
@@ -388,8 +389,7 @@ class Walk:
         if self.truth is None:
             base = keep = None
         nat = _native(l)
-        probe = (cand.link[nat][0] * np.int64(near[nat][2].n)
-                 + cand.edge[nat][1])
+        probe = cand.link[nat][0] * _KEY + cand.edge[nat][1]
         order = None
         if ax != nat:
             order = np.argsort(probe, kind="stable")
@@ -597,7 +597,6 @@ class Walk:
     def _finish_table(self, k, l, tab: _Table, near) -> None:
         for ax in (1, 0):
             if near[ax] is not None:
-                tab.space[ax] = near[ax][2].n
                 continue
             _one_wide(tab, ax)
             # a strip's all-(J-1) id has an all-(J-1) first and last cell

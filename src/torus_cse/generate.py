@@ -31,8 +31,8 @@ class SourceSpec:
 def _check_distribution(probs, what: str) -> None:
     if not 2 <= len(probs) <= MAX_ALPHABET:
         raise BadSpecError(f"{what} needs 2 to {MAX_ALPHABET} symbols")
-    if any(q < 0 for q in probs):
-        raise BadSpecError(f"{what} has a negative probability")
+    if not all(q >= 0 for q in probs):  # NaN fails this test too
+        raise BadSpecError(f"{what} has a negative or NaN probability")
     if abs(sum(probs) - 1.0) > _TOL:
         raise BadSpecError(f"{what} sums to {sum(probs)}, not 1")
 
@@ -41,6 +41,8 @@ def alphabet_of(spec: SourceSpec) -> int:
     """Validate the spec; the alphabet size falls out of the parameters."""
     if spec.m < 1 or spec.n < 1:
         raise BadSpecError(f"unusable size {spec.m}x{spec.n}")
+    if spec.seed < 0:
+        raise BadSpecError(f"seed {spec.seed} is negative")
     if spec.kind == "iid":
         if spec.probs is None:
             raise BadSpecError("iid sources need a symbol distribution")

@@ -13,8 +13,10 @@ around the overlap w, and the slab counts N(a:w), N(w:c) and N(w) hold N(b)
 in [max(0, N(a:w) + N(w:c) - N(w)), min(N(a:w), N(w:c))]; heights >= 2
 give the row-wise analogue.  ``Ledger.rule`` turns those counts into the
 count's fate: ZERO, FORCED, DERIVE, or TRANSMIT in the intersected
-interval.  The id-based ``engine`` is tested against this walk record for
-record.  Nothing here reads ``blocks.Census`` or the engine.
+interval.  Its records are (k, l, lo, hi, value), the tuples the id-based
+``engine`` hands its encoder's sink, and the engine is tested against them
+record for record.  How the codec books counts into codeword sections is
+its own; nothing here names them, reads ``blocks.Census`` or the engine.
 """
 
 from __future__ import annotations
@@ -148,12 +150,6 @@ def lemma1_check(p: Block, k: int, l: int) -> bool:
 
 # ---- the reference walk: candidates and their rules ----
 
-# transmission classes: the empty window, singles, sizes under both caps,
-# everything else.  The codec's caps reach 2 only at a side of J^(J^4) or
-# more, past any grid this walk can census, so here every size but (1, 1)
-# is B3.
-B0, B1, B2, B3 = "B0", "B1", "B2", "B3"
-
 TRANSMIT = "transmit"
 FORCED = "forced"
 ZERO = "zero"
@@ -274,7 +270,8 @@ class Ledger:
 
 
 def _schedule(p: Block, passive_last: bool):
-    """B(p) walk order: (block, cls, rule) triples, empty block first.
+    """B(p) walk order: (block, rule) pairs, the empty block first with no
+    rule.
 
     Every rule is judged from p's true counts.  A size's rules read only
     smaller sizes, so this is what a decoder that has rebuilt those sizes
@@ -283,39 +280,39 @@ def _schedule(p: Block, passive_last: bool):
     still in place by then, so both orders constrain the same sets.
     """
     led = Ledger(p)
-    out: list[tuple[Optional[Block], str, Optional[Rule]]] = [
-        (None, B0, None)]
+    out: list[tuple[Optional[Block], Optional[Rule]]] = [(None, None)]
     for k, l in coding_order(p.m, p.n):
-        cls = B1 if k == l == 1 else B3
-        size_steps = [(Block(k, l, sum(w, ()), p.alphabet), cls, led.rule(w))
+        size_steps = [(Block(k, l, sum(w, ()), p.alphabet), led.rule(w))
                       for w in led.candidates(k, l)]
         if passive_last:
-            size_steps.sort(key=lambda step: step[2].kind != TRANSMIT)
+            size_steps.sort(key=lambda step: step[1].kind != TRANSMIT)
         out.extend(size_steps)
     return led, out
 
 
-def transmitted_records(p: Block) -> list[tuple[int, int, str, int, int, int]]:
+def transmitted_records(p: Block) -> list[tuple[int, int, int, int, int]]:
     """Reference list of p's range-coded counts, in walk order.
 
-    Each record is (k, l, cls, lo, hi, value): the window size, its class,
-    the inclusive interval the count is coded in, and the true count.  No
-    enumeration guard applies; the walk reads only p's own windows.
+    Each record is (k, l, lo, hi, value): the window size, the inclusive
+    interval the count is coded in, and the true count, one tuple per
+    count of the batches the engine's encoder hands its `sink`.  How the
+    counts are booked is the codec's business.  No enumeration guard
+    applies; the walk reads only p's own windows.
     """
     if p.m < 2 or p.n < 2:
         raise NotPrimitiveError("coding needs both dimensions >= 2")
     if not _is_primitive_cells(p.cells, p.m, p.n):
         raise NotPrimitiveError("block is not primitive")
     led, sched = _schedule(p, passive_last=False)
-    return [(b.m, b.n, cls, d.lo, d.hi, led.count(b))
-            for b, cls, d in sched[1:] if d.kind == TRANSMIT]
+    return [(b.m, b.n, d.lo, d.hi, led.count(b))
+            for b, d in sched[1:] if d.kind == TRANSMIT]
 
 
 def prefix_blocks(p: Block) -> tuple[Optional[Block], ...]:
     """The canonical candidate order b_1, b_2, ... (b_1 is the empty block)."""
     _guard(p.m, p.n, p.alphabet)
     _, sched = _schedule(p, passive_last=False)
-    return tuple(b for b, _, _ in sched)
+    return tuple(b for b, _ in sched)
 
 
 @dataclass(frozen=True)
@@ -323,7 +320,6 @@ class RatioStep:
     """One constraint: how far it shrank the surviving class."""
 
     block: Optional[Block]
-    cls: str
     transmitted: bool
     before: int
     after: int
@@ -346,11 +342,11 @@ def _run_prefix(p: Block, upto: Optional[int], passive_last: bool):
     steps: list[RatioStep] = []
     censuses: dict[tuple, dict[tuple, int]] = {}
     cen_size: Optional[tuple[int, int]] = None
-    for b, cls, d in sched[:upto]:
+    for b, d in sched[:upto]:
         transmitted = d is not None and d.kind == TRANSMIT
         if b is None:
             # empty window: every torus scores mn, nothing to filter
-            steps.append(RatioStep(None, cls, transmitted,
+            steps.append(RatioStep(None, transmitted,
                                    len(members), len(members)))
             continue
         size = (b.m, b.n)
@@ -361,7 +357,7 @@ def _run_prefix(p: Block, upto: Optional[int], passive_last: bool):
         before = len(members)
         members = [q for q in members
                    if censuses[q].get(b.cells, 0) == want]
-        steps.append(RatioStep(b, cls, transmitted, before, len(members)))
+        steps.append(RatioStep(b, transmitted, before, len(members)))
     return members, steps
 
 
@@ -374,32 +370,29 @@ def prefix_class(p: Block, i: int) -> tuple[Block, ...]:
 def lemma2_violations(p: Block) -> list[str]:
     """Non-transmitted steps that shrank the class; empty means the sweep holds."""
     _, steps = _run_prefix(p, None, passive_last=False)
-    return [f"{s.block!r} ({s.cls}) shrank {s.before} -> {s.after}"
+    return [f"{s.block!r} shrank {s.before} -> {s.after}"
             for s in steps if not s.transmitted and s.after != s.before]
 
 
 @dataclass(frozen=True)
 class RatioReport:
-    """Exact-ratio ideal lengths over the full candidate walk."""
+    """Exact-ratio ideal lengths over the full candidate walk, split as
+    the paper splits the codeword: the (1, 1) counts and every larger
+    size."""
 
     source: Block
     steps: tuple[RatioStep, ...]
-    small_class_size: int  # survivors once every B1/B2 constraint is in
-
-    def _cls_sum(self, cls: str) -> float:
-        return sum(s.bits for s in self.steps if s.transmitted and s.cls == cls)
+    small_class_size: int  # survivors once every (1, 1) constraint is in
 
     @property
     def l1(self) -> float:
-        return self._cls_sum(B1)
-
-    @property
-    def l2(self) -> float:
-        return self._cls_sum(B2)
+        return sum(s.bits for s in self.steps
+                   if s.transmitted and s.block.size == 1)
 
     @property
     def l3(self) -> float:
-        return self._cls_sum(B3)
+        return sum(s.bits for s in self.steps
+                   if s.transmitted and s.block.size > 1)
 
     @property
     def l3_identity(self) -> float:
@@ -412,27 +405,21 @@ def exact_ratio_lengths(p: Block, passive_last: bool = False) -> RatioReport:
 
     Raises when the telescoping breaks: a non-transmitted step shrinking
     the class, a final class other than the mn shifts, or a transmitted-
-    ratio product that misses mn / |T(p,K,L)|.
+    ratio product past (1, 1) that misses mn / |T(p,K,L)|.
     """
     members, steps = _run_prefix(p, None, passive_last)
     if len(members) != p.size:
         raise InconsistentCountsError(
             f"full constraint left {len(members)} members, expected {p.size}")
-    small = None
+    larger = [s for s in steps if s.block is not None and s.block.size > 1]
+    small = larger[0].before if larger else len(members)
     prod = Fraction(1)
-    for s in steps:
-        if s.cls == B3:
-            if small is None:
-                small = s.before
-            if s.transmitted:
-                prod *= Fraction(s.after, s.before)
-            elif s.after != s.before:
-                raise InconsistentCountsError(
-                    f"silent step shrank the class at {s.block!r}")
-        elif small is not None and s.cls in (B1, B2):
-            raise InconsistentCountsError("schedule interleaves B1/B2 after B3")
-    if small is None:
-        small = len(members)
+    for s in larger:
+        if s.transmitted:
+            prod *= Fraction(s.after, s.before)
+        elif s.after != s.before:
+            raise InconsistentCountsError(
+                f"silent step shrank the class at {s.block!r}")
     if prod != Fraction(p.size, small):
         raise InconsistentCountsError(
             f"transmitted ratios telescope to {prod}, "

@@ -94,8 +94,6 @@ def test_guards():
         conv_lengths(from_numpy(rng.integers(0, 2, size=(9, 4)), alphabet=2))
     with pytest.raises(CapExceededError):
         conv_lengths(make_block([[0, 1], [2, 0]], alphabet=3))
-    assert conv_lengths(from_numpy(rng.integers(0, 2, size=(9, 4)),
-                                   alphabet=2), m_cap=9).n == 4
 
 
 def test_compare_propagates_escape_inputs():

@@ -128,14 +128,21 @@ def test_unknown_extension_is_usage_error(tmp_path, capsys):
 
 
 def test_bad_gen_params_are_usage_errors(tmp_path, capsys):
-    out = str(tmp_path / "x.txt")
-    assert main(["gen", "--kind", "iid", "--params", "1.0",
-                 "--size", "4x4", "-o", out]) == 2
-    assert main(["gen", "--kind", "markov2d", "--params", "h=0.5,0.5|0.5,0.5",
-                 "--size", "4x4", "-o", out]) == 2
-    assert main(["gen", "--kind", "iid", "--params", ".8,.2",
-                 "--size", "4by4", "-o", out]) == 2
-    capsys.readouterr()
+    # each is refused as one usage error line, never a numpy traceback
+    for args in (
+            ["--kind", "iid", "--params", "1.0", "--size", "4x4"],
+            ["--kind", "markov2d", "--params", "h=0.5,0.5|0.5,0.5",
+             "--size", "4x4"],
+            ["--kind", "iid", "--params", ".8,.2", "--size", "4by4"],
+            ["--kind", "iid", "--params", "nan,1", "--size", "4x4"],
+            ["--kind", "markov2d", "--params",
+             "h=nan,1|0.5,0.5;v=0.5,0.5|0.5,0.5", "--size", "4x4"],
+            ["--kind", "iid", "--params", ".8,.2", "--size", "4x4",
+             "--seed", "-1"]):
+        assert main(["gen", *args, "-o", str(tmp_path / "x.txt")]) == 2, args
+        out, err = capsys.readouterr()
+        err = err.splitlines()
+        assert out == "" and len(err) == 1 and err[0].startswith("error: ")
 
 
 @pytest.mark.parametrize("args", [

@@ -54,11 +54,14 @@ def test_exhaustive_refuses_more_blocks_than_the_cap(capsys, monkeypatch):
     (["exhaustive", "--size", "2x-1"], 2),
     (["random", "--max", "0"], 2),
     (["random", "--count", "0"], 2),
+    (["random", "--seed", "-1"], 2),
 ], ids=["lemmas-J0", "lemmas-J1", "exhaustive-J0", "exhaustive-0x2",
-        "lemmas-0x2", "exhaustive-2x-1", "random-max0", "random-count0"])
+        "lemmas-0x2", "exhaustive-2x-1", "random-max0", "random-count0",
+        "random-seed-1"])
 def test_unusable_verify_arguments_are_one_error(args, code, capsys):
     # an alphabet outside 2..256 is bad data (1), a size, count or side
-    # below 1 a usage error (2); none may run to a traceback or a verdict
+    # below 1 or a negative seed a usage error (2); none may run to a
+    # traceback or a verdict
     assert main(["verify", "--mode", *args]) == code
     out, err = capsys.readouterr()
     assert out == ""
