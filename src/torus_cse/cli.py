@@ -83,6 +83,9 @@ def _rows(text: str) -> tuple[tuple[float, ...], ...]:
         raise BadSpecError(f"unparseable transition rows {text!r}") from None
 
 
+_GEN_KEYS = {"iid": ("probs",), "markov2d": ("h", "v", "w")}
+
+
 def _build_spec(args) -> SourceSpec:
     fields: dict[str, str] = {}
     for part in (args.params or "").split(";"):
@@ -90,12 +93,16 @@ def _build_spec(args) -> SourceSpec:
         if not part:
             continue
         if "=" in part:
-            key, val = part.split("=", 1)
-            fields[key.strip()] = val.strip()
+            key, val = (x.strip() for x in part.split("=", 1))
         elif args.kind == "iid" and "probs" not in fields:
-            fields["probs"] = part
+            key, val = "probs", part
         else:
             raise BadSpecError(f"unparseable parameter {part!r}")
+        if key not in _GEN_KEYS[args.kind]:
+            raise BadSpecError(f"{args.kind} takes no parameter {key!r}")
+        if key in fields:
+            raise BadSpecError(f"parameter {key!r} given twice")
+        fields[key] = val
     m, n = _parse_size(args.size)
     if args.kind == "iid":
         if "probs" not in fields:

@@ -55,11 +55,11 @@ or last column slab, first or last row slab), the slab's count less the
 counts already known.  One sweep over the four families pins each unknown
 that is alone in its group to that group's residual.  Only if the sweep
 leaves an unknown, pins one outside its interval, or breaks a family sum,
-are the unknowns narrowed against the residuals pass by pass, from the
-state before the sweep; only a bad stream gets there, and that names the
-error.  A size with nothing to derive skips both.  The family sums over
-every candidate, checked last, are the consistency gate that catches a lie
-at any size.
+are the unknowns narrowed against the residuals in one more pass over the
+families, from the state before the sweep; only a bad stream gets there, and
+that names the error.  A size with nothing to derive skips both.  The family
+sums over every candidate, checked last, are the consistency gate that
+catches a lie at any size.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ import numpy as np
 from .blocks import _expand_groups, _find, slab_bounds
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
-_MAX_PASSES = 500
 # key multiplier of every table: ids stay below 2^31, as the anchor ids
 # are int32, so first * _KEY + last orders (first, last) pairs
 _KEY = np.int64(1 << 31)
@@ -542,53 +541,44 @@ class Walk:
     @staticmethod
     def _derive(k, l, fams, values, u, lo, hi) -> None:
         """Narrow the unknown counts `u` of `values` in [lo, hi] through
-        the slab families until every one is pinned.
+        the slab families in one pass, pinning each that narrows to a point.
 
         Each family step takes its residual afresh, the group targets less
         the counts known by then, at one bincount over the candidates: only
         a bad stream gets here, so running residuals would buy speed that no
-        valid stream uses.
+        valid stream uses.  The narrowing never crosses an interval: every
+        unknown enters with lo <= hi, and once a group's residual r lies in
+        [lo_s, hi_s], max(lo, r - (hi_s - hi)) <= min(hi, r - (lo_s - lo))
+        holds term by term, since the other members' lo sum to no more than
+        their hi.  Unknowns left after the pass are reported as such.
         """
-        for _ in range(_MAX_PASSES):
-            changed = False
-            for g, targets in fams:
-                G = len(targets)
-                gu = g[u]
-                ucnt = np.bincount(gu, minlength=G)
-                # an unknown weighs -1 in the sum, so add their number back
-                r = (targets - np.bincount(g, weights=values, minlength=G)
-                     .astype(np.int64) - ucnt)
-                if ((ucnt == 0) & (r != 0)).any() or (r < 0).any():
-                    raise InconsistentCountsError(
-                        f"family sums off at size ({k},{l})")
-                lo_s = np.bincount(gu, weights=lo, minlength=G).astype(np.int64)
-                hi_s = np.bincount(gu, weights=hi, minlength=G).astype(np.int64)
-                # a group without unknowns has r == 0 == lo_s == hi_s here
-                if ((r < lo_s) | (r > hi_s)).any():
-                    raise InconsistentCountsError(
-                        f"family cannot reach its residual at size ({k},{l})")
-                rg = r[gu]
-                new_lo = np.maximum(lo, rg - (hi_s[gu] - hi))
-                new_hi = np.minimum(hi, rg - (lo_s[gu] - lo))
-                if (new_lo > new_hi).any():
-                    raise InconsistentCountsError(
-                        f"interval bounds crossed at size ({k},{l})")
-                if (new_lo > lo).any() or (new_hi < hi).any():
-                    changed = True
-                lo, hi = new_lo, new_hi
-                settle = lo == hi
-                if settle.all():
-                    values[u] = lo
-                    return
-                if settle.any():
-                    values[u[settle]] = lo[settle]
-                    rest = ~settle
-                    u, lo, hi = u[rest], lo[rest], hi[rest]
-            if not changed:
-                break
-        else:
-            raise UnderdeterminedCountsError(
-                f"count propagation did not settle at size ({k},{l})")
+        for g, targets in fams:
+            G = len(targets)
+            gu = g[u]
+            ucnt = np.bincount(gu, minlength=G)
+            # an unknown weighs -1 in the sum, so add their number back
+            r = (targets - np.bincount(g, weights=values, minlength=G)
+                 .astype(np.int64) - ucnt)
+            if ((ucnt == 0) & (r != 0)).any() or (r < 0).any():
+                raise InconsistentCountsError(
+                    f"family sums off at size ({k},{l})")
+            lo_s = np.bincount(gu, weights=lo, minlength=G).astype(np.int64)
+            hi_s = np.bincount(gu, weights=hi, minlength=G).astype(np.int64)
+            # a group without unknowns has r == 0 == lo_s == hi_s here
+            if ((r < lo_s) | (r > hi_s)).any():
+                raise InconsistentCountsError(
+                    f"family cannot reach its residual at size ({k},{l})")
+            rg = r[gu]
+            lo, hi = (np.maximum(lo, rg - (hi_s[gu] - hi)),
+                      np.minimum(hi, rg - (lo_s[gu] - lo)))
+            settle = lo == hi
+            if settle.all():
+                values[u] = lo
+                return
+            if settle.any():
+                values[u[settle]] = lo[settle]
+                rest = ~settle
+                u, lo, hi = u[rest], lo[rest], hi[rest]
         raise UnderdeterminedCountsError(
             f"{len(u)} counts unresolved at size ({k},{l})")
 

@@ -93,11 +93,12 @@ def generate(spec: SourceSpec) -> np.ndarray:
 
 def entropy_bits(spec: SourceSpec, grid: np.ndarray) -> tuple[float, str]:
     """Per-cell entropy: analytical for iid, a 2x2 block estimate on the
-    spec's `grid` otherwise."""
+    spec's `grid` otherwise.  A zero entropy is +0.0: each sum is taken
+    from 0.0, as negating a zero sum would give -0.0."""
     alphabet_of(spec)
     if spec.kind == "iid":
-        h = -sum(q * math.log2(q) for q in spec.probs if q > 0)
+        h = 0.0 - sum(q * math.log2(q) for q in spec.probs if q > 0)
         return h, "analytical"
     freq = Census(grid).counts(2, 2) / grid.size
-    h2 = -(freq * np.log2(freq)).sum()
+    h2 = 0.0 - (freq * np.log2(freq)).sum()
     return float(h2 / 4.0), "estimated"

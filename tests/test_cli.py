@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -11,6 +12,7 @@ from torus_cse.blocks import from_numpy, make_block
 from torus_cse.cli import main
 from torus_cse.codec import compress, compress_with_stats, stats
 from torus_cse.engine import Walk
+from torus_cse.generate import SourceSpec, entropy_bits, generate
 from torus_cse.gridio import read_grid, write_grid
 from torus_cse.verify import VerifyReport
 
@@ -138,11 +140,41 @@ def test_bad_gen_params_are_usage_errors(tmp_path, capsys):
             ["--kind", "markov2d", "--params",
              "h=nan,1|0.5,0.5;v=0.5,0.5|0.5,0.5", "--size", "4x4"],
             ["--kind", "iid", "--params", ".8,.2", "--size", "4x4",
-             "--seed", "-1"]):
+             "--seed", "-1"],
+            # keys the kind never reads, and a key given twice
+            ["--kind", "markov2d", "--params",
+             "h=0.9,0.1|0.1,0.9;v=0.85,0.15|0.15,0.85;x=1", "--size", "4x4"],
+            ["--kind", "iid", "--params", "0.5,0.5;w=3", "--size", "4x4"],
+            ["--kind", "iid", "--params", "probs=0.5,0.5;probs=0.2,0.8",
+             "--size", "4x4"],
+            # the spec checks of generate.alphabet_of
+            *(["--kind", "markov2d", "--params",
+               f"h=0.5,0.5|0.5,0.5;v=0.5,0.5|0.5,0.5;w={w}", "--size", "4x4"]
+              for w in ("2", "nan", "inf")),
+            ["--kind", "markov2d", "--params",
+             "h=0.5,0.5|0.5,0.5;v=1,0,0|0,1,0|0,0,1", "--size", "4x4"],
+            ["--kind", "markov2d", "--params",
+             "h=0.5,0.5|0.2,0.3,0.5;v=0.5,0.5|0.5,0.5", "--size", "4x4"],
+            ["--kind", "iid", "--params", "0.5,0.6", "--size", "4x4"]):
         assert main(["gen", *args, "-o", str(tmp_path / "x.txt")]) == 2, args
         out, err = capsys.readouterr()
         err = err.splitlines()
         assert out == "" and len(err) == 1 and err[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("spec, params", [
+    (SourceSpec("iid", 4, 4, 1, probs=(1.0, 0.0)), "1.0,0.0"),
+    (SourceSpec("markov2d", 1, 1, 1, horizontal=((0.9, 0.1), (0.1, 0.9)),
+                vertical=((0.85, 0.15), (0.15, 0.85))),
+     "h=0.9,0.1|0.1,0.9;v=0.85,0.15|0.15,0.85"),
+], ids=["iid-certain", "markov2d-1x1"])
+def test_gen_zero_entropy_is_positive_zero(tmp_path, capsys, spec, params):
+    h, _ = entropy_bits(spec, generate(spec))
+    assert h == 0 and math.copysign(1, h) == 1
+    assert main(["gen", "--kind", spec.kind, "--params", params,
+                 "--size", f"{spec.m}x{spec.n}", "--seed", "1",
+                 "-o", str(tmp_path / "z.pgm")]) == 0
+    assert "H = 0.0000 bits/symbol" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("args", [

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from shared import decode_grid, is_shift, near_periodic_tile, pull_from
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
 from torus_cse.codec import B1, B2, B3, _encode, compress, decompress, stats
-from torus_cse.engine import Walk, _take
+from torus_cse.engine import Walk, _sweep, _take
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
 from torus_cse.oracle import (DERIVE, _schedule, primitive_blocks,
                               transmitted_records)
@@ -482,28 +482,37 @@ def test_lie_at_size_without_derived_counts_breaks_family_sums():
         walk.run()
 
 
-def test_derive_reports_an_undetermined_cycle():
-    # four unknowns in a 2x2 cycle: each group of either family holds two
-    # of them with residual 1, so every one could be 0 or 1
+def cycle_families():
+    """Four unknowns in a 2x2 cycle: each group of either family holds two
+    of them with residual 1, so every one could be 0 or 1."""
     fams = [(np.array([0, 0, 1, 1]), np.array([1, 1])),
             (np.array([0, 1, 0, 1]), np.array([1, 1]))]
-    values = np.full(4, -1, dtype=np.int64)
+    return fams, np.full(4, -1, dtype=np.int64)
+
+
+def test_sweep_leaves_an_undetermined_cycle():
+    # no unknown is alone in its group, so the sweep pins none
+    fams, values = cycle_families()
+    assert _sweep(fams, values, np.arange(4)) is None
+
+
+def test_derive_reports_an_undetermined_cycle():
+    fams, values = cycle_families()
     with pytest.raises(UnderdeterminedCountsError,
                        match=r"4 counts unresolved at size \(2,3\)"):
         Walk._derive(2, 3, fams, values, np.arange(4),
                      np.zeros(4, dtype=np.int64), np.ones(4, dtype=np.int64))
 
 
-def test_derive_stops_at_its_pass_cap():
+def test_derive_makes_one_pass():
     # both families hold the same two unknowns in one group, one asking
-    # for a sum of 10000 and the other 9999: each pass shrinks both
-    # intervals by one, so the cap fires long before they cross
+    # for a sum of 10000 and the other 9999: each pass would shrink both
+    # intervals by one, so one pass leaves both unresolved
     fams = [(np.array([0, 0]), np.array([10000])),
             (np.array([0, 0]), np.array([9999]))]
     values = np.full(2, -1, dtype=np.int64)
     with pytest.raises(UnderdeterminedCountsError,
-                       match=r"^count propagation did not settle at size "
-                             r"\(2,3\)$"):
+                       match=r"^2 counts unresolved at size \(2,3\)$"):
         Walk._derive(2, 3, fams, values, np.arange(2),
                      np.zeros(2, dtype=np.int64),
                      np.full(2, 10 ** 6, dtype=np.int64))
