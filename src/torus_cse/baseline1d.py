@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import elias_delta_length
 from .blocks import Block, Census, slab_bounds
-from .codec import CodewordStats, stats
+from .codec import CodewordStats, elias_delta_length, stats
 from .errors import CapExceededError
 
 _M_CAP = 8

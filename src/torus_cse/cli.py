@@ -140,21 +140,32 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+# the options each verify mode reads, with their defaults
+_VERIFY_OPTIONS = {"exhaustive": {"size": "3x3", "alphabet": 2},
+                   "random": {"count": 500, "max": 32, "seed": 0},
+                   "lemmas": {"size": "3x3", "alphabet": 2}}
+
+
 def _cmd_verify(args) -> int:
-    if args.mode == "exhaustive":
-        m, n = _parse_size(args.size)
-        rep = run_exhaustive(m, n, args.alphabet)
-    elif args.mode == "random":
+    opts = dict(_VERIFY_OPTIONS[args.mode])
+    for name in ("size", "alphabet", "count", "max", "seed"):
+        if getattr(args, name) is not None:
+            if name not in opts:
+                raise BadSpecError(f"--mode {args.mode} reads no --{name}")
+            opts[name] = getattr(args, name)
+    if args.mode == "random":
+        count, side, seed = opts["count"], opts["max"], opts["seed"]
         # a draw is refused before it is made if the codec would refuse it
-        if args.count < 1 or not 1 <= args.max <= math.isqrt(_MAX_CELLS):
+        if count < 1 or not 1 <= side <= math.isqrt(_MAX_CELLS):
             raise BadSpecError("--count must be at least 1, and --max in "
                                f"1..{math.isqrt(_MAX_CELLS)}")
-        if args.seed < 0:
-            raise BadSpecError(f"--seed {args.seed} is negative")
-        rep = run_random(count=args.count, max_side=args.max, seed=args.seed)
+        if seed < 0:
+            raise BadSpecError(f"--seed {seed} is negative")
+        rep = run_random(count=count, max_side=side, seed=seed)
     else:
-        m, n = _parse_size(args.size)
-        rep = run_lemmas(m, n, args.alphabet)
+        m, n = _parse_size(opts["size"])
+        run = run_exhaustive if args.mode == "exhaustive" else run_lemmas
+        rep = run(m, n, opts["alphabet"])
     print(rep.line())
     return 0 if rep.passed else 1
 
@@ -211,11 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="run a verification suite")
     v.add_argument("--mode", choices=("exhaustive", "random", "lemmas"),
                    required=True)
-    v.add_argument("--size", default="3x3", metavar="MxN")
-    v.add_argument("--alphabet", type=int, default=2)
-    v.add_argument("--count", type=int, default=500)
-    v.add_argument("--max", type=int, default=32)
-    v.add_argument("--seed", type=int, default=0)
+    v.add_argument("--size", metavar="MxN", help="default 3x3")
+    v.add_argument("--alphabet", type=int, help="default 2")
+    v.add_argument("--count", type=int, help="random only, default 500")
+    v.add_argument("--max", type=int, help="random only, default 32")
+    v.add_argument("--seed", type=int, help="random only, default 0")
     v.set_defaults(func=_cmd_verify)
 
     m = sub.add_parser("compare", help="conventional 1D coder vs this codec")

@@ -26,12 +26,12 @@ from functools import reduce
 
 import numpy as np
 
-from .bits import elias_delta_bits, elias_delta_decode
 from .blocks import Block, from_numpy, shift_ids
 from .engine import Walk
 from .errors import (BadMagicError, EmptyBlockError, InconsistentCountsError,
-                     NotPrimitiveError, TooLargeError, TrailingDataError,
-                     TruncatedStreamError, UnsupportedVersionError)
+                     NonPositiveError, NotPrimitiveError, TooLargeError,
+                     TrailingDataError, TruncatedStreamError,
+                     UnsupportedVersionError)
 from .rangecoder import RangeDecoder, RangeEncoder
 
 MAGIC = b"2DCSE1"
@@ -111,11 +111,62 @@ class CodewordStats:
         return 8.0 * self.container_bytes / (self.m * self.n)
 
 
-def _container(flags: int, p: Block, body: np.ndarray) -> tuple[bytes, int]:
-    """The container around `body`, a 0/1 array, and its payload bits."""
+def elias_delta_length(v: int) -> int:
+    if v < 1:
+        raise NonPositiveError(f"delta code needs v >= 1, got {v}")
+    n = v.bit_length()
+    return (n - 1) + 2 * (n.bit_length() - 1) + 1
+
+
+def elias_delta_bits(v: int) -> np.ndarray:
+    """Gamma-code the bit length n of v, then append v without its top bit."""
+    width = elias_delta_length(v)
+    n = v.bit_length()
+    # the gamma code's zeros are the leading zeros of a width-bit field
+    code = (n << (n - 1)) | (v ^ (1 << (n - 1)))
+    return np.array([(code >> s) & 1 for s in range(width - 1, -1, -1)],
+                    dtype=np.uint8)
+
+
+def _read(bits: np.ndarray, pos: int, width: int) -> int:
+    left = len(bits) - pos
+    if width > left:
+        raise TruncatedStreamError(f"needed {width} bits, {left} left")
+    field = np.packbits(bits[pos:pos + width]).tobytes()
+    return int.from_bytes(field, "big") >> (-width % 8)
+
+
+def elias_delta_decode(bits: np.ndarray, pos: int) -> tuple[int, int]:
+    """The value delta-coded at bits[pos:], and the position after its code."""
+    ones = np.flatnonzero(bits[pos:pos + 65])
+    if not len(ones):
+        if len(bits) - pos >= 65:
+            raise TruncatedStreamError("runaway delta code prefix")
+        raise TruncatedStreamError("needed 1 bits, 0 left")
+    zeros = int(ones[0])
+    pos += zeros + 1
+    n = (1 << zeros) | _read(bits, pos, zeros)
+    pos += zeros
+    if n == 1:
+        return 1, pos
+    # read before shifting: a corrupt n must not size a huge int
+    low = _read(bits, pos, n - 1)
+    return (1 << (n - 1)) | low, pos + n - 1
+
+
+def _container(flags: int, p: Block, body: np.ndarray,
+               ideal: dict, txcnt: dict) -> tuple[bytes, CodewordStats]:
+    """The container around `body`, a 0/1 array, and its CodewordStats."""
     bits = np.concatenate([elias_delta_bits(p.m), elias_delta_bits(p.n), body])
     header = MAGIC + bytes([VERSION, flags, p.alphabet - 1])
-    return header + np.packbits(bits).tobytes(), len(bits)
+    container = header + np.packbits(bits).tobytes()
+    total_bits = len(bits)
+    l1, l2, l3 = ideal[B1], ideal[B2], ideal[B3]
+    return container, CodewordStats(
+        escape=bool(flags & FLAG_ESCAPE), m=p.m, n=p.n, alphabet=p.alphabet,
+        l0=total_bits - (l1 + l2 + l3), l1=l1, l2=l2, l3=l3,
+        total_bits=total_bits, container_bytes=len(container),
+        transmitted=txcnt)
 
 
 def compress(p: Block, strict: bool = False) -> bytes:
@@ -155,12 +206,8 @@ def _compress_escape(p: Block, grid: np.ndarray
     # every cell's cb bits, most significant first, row-major
     cells = (grid.reshape(-1, 1) >> np.arange(cb - 1, -1, -1,
                                               dtype=np.uint8)) & 1
-    container, total_bits = _container(FLAG_ESCAPE, p, cells.ravel())
-    return container, CodewordStats(
-        escape=True, m=p.m, n=p.n, alphabet=p.alphabet,
-        l0=float(total_bits), l1=0.0, l2=0.0, l3=0.0,
-        total_bits=total_bits, container_bytes=len(container),
-        transmitted={B1: 0, B2: 0, B3: 0})
+    return _container(FLAG_ESCAPE, p, cells.ravel(),
+                      {B1: 0.0, B2: 0.0, B3: 0.0}, {B1: 0, B2: 0, B3: 0})
 
 
 def _encode(p: Block, grid: np.ndarray, rank: int
@@ -183,13 +230,7 @@ def _encode(p: Block, grid: np.ndarray, rank: int
     Walk(p.m, p.n, p.alphabet, grid=grid, sink=sink).run()
     rc.encode([rank], [_rank_width(p.size)])
     body = np.unpackbits(np.frombuffer(rc.flush(), dtype=np.uint8))
-    container, total_bits = _container(0, p, body)
-    l1, l2, l3 = ideal[B1], ideal[B2], ideal[B3]
-    return container, CodewordStats(
-        escape=False, m=p.m, n=p.n, alphabet=p.alphabet,
-        l0=total_bits - (l1 + l2 + l3), l1=l1, l2=l2, l3=l3,
-        total_bits=total_bits, container_bytes=len(container),
-        transmitted=dict(txcnt))
+    return _container(0, p, body, ideal, txcnt)
 
 
 def decompress(data: bytes) -> Block:

@@ -89,7 +89,7 @@ class _Table:
     `at` holds the (m, n) int32 id of the window at every anchor.
     """
 
-    __slots__ = ("n", "count", "link", "edge", "keys", "is_x", "at")
+    __slots__ = ("n", "count", "link", "edge", "keys", "is_extremal", "at")
 
     def __init__(self, n: int) -> None:
         self.n = n
@@ -97,7 +97,7 @@ class _Table:
         self.link = [None, None]
         self.edge = [None, None]
         self.keys = [None, None]
-        self.is_x = None  # set on strips: marks the all-(J-1) id
+        self.is_extremal = None  # strips: the extremal line, if it occurs
         self.at = None
 
 
@@ -289,7 +289,7 @@ class Walk:
         self.sym = pos.astype(np.int64)
         _one_wide(t, 0)
         _one_wide(t, 1)
-        t.is_x = self.sym == J - 1
+        t.is_extremal = self.sym == J - 1
         t.at = at
         self._install((1, 1), t)
 
@@ -368,11 +368,12 @@ class Walk:
         pairs, ties to columns; that choice is for speed only, as either
         join gives the same candidates, sorted to the native key.
 
-        It stays because it pays: forcing column joins made compress and
-        decompress 17-29x slower on 64x64 Bernoulli(0.2) grids, about 2x
-        slower on 32x32 CLI textures and tiles, and about 1.1x slower on
-        grids of sides 4..16 (per-grid minimum over interleaved runs, 2-vCPU
-        x86 VM)."""
+        It stays because it pays.  Encoder walks, forced column joins against
+        this choice, best of 3 per grid, unscaled (2-vCPU x86 VM, Python
+        3.11, numpy 2.4): 7.8 s vs 0.17 s on a 64x64 Bernoulli(0.2) grid,
+        1.70 s vs 0.15 s on three 32x32 markov2d textures, 1.19 s vs 1.03 s
+        on 200 grids of sides 4..16; only three near-periodic 32x32 tiles
+        walk faster forced, 0.72 s vs 0.78 s."""
         near = self._near(k, l)
         if near[0] is None:
             ax = 1
@@ -454,7 +455,8 @@ class Walk:
         (a >= w) makes that axis's bounds meet or cross, so once crossed
         bounds are rejected the count's interval is the one point min(a, b).
         A count is transmitted when it is open along every axis and no edge
-        column or row is its strip's largest member.
+        column or row is its strip's extremal line: J-1 at both ends around
+        the largest interior that occurs, the strip's largest id if it occurs.
         """
         if cand.n == 0:
             raise InconsistentCountsError(f"no candidates at size ({k},{l})")
@@ -470,8 +472,8 @@ class Walk:
                 overlap.count[slab.link[ax][1][first]])
             lo = np.maximum(lo, ax_lo)
             hi = np.minimum(hi, ax_hi)
-            transmit &= (open_ & ~strip.is_x[cand.edge[ax][0]]
-                         & ~strip.is_x[cand.edge[ax][1]])
+            transmit &= (open_ & ~strip.is_extremal[cand.edge[ax][0]]
+                         & ~strip.is_extremal[cand.edge[ax][1]])
         # true counts sit inside [lo, hi], so crossed bounds mean corrupt
         # counts; pulling a crossed interval would ask the coder for width <= 0
         if (lo > hi).any():
@@ -585,21 +587,25 @@ class Walk:
     # ---- table finishing ----
 
     def _finish_table(self, k, l, tab: _Table, near) -> None:
+        """Link a one-wide table, mark a strip's extremal line, install.
+
+        Counts need no area check: the encoder's are a bincount of the mn
+        anchors.  The decoder's first-slab families sum to their slabs'
+        counts (`_resolve`), and its values are >= 0, so a table sums to its
+        slab table, and by induction from (1, 1) and the empty table to mn.
+        """
         for ax in (1, 0):
             if near[ax] is not None:
                 continue
             _one_wide(tab, ax)
-            # a strip's all-(J-1) id has an all-(J-1) first and last cell
+            # a strip's extremal line has J-1 as its first and last cell
             # and the last id of the strip two shorter between them
             o = 1 - ax
             slab, overlap, _ = near[o]
-            s11 = self.tabs[(1, 1)]
+            top = self.tabs[(1, 1)].is_extremal
             mid = slab.link[o][0][tab.link[o][1]]
-            tab.is_x = (s11.is_x[tab.edge[o][0]] & s11.is_x[tab.edge[o][1]]
-                        & (mid == overlap.n - 1))
-        if int(tab.count.sum()) != self.mn:
-            raise InconsistentCountsError(
-                f"counts at size ({k},{l}) do not sum to the area")
+            tab.is_extremal = (top[tab.edge[o][0]] & top[tab.edge[o][1]]
+                               & (mid == overlap.n - 1))
         self._install((k, l), tab)
 
     # ---- final reconstruction (decoder) ----

@@ -7,6 +7,7 @@ levels stay part of the alphabet; remapping them away is out of scope.
 from __future__ import annotations
 
 import os
+import re
 
 import numpy as np
 
@@ -14,25 +15,15 @@ from .blocks import MAX_ALPHABET, MIN_ALPHABET, Block, from_numpy
 from .errors import GridFormatError, UnknownExtensionError
 
 _TEXT_EXTS = (".txt", ".grid")
+_PGM_TOKEN = re.compile(rb"#[^\n]*\n?|(\S+)")
 
 
 def _tokens(data: bytes):
-    """PGM header tokens: whitespace separated, # comments to end of line."""
-    i = 0
-    while i < len(data):
-        c = data[i:i + 1]
-        if c.isspace():
-            i += 1
-            continue
-        if c == b"#":
-            j = data.find(b"\n", i)
-            i = len(data) if j < 0 else j + 1
-            continue
-        j = i
-        while j < len(data) and not data[j:j + 1].isspace():
-            j += 1
-        yield i, data[i:j]
-        i = j
+    """PGM header tokens and their offsets: whitespace separated, a #
+    starting a token starts a comment to the end of its line."""
+    for match in _PGM_TOKEN.finditer(data):
+        if match[1] is not None:
+            yield match.start(1), match[1]
 
 
 def read_pgm(data: bytes) -> Block:

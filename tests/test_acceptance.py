@@ -13,9 +13,8 @@ import numpy as np
 import pytest
 
 from torus_cse.baseline1d import compare
-from torus_cse.bits import elias_delta_length
 from torus_cse.blocks import from_numpy, is_primitive
-from torus_cse.codec import stats
+from torus_cse.codec import elias_delta_length, stats
 from torus_cse.generate import SourceSpec, generate
 from torus_cse.oracle import (exact_ratio_lengths, lemma1_check,
                               lemma2_violations, primitive_blocks)

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from torus_cse.bits import (elias_delta_bits, elias_delta_decode,
-                            elias_delta_length)
+from torus_cse.codec import (elias_delta_bits, elias_delta_decode,
+                             elias_delta_length)
 from torus_cse.errors import NonPositiveError, TruncatedStreamError
 from torus_cse.rangecoder import RangeDecoder, RangeEncoder
 
@@ -40,7 +40,7 @@ class TestBits:
     concatenated MSB first, packed once with a zero-padded last byte, and
     read back by position after one unpack."""
 
-    def test_writer_packs_msb_first(self):
+    def test_codes_concatenate_and_pack_msb_first(self):
         assert pack(as_bits("101" "01" "110")) == bytes([0b10101110])
         # delta(2) then delta(5), as the container writes m then n
         bits = np.concatenate([elias_delta_bits(2), elias_delta_bits(5)])
@@ -52,7 +52,7 @@ class TestBits:
         assert len(code) == 1
         assert pack(code) == bytes([0b10000000])
 
-    def test_reader_round_trip(self):
+    def test_codes_read_back_by_position_after_one_unpack(self):
         vals = [5, 1, 977, 1, 255]
         bits = np.concatenate([elias_delta_bits(v) for v in vals])
         data = pack(bits)
@@ -65,7 +65,7 @@ class TestBits:
         assert pos == len(bits)
         assert len(back) - pos < 8 and not back[pos:].any()
 
-    def test_reader_truncation(self):
+    def test_code_past_the_last_bit_is_truncated(self):
         bits = unpack(b"\xff", 3)
         pos = 0
         for _ in range(3):
@@ -91,7 +91,7 @@ class TestBits:
         assert pack(bits[start:]) == padded_bytes(text[start:])
 
     @given(st.integers(0, 7), st.binary(max_size=40))
-    def test_unaligned_write_bytes_matches_byte_writes(self, lead, data):
+    def test_bytes_after_unaligned_lead_pack_as_their_bits(self, lead, data):
         # the coded body: range coder bytes appended after an unaligned lead
         one = np.concatenate([np.ones(lead, np.uint8), unpack(data)])
         many = np.concatenate([np.ones(lead, np.uint8)]

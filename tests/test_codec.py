@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from shared import P2, near_periodic_tile
 from torus_cse import codec
-from torus_cse.bits import elias_delta_length
 from torus_cse.blocks import (Block, Census, from_numpy, is_primitive,
                               make_block)
 from torus_cse.cli import main
 from torus_cse.codec import (_MAX_CELLS, FLAG_ESCAPE, HEADER_LEN, MAGIC,
                              VERSION, _encode, block_caps, compress,
-                             compress_with_stats, decompress, stats)
+                             compress_with_stats, decompress,
+                             elias_delta_length, stats)
 from torus_cse.engine import Walk
 from torus_cse.errors import (BadMagicError, EmptyBlockError,
                               InconsistentCountsError,

@@ -21,6 +21,29 @@ def test_p5_read_skips_header_comments():
     assert read_pgm(data) == G
 
 
+@pytest.mark.parametrize("data,expect", [
+    (b"P2\t3\r2\x0b2\x0c0 1 2\t2\r2\x0b0", G),
+    (b"P5 3 2 2\r" + bytes([0, 1, 2, 2, 2, 0]), G),
+    (b"P2 3 2 2#c\n0 1 2 2 2 0", "non-numeric PGM header field"),
+    (b"P2 3 2 2 0 1#x 2 2 2 0", "non-numeric PGM sample"),
+    (b"# made by hand\nP2 3 2 2 0 1 2 2 2 0", G),
+    (b"P2 3 2 2 0 1 2 2 2 0 # end", G),
+    (b"P2 3 2 # width height", "truncated PGM header"),
+    (b"P5 3 2 2\n#" + bytes([1, 2, 2, 2, 0]), "sample outside 0..maxval"),
+], ids=["tab-cr-vt-ff", "p5-header-cr", "hash-in-maxval", "hash-in-sample",
+        "comment-before-magic", "trailing-comment",
+        "unterminated-header-comment", "p5-raster-starts-with-hash"])
+def test_pgm_token_rules(data, expect):
+    # a token runs to the next ASCII whitespace, a # in it included; a #
+    # that starts a token starts a comment to the end of its line; a P5
+    # raster starts one byte after maxval, whatever that byte holds
+    if isinstance(expect, str):
+        with pytest.raises(GridFormatError, match=expect):
+            read_pgm(data)
+    else:
+        assert read_pgm(data) == expect
+
+
 def test_pgm_maxval_sets_the_alphabet():
     p = read_pgm(b"P2 2 1 255 0 255")
     assert p.alphabet == 256 and p.cells == (0, 255)

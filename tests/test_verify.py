@@ -55,13 +55,17 @@ def test_exhaustive_refuses_more_blocks_than_the_cap(capsys, monkeypatch):
     (["random", "--max", "0"], 2),
     (["random", "--count", "0"], 2),
     (["random", "--seed", "-1"], 2),
+    (["random", "--count", "3", "--size", "9x9"], 2),
+    (["exhaustive", "--size", "2x2", "--count", "5", "--seed", "7"], 2),
+    (["lemmas", "--size", "2x2", "--max", "9"], 2),
 ], ids=["lemmas-J0", "lemmas-J1", "exhaustive-J0", "exhaustive-0x2",
         "lemmas-0x2", "exhaustive-2x-1", "random-max0", "random-count0",
-        "random-seed-1"])
+        "random-seed-1", "random-size", "exhaustive-count-seed",
+        "lemmas-max"])
 def test_unusable_verify_arguments_are_one_error(args, code, capsys):
     # an alphabet outside 2..256 is bad data (1), a size, count or side
-    # below 1 or a negative seed a usage error (2); none may run to a
-    # traceback or a verdict
+    # below 1, a negative seed or an option the mode does not read a usage
+    # error (2); none may run to a traceback or a verdict
     assert main(["verify", "--mode", *args]) == code
     out, err = capsys.readouterr()
     assert out == ""
