@@ -151,26 +151,25 @@ def _find(sorted_keys: np.ndarray, probe: np.ndarray):
     return np.where(ok, idx_c, -1), ok
 
 
-def _expand_groups(order, group_of: np.ndarray, probes: np.ndarray,
-                   ngroups: int):
-    """Per probe, the contiguous run of positions whose group matches.
+def _run_bases(group_of: np.ndarray, probes: np.ndarray, ngroups: int):
+    """Where a join lists, per probe, the positions of its group.
 
-    `group_of` must be ascending over the dense ids 0..ngroups-1, so each
-    group's run starts at the exclusive cumsum of the group sizes.  Returns
-    (left index repeated per match, matched positions mapped through
-    `order` when given, and per probe its run base: the match at position
-    g of `group_of` is output number base + g).
+    Positions are numbered group by group, the groups ascending, so a
+    group's positions start at the exclusive cumsum of the group sizes;
+    `group_of` gives each position's group, in any order.  The join lays
+    the probes' runs out in probe order, each run in position order.
+    Returns per probe (base, run length): its match at position g is listed
+    at base + g.
     """
     sizes = np.bincount(group_of, minlength=ngroups)
-    first = np.cumsum(sizes) - sizes
     runs = sizes[probes]
-    total = int(runs.sum())
-    base = np.cumsum(runs) - runs - first[probes]
-    left = np.repeat(np.arange(len(probes), dtype=np.int64), runs)
-    if total == 0:
-        return left, np.zeros(0, dtype=np.int64), base
-    member = np.arange(total, dtype=np.int64) - base[left]
-    return left, order[member] if order is not None else member, base
+    return np.cumsum(runs) - runs - (np.cumsum(sizes) - sizes)[probes], runs
+
+
+def _expand_runs(base: np.ndarray, runs: np.ndarray):
+    """The join `_run_bases` lays out: (probe, matched position) per pair."""
+    left = np.repeat(np.arange(len(runs), dtype=np.int64), runs)
+    return left, np.arange(len(left), dtype=np.int64) - base[left]
 
 
 def _ranked(ids: np.ndarray, shift: int, axis: int):
@@ -266,7 +265,7 @@ class Census:
             # count plus its last slab's id; the keys ascend, so the heads do
             overlap = self.counts(k, l - 2)
             head, tail = np.divmod(self.keys(k, l - 1), len(overlap))
-        a, b, _ = _expand_groups(None, head, tail, len(overlap))
+        a, b = _expand_runs(*_run_bases(head, tail, len(overlap)))
         return a, b, overlap[tail[a]]
 
 

@@ -9,15 +9,20 @@ edge strip.  Each step of a table build is written once for both axes, as
 numpy array programs.  A size's candidates come from one join of
 overlapping slab pairs along the axis that expands fewer pairs; that choice
 is for speed only, since either join gives the same candidates in the same
-canonical order.  The decoder runs the exact same table builds as the
-encoder, which keeps the two in lockstep by construction.  The encoder reads
-each anchor's candidate off the join: the anchor's window joins its slab
-with the slab one step further along the join axis, and the join lists that
-pair at a place fixed by the two slab ids, so a few gathers per size find
-every anchor's candidate.  The counts are the anchors per candidate, so its
-tables are the grid's census by construction, and checking that each
-anchor's candidate is made of its two slabs is its table check.  Each
-table holds its anchors' ids only while a later build may read them.
+canonical order.  A join lists each pair at a place fixed by its two slab
+ids (`_pair_index`), and that one rule places every pair the walk reads,
+each with a few gathers per size.  It lays out the join itself.  It finds
+each candidate's two slabs along the other axis, the cross slabs, in the
+cross table's own join, which is never expanded: a cross slab joins the
+candidate's two slabs less the same line.  And the encoder reads each
+anchor's candidate off the join with it: the anchor's window joins its
+slab with the slab one step further along the join axis.  No build
+searches a sorted key.  The decoder runs the exact same table builds as
+the encoder, which keeps the two in lockstep by construction.  The
+encoder's counts are the anchors per candidate, so its tables are the
+grid's census by construction, and checking that each anchor's candidate
+is made of its two slabs is its table check.  Each table holds its
+anchors' ids only while a later build may read them.
 
 The empty window is a size too: one shared table with a single id, counted
 at all m*n anchors, stands for every (k, 0) and (0, l).  A table one wide
@@ -66,7 +71,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocks import _expand_groups, _find, slab_bounds
+from .blocks import _expand_runs, _find, _run_bases, slab_bounds
 from .errors import InconsistentCountsError, UnderdeterminedCountsError
 
 # key multiplier of every table: ids stay below 2^31, as the anchor ids
@@ -133,9 +138,27 @@ def _keyed(tab: _Table, ax: int):
     return tab.keys[ax]
 
 
+def _pair_index(slab: _Table, overlap: _Table, ax: int):
+    """Where the join of `slab` with itself along `ax` lists each pair.
+
+    The join lists the (first, second) slab pairs that agree on their
+    overlap in one run per first slab, the first slabs ascending and each
+    run in its second slabs' sorted order.  So pair (f, s) sits at
+    `base[f] + pos[s]`, where `pos` is each slab's sorted position along
+    `ax`; `runs` holds each first slab's pair count.
+    """
+    first, second = slab.link[ax]
+    perm = _keyed(slab, ax)[1]
+    # the slabs' sorted positions run by first slab, as `_run_bases` asks
+    base, runs = _run_bases(first, second, overlap.n)
+    pos = np.arange(slab.n, dtype=np.int64) if perm is None else _inverse(perm)
+    return base, pos, runs
+
+
 def _lookup(tab: _Table, ax: int, first: np.ndarray, last: np.ndarray):
     """Ids of `tab` whose first slab and last edge along `ax` are given,
-    with a found mask; -1 where absent."""
+    with a found mask; -1 where absent.  Only the readout's wrapped shift
+    links search, once per decode; the builds place pairs instead."""
     key, perm = _keyed(tab, ax)
     ids, ok = _find(key, first * _KEY + last)
     if perm is None:
@@ -321,22 +344,35 @@ class Walk:
     @staticmethod
     def _pairs(ax, near):
         """(first, second) ids of every slab pair along `ax` that agrees on
-        its overlap, ascending by first slab, then by last edge; and per
-        first slab the base of its run, so that the pair whose second slab
-        has sorted position g among the slabs sits at base + g."""
+        its overlap, in the order `_pair_index` lists them, and that
+        index's `base` and `pos`."""
         slab, overlap, _ = near[ax]
-        first, second = slab.link[ax]
+        base, pos, runs = _pair_index(slab, overlap, ax)
+        first, member = _expand_runs(base, runs)
         perm = _keyed(slab, ax)[1]
-        if perm is not None:
-            first = first[perm]
-        return _expand_groups(perm, first, second, overlap.n)
+        return first, member if perm is None else perm[member], base, pos
 
-    def _fields(self, ax, near, first, second):
-        """Links and edges of the candidates joined along `ax` from slab
-        pairs; drops the ones whose slab along the other axis is absent.
-        Returns the candidates and the mask of the pairs kept, or None
-        where all are."""
-        slab, _, strip = near[ax]
+    def _fields(self, k, l, ax, near, first, second):
+        """Links and edges of the candidates of size (k, l) joined along
+        `ax` from slab pairs; drops the ones whose slab along the other
+        axis, `o`, is absent.  Returns the candidates and the mask of the
+        pairs kept, or None where all are.
+
+        The cross slabs are read off the cross table's own join along `ax`.
+        Dropping a line along `o` commutes with dropping one along `ax`, so
+        the candidate less its last line along `o` joins, along `ax`, its
+        two slabs less theirs, `head[first]` and `head[second]`, both ids of
+        (k-1, l-1).  The pair index of (k-1, l-1) along `ax` places that
+        pair at `base[head[first]] + pos[head[second]]`, and a scatter of
+        the cross table's own pairs says which cross id, if any, sits there;
+        the candidate less its first line along `o` works the same way with
+        `tail`.  The place stays inside the listing on any stream: it
+        depends on the links alone, never on the counts, and the links of
+        every table are true sub-window links however the counts were
+        decoded, so the two slabs are the `ax`-slabs of one window and agree
+        on their overlap.
+        """
+        slab = near[ax][0]
         last = slab.edge[ax][1][second]
         cand = _Table(len(first))
         cand.link[ax] = (first, second)
@@ -345,12 +381,18 @@ class Walk:
         if near[o] is None:
             return cand, None
         cross = near[o][0]
-        p, ok1 = _lookup(cross, ax, slab.link[o][0][first],
-                         strip.link[o][0][last])
-        q, ok2 = _lookup(cross, ax, slab.link[o][1][first],
-                         strip.link[o][1][last])
+        base, pos, runs = _pair_index(
+            self.tabs[(k - 1, l - 1)],
+            self.tabs[(k - 2, l - 1) if ax == 0 else (k - 1, l - 2)], ax)
+        listed = np.full(int(runs.sum()), -1, dtype=np.int64)
+        cf, cs = cross.link[ax]
+        listed[base[cf] + pos[cs]] = np.arange(cross.n, dtype=np.int64)
+        # each slab less its last line along o, and less its first
+        head, tail = slab.link[o]
+        p = listed[base[head[first]] + pos[head[second]]]
+        q = listed[base[tail[first]] + pos[tail[second]]]
         cand.link[o] = (p, q)
-        keep = ok1 & ok2
+        keep = (p >= 0) & (q >= 0)
         if keep.all():
             keep = None
         else:
@@ -369,11 +411,11 @@ class Walk:
         join gives the same candidates, sorted to the native key.
 
         It stays because it pays.  Encoder walks, forced column joins against
-        this choice, best of 3 per grid, unscaled (2-vCPU x86 VM, Python
-        3.11, numpy 2.4): 7.8 s vs 0.17 s on a 64x64 Bernoulli(0.2) grid,
-        1.70 s vs 0.15 s on three 32x32 markov2d textures, 1.19 s vs 1.03 s
-        on 200 grids of sides 4..16; only three near-periodic 32x32 tiles
-        walk faster forced, 0.72 s vs 0.78 s."""
+        this choice, interleaved, best of 5 per grid, unscaled (2-vCPU x86
+        VM, Python 3.11, numpy 2.4): 5.19 s vs 0.10 s on a 64x64
+        Bernoulli(0.2) grid, 0.65 s vs 0.095 s on three 32x32 markov2d
+        textures, 0.98 s vs 0.89 s on 200 grids of sides 4..16; only three
+        near-periodic 32x32 tiles walk faster forced, 0.48 s vs 0.52 s."""
         near = self._near(k, l)
         if near[0] is None:
             ax = 1
@@ -381,13 +423,13 @@ class Walk:
             ax = 0
         else:
             ax = 0 if self._join_cost(0, near) < self._join_cost(1, near) else 1
-        first, second, base = self._pairs(ax, near)
-        cand, keep = self._fields(ax, near, first, second)
+        first, second, base, pos = self._pairs(ax, near)
+        cand, keep = self._fields(k, l, ax, near, first, second)
         # past here only the encoder's anchors read the join, so the rest
         # of it is let go before the build's peak
         del first, second
         if self.truth is None:
-            base = keep = None
+            base = pos = keep = None
         nat = _native(l)
         probe = cand.link[nat][0] * _KEY + cand.edge[nat][1]
         order = None
@@ -399,7 +441,7 @@ class Walk:
         lo, hi, transmit = self._dispositions(k, l, cand, near)
         at = None
         if self.truth is not None:
-            at = self._anchors(k, l, ax, near, cand, base, keep, order)
+            at = self._anchors(k, l, ax, near, cand, base, pos, keep, order)
         values = self._resolve(k, l, cand, near, at, lo, hi, transmit)
 
         mask = values > 0
@@ -416,13 +458,13 @@ class Walk:
                 if (k - 1, r) in self.tabs:
                     self.tabs[(k - 1, r)].at = None
 
-    def _anchors(self, k, l, ax, near, cand, base, keep, order) -> np.ndarray:
+    def _anchors(self, k, l, ax, near, cand, base, pos, keep,
+                 order) -> np.ndarray:
         """Each anchor's candidate index at (k, l), read off the join.
 
         The anchor's window joins its slab `a` along `ax` with `b`, the
-        slab one step further along `ax`.  The join lists the pairs in one
-        run per first slab, each run in its second slabs' sorted order, so
-        (a, b) sits at `base[a]` plus b's sorted position.  The `keep` mask
+        slab one step further along `ax`, and the join lists that pair at
+        `base[a] + pos[b]` (`_pair_index`).  The `keep` mask
         of `_fields` and the reorder to native `order` then carry that place
         to the candidate.  Each candidate must be made of its anchors' two
         slabs: that is the encoder's one table check.  An anchor whose pair
@@ -432,8 +474,7 @@ class Walk:
         # the ids are kept as int32, but int64 indices gather faster
         a = near[ax][0].at.ravel().astype(np.int64)
         b = a[self.step[ax]]
-        perm = _keyed(near[ax][0], ax)[1]
-        at = base[a] + (b if perm is None else _inverse(perm)[b])
+        at = base[a] + pos[b]
         if keep is not None:
             at = np.take(np.cumsum(keep) - 1, at, mode="clip")
         if order is not None:  # a permutation of the candidates

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from shared import decode_grid, is_shift, near_periodic_tile, pull_from
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
 from torus_cse.codec import B1, B2, B3, _encode, compress, decompress, stats
-from torus_cse.engine import Walk, _sweep, _take
+from torus_cse.engine import Walk, _lookup, _sweep, _take
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
 from torus_cse.oracle import (DERIVE, _schedule, primitive_blocks,
                               transmitted_records)
@@ -172,8 +172,8 @@ def test_encoder_catches_a_missing_window():
     class DropsOne(Walk):
         dropped = False
 
-        def _fields(self, ax, near, first, second):
-            cand, keep = super()._fields(ax, near, first, second)
+        def _fields(self, k, l, ax, near, first, second):
+            cand, keep = super()._fields(k, l, ax, near, first, second)
             if self.dropped:
                 return cand, keep
             self.dropped = True  # the first join is size (1,2)'s
@@ -215,9 +215,8 @@ class LosesAnchorWindow(JoinLogWalk):
 
     target = None
 
-    def _fields(self, ax, near, first, second):
-        cand, keep = super()._fields(ax, near, first, second)
-        k, l = self.building
+    def _fields(self, k, l, ax, near, first, second):
+        cand, keep = super()._fields(k, l, ax, near, first, second)
         if (k, l) != self.target:
             return cand, keep
         ids = near[ax][0].at
@@ -306,6 +305,55 @@ def test_walk_holds_two_rows_of_anchor_ids():
     for g, alphabet in seeded_grids() + [(near_periodic_tile(), 2)]:
         walk = encode_walk(g, alphabet, RetentionWalk)[1]
         assert walk.joins and held_ids(walk)
+
+
+class CrossParityWalk(Walk):
+    """Checks at every size built with both axes that the cross links read
+    off the pair index are the ones a search of the cross table's sorted
+    (first slab, last edge) keys finds, and notes the kinds of size seen."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kinds = set()
+
+    def _fields(self, k, l, ax, near, first, second):
+        cand, keep = super()._fields(k, l, ax, near, first, second)
+        o = 1 - ax
+        if near[o] is None:
+            self.kinds.add("strip")
+            return cand, keep
+        slab, _, strip = near[ax]
+        last = slab.edge[ax][1][second]
+        (p, ok_p), (q, ok_q) = (
+            _lookup(near[o][0], ax, slab.link[o][i][first],
+                    strip.link[o][i][last]) for i in (0, 1))
+        found = ok_p & ok_q
+        assert found.all() if keep is None else np.array_equal(found, keep)
+        assert np.array_equal(cand.link[o][0], p[found]), (k, l)
+        assert np.array_equal(cand.link[o][1], q[found]), (k, l)
+        # (k-1, l-1) is one wide at k or l = 2; where it is one wide along
+        # the join, its overlap along it is the empty window
+        self.kinds |= {("rows", "columns")[ax],
+                       *(["one-wide"] if min(k, l) == 2 else []),
+                       *(["empty overlap"] if (k, l)[ax] == 2 else [])}
+        return cand, keep
+
+
+def test_cross_links_match_the_search_on_both_walks():
+    grids = [(g, 2) for m, n in ((3, 3), (3, 4))
+             for g in all_primitive_grids(m, n)]
+    dot = np.zeros((16, 16), dtype=np.int64)
+    dot[5, 9] = 1
+    grids += seeded_grids() + [(near_periodic_tile(), 2), (dot, 2)]
+    kinds = set()
+    for g, alphabet in grids:
+        records, enc = encode_walk(g, alphabet, CrossParityWalk)
+        stream, pull = pull_from(records)
+        dec = CrossParityWalk(*g.shape, alphabet, pull=pull)
+        dec.run()
+        assert next(stream, None) is None
+        kinds |= enc.kinds | dec.kinds
+    assert kinds == {"columns", "rows", "strip", "one-wide", "empty overlap"}
 
 
 def test_corrupt_value_handled_gracefully():
