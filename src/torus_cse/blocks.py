@@ -52,8 +52,10 @@ class Block:
             )
         check_alphabet(self.alphabet)
         try:
-            # bytes() refuses any cell that is not an integer in 0..255
-            bad = bool(self.cells) and max(bytes(self.cells)) >= self.alphabet
+            # bytes() refuses any cell that is not an integer in 0..255;
+            # numpy takes the max at C speed
+            bad = bool(self.cells) and int(np.frombuffer(
+                bytes(self.cells), dtype=np.uint8).max()) >= self.alphabet
         except (TypeError, ValueError):
             bad = True
         if bad:

@@ -10,7 +10,9 @@ function up to the _MAX_CELLS cap, which both sides enforce.  The payload
 ends inside the container's last byte, whose spare bits are zero; the
 decoder rejects a container with more or fewer bits.  It stops a coded walk
 once the range decoder has used 64 bits more than the body holds, so decode
-time is bounded by the payload length, not by the size its dims claim.
+time is bounded by the payload length, not by the size its dims claim.  An
+error from the coded walk or the rank names where the stream broke: the
+size being built and the bytes decoded (`_locate`).
 
 The `engine` walk hands over only counts and one torus shift of the grid.
 This module books each batch to its section by size, and codes the rank
@@ -30,7 +32,7 @@ from .blocks import Block, from_numpy, shift_ids
 from .engine import Walk
 from .errors import (BadMagicError, EmptyBlockError, InconsistentCountsError,
                      NonPositiveError, NotPrimitiveError, TooLargeError,
-                     TrailingDataError, TruncatedStreamError,
+                     TorusCseError, TrailingDataError, TruncatedStreamError,
                      UnsupportedVersionError)
 from .rangecoder import RangeDecoder, RangeEncoder
 
@@ -283,21 +285,38 @@ def decompress(data: bytes) -> Block:
         return values
 
     walk = Walk(m, n, alphabet, pull=pull)
-    walk.run()
-    [rank] = dec.decode([_rank_width(m * n)])
-    end = 8 * dec.used
-    _check_end("coded", len(body) - end, body[end:])
-    if not 0 <= rank < m * n:
-        raise InconsistentCountsError(f"rank {rank} out of range")
-    grid = walk.member_grid()
-    at = np.flatnonzero(shift_ids(grid) == rank)
-    if len(at) != 1:
-        K, L = walk.readout[0]
-        raise InconsistentCountsError(
-            f"rank {rank} does not pick one shift of the grid read at "
-            f"size ({K},{L})")
+    try:
+        walk.run()
+    except TorusCseError as e:
+        _locate(e, walk.building[0], dec.used)
+        raise
+    try:
+        [rank] = dec.decode([_rank_width(m * n)])
+        end = 8 * dec.used
+        _check_end("coded", len(body) - end, body[end:])
+        if not 0 <= rank < m * n:
+            raise InconsistentCountsError(f"rank {rank} out of range")
+        grid = walk.member_grid()
+        at = np.flatnonzero(shift_ids(grid) == rank)
+        if len(at) != 1:
+            K, L = walk.readout[0]
+            raise InconsistentCountsError(
+                f"rank {rank} does not pick one shift of the grid read at "
+                f"size ({K},{L})")
+    except TorusCseError as e:
+        _locate(e, None, dec.used)
+        raise
     i, j = divmod(int(at[0]), n)
     return from_numpy(np.roll(grid, (-i, -j), axis=(0, 1)), alphabet)
+
+
+def _locate(e: TorusCseError, size, offset: int) -> None:
+    """Mark `e` with where the coded stream broke, in its attributes and
+    its message: `size`, the (k, l) the walk was building, or None past
+    the walk, and `offset`, the bytes the range decoder had used."""
+    e.size, e.offset = size, offset
+    where = "past the walk" if size is None else "walk size ({},{})".format(*size)
+    e.args = (f"{e} [{where}, stream offset {offset} bytes]",)
 
 
 def stats(p: Block) -> CodewordStats:

@@ -11,9 +11,9 @@ overlapping slab pairs along the axis that expands fewer pairs; that choice
 is for speed only, since either join gives the same candidates in the same
 canonical order.  A join lists each pair at a place fixed by its two slab
 ids (`_pair_index`), and that one rule places every pair the walk reads,
-each with a few gathers per size.  It lays out the join itself.  It finds
-each candidate's two slabs along the other axis, the cross slabs, in the
-cross table's own join, which is never expanded: a cross slab joins the
+with a few gathers per build.  It lays out the join itself.  It finds each
+candidate's two slabs along the other axis, the cross slabs, in the cross
+table's own join, which is never expanded: a cross slab joins the
 candidate's two slabs less the same line.  And the encoder reads each
 anchor's candidate off the join with it: the anchor's window joins its
 slab with the slab one step further along the join axis.  No build
@@ -21,8 +21,21 @@ searches a sorted key.  The decoder runs the exact same table builds as
 the encoder, which keeps the two in lockstep by construction.  The
 encoder's counts are the anchors per candidate, so its tables are the
 grid's census by construction, and checking that each anchor's candidate
-is made of its two slabs is its table check.  Each table holds its
-anchors' ids only while a later build may read them.
+is made of its two slabs is its table check.
+
+One build makes a group of sizes that join along the same axis, in one
+pass of numpy steps: the tables each role reads are laid end to end
+(`_Stack`), each table's ids shifted past those of the tables before it,
+so the join, the cross slabs, the reorder to the native key, the
+dispositions and the encoder's anchors and counts each run once over the
+whole group, and the result is split into one table per size at the end.
+The walk's mode is its schedule.  Every size on anti-diagonal k + l reads
+only sizes on earlier diagonals, so the encoder builds a diagonal at a
+time: its groups are the diagonal's sizes that join along one axis, cut
+where their joins together would pass a pair cap (`Walk._groups`).  It
+holds each size's batch until every size before it in row-major order has
+been sunk, so the sink sees the v1 order.  The decoder reads the v1
+stream, so its groups are single sizes in row-major order.
 
 The empty window is a size too: one shared table with a single id, counted
 at all m*n anchors, stands for every (k, 0) and (0, l).  A table one wide
@@ -33,25 +46,33 @@ larger size.
 Once every window of (k, l-2) or (k-2, l) occurs exactly once, (k, l) and
 every larger size extend uniquely and carry no transmissions: the walk stops
 at this settled frontier and builds no table beyond it.  The sizes it does
-build form a down-set, so no built size ever reads a skipped one.  The
-frontier never moves right as k grows, so after each row the walk drops
-every table wider than that row built.
+build form a down-set, so no built size ever reads a skipped one, and the
+sizes that may still be built are the ones under a per-column height
+(`Walk.reach`) that each settled size lowers.  A table is dropped once no
+size still to be built reads it (`Walk._drop_unread`): the decoder looks
+after each row, the encoder before each diagonal and, for the tables three
+diagonals back that a diagonal reads last, after each group.  An edge
+strip is kept as its extremal marks while its column or row may still
+grow, and a column strip (k, 1) for good.  The encoder's anchor ids are
+read only by the joins of the next diagonal, so each table lets go of
+them right after the last group that joins its slabs.
 
 The decoder reads the grid off one built size instead, the readout size: the
-first (K, L) with K, L >= 2 whose windows are all distinct and whose torus
-shift links are known, because (K, L-1) is all-distinct or L = n, and
-(K-1, L) is all-distinct or K = m.  Its right and down links lay out every
-anchor's id, and so one torus shift of the grid; which shift the encoder
-sent is the codec's to say.
+row-major first (K, L) with K, L >= 2 whose windows are all distinct and
+whose torus shift links are known, because (K, L-1) is all-distinct or
+L = n, and (K-1, L) is all-distinct or K = m.  Its right and down links lay
+out every anchor's id, and so one torus shift of the grid; which shift the
+encoder sent is the codec's to say.  The encoder takes the same size.
 
 Transmitted counts cross the walk's boundary a size at a time.  The encoder
 calls `sink(k, l, lo, hi, values)` and the decoder calls
 `pull(k, l, lo, hi) -> values`, with int64 arrays in canonical candidate
 order: once for the J-1 single-symbol counts at (1, 1), then once per size
-that transmits at least one count.  The decoder checks a pulled batch
-against its intervals in one step; a batch of the wrong length or with a
-value outside [lo, hi] raises `InconsistentCountsError` naming the size.
-The walk only counts; the caller books and codes the batches.
+that transmits at least one count, sizes in row-major order.  The decoder
+checks a pulled batch against its intervals in one step; a batch of the
+wrong length or with a value outside [lo, hi] raises
+`InconsistentCountsError` naming the size.  The walk only counts; the
+caller books and codes the batches.
 
 A count whose interval is one point is known to both sides; that covers
 every count with a slab that fills its overlap.  Every other untransmitted
@@ -78,37 +99,92 @@ from .errors import InconsistentCountsError, UnderdeterminedCountsError
 # are int32, so first * _KEY + last orders (first, last) pairs
 _KEY = np.int64(1 << 31)
 
+# most slab pairs the joins of one encoder group expand together
+# (`Walk._groups`).  A size whose join alone passes an eighth of it builds
+# alone, as iid64's large sizes (4.5k-10.6k pairs each) do, so the peaks
+# stay those of the largest single build; below it a group saves the
+# per-build fixed cost.  Set by walk-only encode timings of cli32's seed-1
+# grids against the per-size build (2 vCPUs): 2^12 took 0.87x on the
+# near-periodic tiles, 6 * 2^10 0.79-0.84x and 2^13 0.79-0.81x, but 2^13
+# lifted a tile's encoder peak to 1.24x its decoder's, where
+# tests/test_codec.py allows 1.2x; the markov textures took 1.13-1.29x at
+# any of them.
+_PAIR_CAP = 6 << 10
+
+# offsets from a table's size to the sizes that read it: as a slab, as an
+# overlap, as the (k-1, l-1) table a cross slab's join lays out, and as
+# that join's overlap, which only a size joined along the given axis reads;
+# the ones two lines further come first, as they are the likeliest to be
+# still unbuilt
+_READERS = ((2, 0, None), (0, 2, None), (2, 1, 0), (1, 2, 1), (1, 0, None),
+            (0, 1, None), (1, 1, None))
+
+_UNKEYED = object()  # a table axis whose key order is not known yet
+
+
 class _Table:
     """Positive windows of one size, canonically ordered, with slab links.
 
     Per-id fields are indexed by axis: `ax` 0 drops a row, `ax` 1 a column.
     `link[ax]` holds each id's (first, second) slab ids in the table one
     smaller along `ax`, and `edge[ax]` its (first, last) edge strip ids: rows
-    (1, l) for ax 0, columns (k, 1) for ax 1.  `keys[ax]` is the ascending
-    (first slab, last edge) key, `link[ax][0] * _KEY + edge[ax][1]`, with
-    the permutation that sorts the ids by it, or None where the ids
-    already run in that order.  Every table keys by the one multiplier
+    (1, l) for ax 0, columns (k, 1) for ax 1.  `perm[ax]` sorts the ids by
+    their key along `ax`, `link[ax][0] * _KEY + edge[ax][1]` (first slab,
+    then last edge); it is None where the ids already run in that order,
+    and it is found on first use.  Every table keys by the one multiplier
     `_KEY`, which exceeds any id.  The ids follow the native key: columns,
-    or rows for a table one column wide.  The native keys are set when the
-    table is built; the other axis is keyed on first use.  The encoder's
-    `at` holds the (m, n) int32 id of the window at every anchor.
+    or rows for a table one column wide.  `pairs[ax]` counts the slab pairs
+    that a join of this table along `ax` expands, None until counted.  The
+    encoder's `at` holds the (m, n) int32 id of the window at every anchor.
+    An edge strip that no size reads as a slab any more is cut to its
+    marks (`_marks`).
     """
 
-    __slots__ = ("n", "count", "link", "edge", "keys", "is_extremal", "at")
+    __slots__ = ("n", "count", "link", "edge", "perm", "pairs",
+                 "is_extremal", "at")
 
     def __init__(self, n: int) -> None:
         self.n = n
         self.count = None
         self.link = [None, None]
         self.edge = [None, None]
-        self.keys = [None, None]
+        self.perm = [_UNKEYED, _UNKEYED]
+        self.pairs = [None, None]
         self.is_extremal = None  # strips: the extremal line, if it occurs
         self.at = None
+
+    # a table is the stack (`_Stack`) of itself, with its ids unshifted
+
+    @property
+    def tabs(self):
+        return (self,)
+
+    @property
+    def off(self):
+        return np.array([0, self.n])
+
+    def cat(self, get, ids_of=None):
+        return get(self)
+
+    def links(self, ax, ids_of=None):
+        return self.link[ax]
+
+    def edges(self, ax, ids_of=None):
+        return self.edge[ax]
+
+    def sorter(self, ax):
+        return _perm(self, ax)
 
 
 def _native(l: int) -> int:
     """The axis whose key numbers the ids of a table l columns wide."""
     return 1 if l >= 2 else 0
+
+
+def _less(size, ax: int, d: int):
+    """`size` less `d` lines along `ax`."""
+    k, l = size
+    return (k - d, l) if ax == 0 else (k, l - d)
 
 
 def _one_wide(tab: _Table, ax: int) -> None:
@@ -119,7 +195,19 @@ def _one_wide(tab: _Table, ax: int) -> None:
     empty = np.broadcast_to(np.int64(0), (tab.n,))
     tab.link[ax] = (empty, empty)
     tab.edge[ax] = (ar, ar)
-    tab.keys[ax] = (ar, None)
+    tab.perm[ax] = None
+    tab.pairs[ax] = tab.n * tab.n
+
+
+def _marks(strip: _Table, column: bool) -> _Table:
+    """What sizes read of an edge strip once none reads it as a slab: its
+    extremal marks, and for a column (k, 1) its first row ids too, which
+    lay out the readout."""
+    out = _Table(strip.n)
+    out.is_extremal = strip.is_extremal
+    if column:
+        out.edge[0] = strip.edge[0]
+    return out
 
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
@@ -129,38 +217,212 @@ def _inverse(perm: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _keyed(tab: _Table, ax: int):
-    """(sorted key, perm or None) of `tab` along `ax`, built on first use."""
-    if tab.keys[ax] is None:
-        key = tab.link[ax][0] * _KEY + tab.edge[ax][1]
-        perm = np.argsort(key, kind="stable")
-        tab.keys[ax] = (key[perm], perm)
-    return tab.keys[ax]
+def _key(tab: _Table, ax: int) -> np.ndarray:
+    return tab.link[ax][0] * _KEY + tab.edge[ax][1]
 
 
-def _pair_index(slab: _Table, overlap: _Table, ax: int):
-    """Where the join of `slab` with itself along `ax` lists each pair.
+def _perm(tab: _Table, ax: int):
+    """`tab.perm[ax]`, found on first use."""
+    if tab.perm[ax] is _UNKEYED:
+        tab.perm[ax] = np.argsort(_key(tab, ax), kind="stable")
+    return tab.perm[ax]
+
+
+def _tables(tabs, sizes, dk, dl):
+    """The tables of `sizes` less (dk, dl), stacked."""
+    if len(sizes) == 1:
+        k, l = sizes[0]
+        return tabs[k - dk, l - dl]
+    return _Stack([tabs[k - dk, l - dl] for k, l in sizes])
+
+
+def _strips(tabs, sizes, ax):
+    """The edge strips of `sizes` along `ax`, stacked: rows (1, l) for ax
+    0, columns (k, 1) for ax 1."""
+    if len(sizes) == 1:
+        k, l = sizes[0]
+        return tabs[(1, l) if ax == 0 else (k, 1)]
+    return _Stack([tabs[(1, l) if ax == 0 else (k, 1)] for k, l in sizes])
+
+
+class _Stack:
+    """Two or more tables, one per size of a group, laid end to end, so
+    that they read as one table: table i's ids are shifted by `off[i]`,
+    the number of ids before it."""
+
+    __slots__ = ("tabs", "n", "off", "_owner", "_shift")
+
+    def __init__(self, tabs) -> None:
+        self.tabs = tabs
+        self.off = np.cumsum([0] + [t.n for t in tabs])
+        self.n = int(self.off[-1])
+        self._owner = None
+        self._shift = {}
+
+    def owner(self) -> np.ndarray:
+        """The table of each stacked id."""
+        if self._owner is None:
+            self._owner = np.repeat(np.arange(len(self.tabs)),
+                                    np.diff(self.off))
+        return self._owner
+
+    def cat(self, get, ids_of=None) -> np.ndarray:
+        """`get(tab)`, one value per id, of every table end to end; values
+        that are ids of the stack `ids_of` are shifted into it."""
+        out = np.concatenate([get(t) for t in self.tabs])
+        if ids_of is not None:
+            shift = self._shift.get(id(ids_of))
+            if shift is None:
+                shift = self._shift[id(ids_of)] = ids_of.off[self.owner()]
+            out += shift
+        return out
+
+    @property
+    def count(self) -> np.ndarray:
+        return self.cat(lambda t: t.count)
+
+    @property
+    def is_extremal(self) -> np.ndarray:
+        return self.cat(lambda t: t.is_extremal)
+
+    def links(self, ax, ids_of):
+        return tuple(self.cat(lambda t: t.link[ax][i], ids_of) for i in (0, 1))
+
+    def edges(self, ax, ids_of):
+        return tuple(self.cat(lambda t: t.edge[ax][i], ids_of) for i in (0, 1))
+
+    def sorter(self, ax: int):
+        """The stack's key permutation along `ax`, or None where its ids
+        run in key order: each table's, shifted, since each table's keys
+        all sort below the next one's."""
+        perms = [_perm(t, ax) for t in self.tabs]
+        if all(p is None for p in perms):
+            return None
+        out = np.concatenate([np.arange(t.n) if p is None else p
+                              for t, p in zip(self.tabs, perms)])
+        out += self.off[self.owner()]
+        return out
+
+
+class _Group:
+    """The sizes one build makes, ascending in k and all joined along
+    `ax`, with the tables they read stacked per role (`_Stack`).
+
+    Along `ax`: the slabs `S`, their overlaps `O` and the edge strips `T`.
+    Along the other axis, for the sizes `sizes[f0:f1]` that have one (all
+    but a strip, which is one wide there and comes first in a column
+    group and last in a row group): the cross slabs `C`, their overlaps
+    `W` and edge strips `U`, and the (k-1, l-1) tables `X` with their
+    overlaps `Y` along `ax`, whose join places the cross slabs.  `po` and
+    `cof` hold where each size's pairs and candidates start, with the end.
+    """
+
+    def __init__(self, tabs, sizes, ax: int) -> None:
+        self.sizes = sizes
+        self.g = g = len(sizes)
+        self.ax = ax
+        # one line less along ax is (-i, -j), along the other (-j, -i)
+        i, j = (1, 0) if ax == 0 else (0, 1)
+        f0 = 1 if sizes[0][1 - ax] == 1 else 0
+        f1 = g - 1 if sizes[-1][1 - ax] == 1 else g
+        self.full = (f0, f1) if f0 < f1 else None
+        self.S = _tables(tabs, sizes, i, j)
+        self.O = _tables(tabs, sizes, 2 * i, 2 * j)
+        self.T = _strips(tabs, sizes, ax)
+        if f0 < f1:
+            cross = sizes[f0:f1]
+            self.C = _tables(tabs, cross, j, i)
+            self.W = _tables(tabs, cross, 2 * j, 2 * i)
+            self.U = _strips(tabs, cross, 1 - ax)
+            self.X = _tables(tabs, cross, 1, 1)
+            self.Y = _tables(tabs, cross, 1 + i, 1 + j)
+        self.po = self.cof = None
+
+    def size_of(self, c: int):
+        """The size of candidate `c`."""
+        return self.sizes[int(np.searchsorted(self.cof, c, side="right")) - 1]
+
+
+def _pair_index(slab, overlap, ax: int):
+    """Where the join of the `slab` stack with itself along `ax` lists
+    each pair, and each slab's second slab as an `overlap` id.
 
     The join lists the (first, second) slab pairs that agree on their
     overlap in one run per first slab, the first slabs ascending and each
     run in its second slabs' sorted order.  So pair (f, s) sits at
     `base[f] + pos[s]`, where `pos` is each slab's sorted position along
-    `ax`; `runs` holds each first slab's pair count.
+    `ax`; `runs` holds each first slab's pair count and `perm` the sort.
+    A stack's join is its tables' joins end to end.
     """
-    first, second = slab.link[ax]
-    perm = _keyed(slab, ax)[1]
+    first, second = slab.links(ax, overlap)
+    perm = slab.sorter(ax)
     # the slabs' sorted positions run by first slab, as `_run_bases` asks
     base, runs = _run_bases(first, second, overlap.n)
     pos = np.arange(slab.n, dtype=np.int64) if perm is None else _inverse(perm)
-    return base, pos, runs
+    return base, pos, runs, perm, second
+
+
+def _pair_counts(links, slabs) -> list[int]:
+    """Per table of a group, the slab pairs a join of it along the axis of
+    its `links` into `slabs` expands: per slab id, the ids that end with it
+    times the ids that start with it."""
+    ends = np.bincount(links[1], minlength=slabs.n)
+    starts = np.bincount(links[0], minlength=slabs.n)
+    if isinstance(slabs, _Table):
+        return [int(np.dot(ends, starts))]
+    return np.add.reduceat(ends * starts, slabs.off[:-1]).tolist()
+
+
+def _unstack(grp: _Group, tab: _Table) -> list[_Table]:
+    """The group's table `tab`, in stacked ids, as one table per size in
+    its own ids, each with its slab pairs along both axes counted at once.
+
+    A strip, which stays as its marks for good, takes copies, not views
+    that would hold the group's arrays; copying every table instead lifted
+    the encoder's peak on a cli32 tile by a tenth, as the copies and the
+    group's arrays coexist while it splits.
+    """
+    ax, o, g = grp.ax, 1 - grp.ax, grp.g
+    # a size's tables run from its first slab on
+    cut = np.searchsorted(tab.link[ax][0], grp.S.off).tolist()
+    pairs = [[None] * g, [None] * g]
+    pairs[ax] = _pair_counts(tab.link[ax], grp.S)
+    shift = {ax: (grp.S.off, grp.T.off)}
+    if grp.full is not None:
+        f0, f1 = grp.full
+        pairs[o][f0:f1] = _pair_counts(
+            [x[cut[f0]:cut[f1]] for x in tab.link[o]], grp.C)
+        # the strip's placeholder ids along o stay as they are
+        shift[o] = tuple(np.concatenate(([0] * f0, x.off[:-1], [0] * (g - f1)))
+                         for x in (grp.C, grp.U))
+    own = np.repeat(np.arange(g), np.diff(cut))
+    for x, (links, edges) in shift.items():
+        for y in tab.link[x]:
+            y -= links[own].astype(y.dtype)
+        for y in tab.edge[x]:
+            y -= edges[own].astype(y.dtype)
+    out = []
+    for i, size in enumerate(grp.sizes):
+        a, b = cut[i], cut[i + 1]
+        take = ((lambda y: y[a:b]) if size[o] >= 2 else
+                (lambda y: y[a:b].copy()))
+        t = _Table(b - a)
+        t.count = take(tab.count)
+        for x in (ax, o) if size[o] >= 2 else (ax,):
+            t.link[x] = tuple(map(take, tab.link[x]))
+            t.edge[x] = tuple(map(take, tab.edge[x]))
+        t.pairs = [pairs[0][i], pairs[1][i]]
+        out.append(t)
+    return out
 
 
 def _lookup(tab: _Table, ax: int, first: np.ndarray, last: np.ndarray):
     """Ids of `tab` whose first slab and last edge along `ax` are given,
     with a found mask; -1 where absent.  Only the readout's wrapped shift
     links search, once per decode; the builds place pairs instead."""
-    key, perm = _keyed(tab, ax)
-    ids, ok = _find(key, first * _KEY + last)
+    perm = _perm(tab, ax)
+    key = _key(tab, ax)
+    ids, ok = _find(key if perm is None else key[perm], first * _KEY + last)
     if perm is None:
         return ids, ok
     return np.where(ok, perm[np.maximum(ids, 0)], -1), ok
@@ -177,6 +439,13 @@ def _take(tab: _Table, idx) -> _Table:
         if tab.edge[ax] is not None:
             first, last = tab.edge[ax]
             out.edge[ax] = (first[idx], last[idx])
+    return out
+
+
+def _padded(a: np.ndarray, at: int, n: int, fill) -> np.ndarray:
+    """`a` placed at `at` in an array of `n` values `fill`."""
+    out = np.full(n, fill, dtype=a.dtype)
+    out[at:at + len(a)] = a
     return out
 
 
@@ -213,11 +482,9 @@ def _sums_hold(fams, values) -> bool:
 class Walk:
     """Shared table walker; passing the `grid` switches encoder mode on.
 
-    `truth` is the grid in encoder mode and None in decoder mode.  A
-    build reads the anchor ids of the size one shorter along its join
-    axis, so while row k builds only the tables of rows k-1 and k keep
-    their `at`.  `step` holds the flat index of each anchor's neighbour
-    one row down and one column right.
+    `truth` is the grid in encoder mode and None in decoder mode.  `step`
+    holds the flat index of each anchor's neighbour one row down and one
+    column right.  `building` holds the sizes of the build under way.
     """
 
     def __init__(self, m, n, alphabet, *, grid=None, pull=None, sink=None):
@@ -238,24 +505,126 @@ class Walk:
             **{(k, 0): empty for k in range(1, m + 1)},
             **{(0, l): empty for l in range(1, n + 1)}}
         self.max1: dict[tuple[int, int], bool] = {}
+        # per column l, the tallest size (k, l) that may still be built,
+        # and the tallest built
+        self.reach = [0] + [m] * n + [0, 0]
+        self.height = [0] * (n + 1)
         self.sym = None  # (1,1) id -> symbol value
-        # ((K, L), table) of the first size whose shift links are known
+        # ((K, L), table) of the row-major first size whose shift links
+        # are known
         self.readout: tuple[tuple[int, int], _Table] | None = None
+        self.building = [(1, 1)]
+        self._droppable: set[tuple[int, int]] = set()
+        self._axes = {}  # join axis of each size of the diagonal under way
+        # encoder: batches held until every size before them in row-major
+        # order has been sunk, and the next row-major size to sink
+        self._held = {}
+        self._next = (1, 2)
+        self._count_type = np.min_scalar_type(self.mn)
+        # most slab pairs one encoder group expands (`_groups`)
+        self.pair_cap = min(_PAIR_CAP, self.mn * self.mn >> 7)
 
     # ---- driving ----
 
     def run(self) -> None:
+        self._build_11()
+        schedule = self._rows() if self.truth is None else self._diagonals()
+        for sizes, ax in schedule:
+            self._build(sizes, ax)
+
+    def _rows(self):
+        """The decoder's groups: one size each, row-major, the v1 order."""
         for k in range(1, self.m + 1):
-            width = 0
-            for l in range(1, self.n + 1):
+            for l in range(2 if k == 1 else 1, self.n + 1):
                 if self._settled(k, l):
+                    self._cut(k, l)
                     break  # so is every size right of it in row k
-                if k == 1 and l == 1:
-                    self._build_11()
+                yield [(k, l)], self._join(k, l)[0]
+            # a table of row k is read by rows k+1 and k+2 still
+            self._drop_unread([s for s in self._droppable
+                               if s[0] < k or s[0] == 1])
+            if k > self.reach[1]:
+                return  # so is every row below it
+
+    def _diagonals(self):
+        """The encoder's groups: anti-diagonal by anti-diagonal, per
+        diagonal the sizes that join along one axis (`_groups`).
+
+        Before a diagonal builds, each table of the one before lets go of
+        its anchor ids unless a join of the diagonal reads them, and after
+        each group the ones whose last such join it was.  A table three
+        diagonals back is read by this diagonal at most, as the overlap of
+        a cross join, so it is dropped before the diagonal or after the
+        last group that reads it.
+        """
+        m, n = self.m, self.n
+        last = [(1, 1)]
+        for d in range(3, m + n + 1):
+            sizes = []
+            for k in range(max(1, d - n), min(m, d - 1) + 1):
+                l = d - k
+                if k > self.reach[l]:
+                    continue
+                if self._settled(k, l):
+                    self._cut(k, l)
                 else:
-                    self._full(k, l)
-                width = l
-            self._prune_row(k, width)
+                    sizes.append((k, l))
+            groups = self._groups(sizes)
+            self._axes = {s: ax for group, ax in groups for s in group}
+            self._flush()
+            reader = {_less(s, ax, 1): i
+                      for i, (group, ax) in enumerate(groups) for s in group}
+            done = [[] for _ in groups]
+            for size in last:
+                tab = self.tabs.get(size)  # a dropped table holds no ids
+                if tab is None:
+                    continue
+                if size in reader:
+                    done[reader[size]].append(tab)
+                else:
+                    tab.at = None
+            self._drop_unread([s for s in self._droppable
+                               if s[0] == 1 or s[0] + s[1] <= d - 3])
+            for (group, ax), tabs in zip(groups, done):
+                yield group, ax
+                for tab in tabs:
+                    tab.at = None
+                self._drop_unread([_less((k - 1, l - 1), ax, 1)
+                                   for k, l in group])
+            if not sizes:
+                break
+            last = sizes
+        self._flush()
+        self._drop_unread()
+
+    def _groups(self, sizes):
+        """`sizes` as (group, axis) builds: per join axis, columns first,
+        the sizes in k order, a new group begun where the joins would pass
+        the pair cap together.  A size whose join alone passes an eighth of
+        the cap builds alone, as its own array work outweighs the fixed
+        cost a group saves.  Below 2^10 cells the cap falls as the square
+        of the area, (mn)^2 / 2^7 pairs, since there the tables the walk
+        holds are small next to the arrays a group builds at once: on
+        mixed-small, groups under 2^12 pairs doubled the encoder's peak."""
+        cap = self.pair_cap
+        joins = [(s, *self._join(*s)) for s in sizes]
+        groups = []
+        for ax in (1, 0):
+            group, pairs = [], 0
+            for s, a, cost in joins:
+                if a != ax:
+                    continue
+                if group and (pairs + cost > cap or 8 * cost > cap):
+                    groups.append((group, ax))
+                    group, pairs = [], 0
+                group.append(s)
+                pairs += cost
+                if 8 * cost > cap:
+                    groups.append((group, ax))
+                    group, pairs = [], 0
+            if group:
+                groups.append((group, ax))
+        return groups
 
     def _settled(self, k: int, l: int) -> bool:
         """True when (k, l-2) or (k-2, l) has every window once.
@@ -267,25 +636,75 @@ class Walk:
         return ((l >= 3 and self.max1.get((k, l - 2), True))
                 or (k >= 3 and self.max1.get((k - 2, l), True)))
 
-    def _prune_row(self, k: int, width: int) -> None:
-        """Drop the tables no later build reads once row k built up to
-        `width`: row k-2, and every table of rows 1 and k-1 wider.  A
-        dropped table lets go of its anchor ids too, since the readout may
-        still refer to it.
+    def _cut(self, k: int, l: int) -> None:
+        """(k, l) is settled, and with it every size at least as tall and
+        as wide: no column from l on builds k rows or more."""
+        reach = self.reach
+        for j in range(l, self.n + 1):
+            if reach[j] < k:
+                break  # nor any column right of it, as reach never grows
+            reach[j] = k - 1
 
-        The settled frontier never moves right as k grows: if (k, l-2) or
-        (k-2, l) has every window once, so does (k+1, l-2) or (k-1, l).  So
-        no later row builds wider than row k.  Strips (k, 1) stay for good.
+    def _drop_unread(self, sizes=None) -> None:
+        """Drop each of `sizes`, by default every table held, that no size
+        still to be built reads.
+
+        A size is still to be built while it is unbuilt and under its
+        column's `reach`; once scheduled, its join axis says whether it
+        reads a table as its cross join's overlap (`_READERS`).  An edge
+        strip is also read for its extremal marks by every size of its
+        column (1, l) or row (k, 1), so it is cut to those (`_marks`): a
+        row's go once its column is closed, a column's stay, as the readout
+        lays out the grid through them.  A dropped table lets go of its
+        anchor ids too, since the readout may still refer to it.
         """
-        drop = []
-        if k >= 4:
-            drop += [(k - 2, l) for l in range(2, self.n + 1)]
-        for r in {1, max(1, k - 1)}:
-            drop += [(r, l) for l in range(max(width, 1) + 1, self.n + 1)]
-        for size in drop:
-            tab = self.tabs.pop(size, None)
-            if tab is not None:
+        reach, tabs = self.reach, self.tabs
+        for size in list(self._droppable if sizes is None else sizes):
+            if size not in self._droppable:
+                continue
+            k, l = size
+            tab = tabs[size]
+            if tab.count is not None:  # a whole table
+                if self._read_later(k, l):
+                    continue
                 tab.at = None
+                if k >= 2 and l >= 2:
+                    self._droppable.discard(size)
+                    del tabs[size]
+                    continue
+                tabs[size] = _marks(tab, l == 1)
+            # a column's marks stay for good, a row's while its column grows
+            if l == 1:
+                self._droppable.discard(size)
+            elif reach[l] <= self.height[l]:
+                self._droppable.discard(size)
+                del tabs[size]
+
+    def _read_later(self, k, l) -> bool:
+        """Whether a size still to be built reads table (k, l)."""
+        reach, built, axes = self.reach, self.max1, self._axes
+        for i, j, ax in _READERS:
+            r = (k + i, l + j)
+            if (r not in built and k + i <= reach[l + j]
+                    and (ax is None or axes.get(r, ax) == ax)):
+                return True
+        return False
+
+    def _flush(self) -> None:
+        """Sink the held batches, in row-major order, up to the first size
+        that is neither built nor known never to be."""
+        k, l = self._next
+        while k <= self.m:
+            if (k, l) in self.max1:
+                batch = self._held.pop((k, l), None)
+                if batch is not None:
+                    self.sink(k, l, *batch.astype(np.int64))
+                k, l = (k, l + 1) if l < self.n else (k + 1, 1)
+            elif k > self.reach[l]:
+                k, l = k + 1, 1  # nor is the rest of row k
+            else:
+                break
+        self._next = (k, l)
 
     # ---- (1,1) ----
 
@@ -320,43 +739,50 @@ class Walk:
         self.tabs[size] = tab
         self.max1[size] = distinct = bool(tab.count.max() == 1)
         k, l = size
-        if (distinct and self.readout is None and k >= 2 and l >= 2
+        self.height[l] = k
+        if l >= 2 or k >= 2:
+            self._droppable.add(size)
+        if (distinct and k >= 2 and l >= 2
+                and (self.readout is None or size < self.readout[0])
                 and (l == self.n or self.max1[(k, l - 1)])
                 and (k == self.m or self.max1[(k - 1, l)])):
             self.readout = (size, tab)
 
     # ---- candidate construction ----
 
-    def _near(self, k, l):
-        """Per axis, the (slab, overlap, edge strip) tables of size (k, l),
-        or None along an axis where it is one wide."""
-        t = self.tabs
-        return [(t[(k - 1, l)], t[(k - 2, l)], t[(1, l)]) if k >= 2 else None,
-                (t[(k, l - 1)], t[(k, l - 2)], t[(k, 1)]) if l >= 2 else None]
+    def _join_cost(self, ax, k, l) -> int:
+        """How many slab pairs the join of size (k, l) along `ax` expands,
+        counted on first use where its slab's build left it open."""
+        slab = self.tabs[(k - 1, l) if ax == 0 else (k, l - 1)]
+        if slab.pairs[ax] is None:
+            overlap = self.tabs[(k - 2, l) if ax == 0 else (k, l - 2)]
+            slab.pairs[ax] = _pair_counts(slab.link[ax], overlap)[0]
+        return slab.pairs[ax]
 
-    def _join_cost(self, ax, near) -> int:
-        """How many slab pairs the join along `ax` expands."""
-        slab, overlap, _ = near[ax]
-        first, second = slab.link[ax]
-        return int(np.dot(np.bincount(second, minlength=overlap.n),
-                          np.bincount(first, minlength=overlap.n)))
+    def _join(self, k, l):
+        """The join axis of size (k, l) and the slab pairs its join expands:
+        the axis with fewer, ties to columns, where it has both.  That
+        choice is for speed only, as either join gives the same candidates,
+        sorted to the native key.
 
-    @staticmethod
-    def _pairs(ax, near):
-        """(first, second) ids of every slab pair along `ax` that agrees on
-        its overlap, in the order `_pair_index` lists them, and that
-        index's `base` and `pos`."""
-        slab, overlap, _ = near[ax]
-        base, pos, runs = _pair_index(slab, overlap, ax)
-        first, member = _expand_runs(base, runs)
-        perm = _keyed(slab, ax)[1]
-        return first, member if perm is None else perm[member], base, pos
+        It stays because it pays.  Encoder walks, forced column joins against
+        this choice, interleaved, best of 5 per grid, unscaled (2-vCPU x86
+        VM, Python 3.11, numpy 2.4): 5.19 s vs 0.10 s on a 64x64
+        Bernoulli(0.2) grid, 0.65 s vs 0.095 s on three 32x32 markov2d
+        textures, 0.98 s vs 0.89 s on 200 grids of sides 4..16; only three
+        near-periodic 32x32 tiles walk faster forced, 0.48 s vs 0.52 s."""
+        if k == 1 or l == 1:
+            ax = 0 if k > 1 else 1
+            return ax, self._join_cost(ax, k, l)
+        rows, columns = self._join_cost(0, k, l), self._join_cost(1, k, l)
+        return (0, rows) if rows < columns else (1, columns)
 
-    def _fields(self, k, l, ax, near, first, second):
-        """Links and edges of the candidates of size (k, l) joined along
-        `ax` from slab pairs; drops the ones whose slab along the other
-        axis, `o`, is absent.  Returns the candidates and the mask of the
-        pairs kept, or None where all are.
+    def _fields(self, grp: _Group, first, second):
+        """Links and edges of the group's candidates, joined along `ax`
+        from the stacked slab pairs; drops the ones whose slab along the
+        other axis, `o`, is absent.  Returns the candidates and the mask of
+        the pairs kept, or None where all are.  A strip's candidates get
+        placeholder links along `o`, where it is one wide.
 
         The cross slabs are read off the cross table's own join along `ax`.
         Dropping a line along `o` commutes with dropping one along `ax`, so
@@ -372,95 +798,88 @@ class Walk:
         decoded, so the two slabs are the `ax`-slabs of one window and agree
         on their overlap.
         """
-        slab = near[ax][0]
-        last = slab.edge[ax][1][second]
+        ax, o, S = grp.ax, 1 - grp.ax, grp.S
         cand = _Table(len(first))
         cand.link[ax] = (first, second)
-        cand.edge[ax] = (slab.edge[ax][0][first], last)
-        o = 1 - ax
-        if near[o] is None:
+        start, end = S.edges(ax, grp.T)
+        cand.edge[ax] = (start[first], end[second])
+        if grp.full is None:
             return cand, None
-        cross = near[o][0]
-        base, pos, runs = _pair_index(
-            self.tabs[(k - 1, l - 1)],
-            self.tabs[(k - 2, l - 1) if ax == 0 else (k - 1, l - 2)], ax)
+        f0, f1 = grp.full
+        p0, p1 = grp.po[f0], grp.po[f1]
+        C, X = grp.C, grp.X
+        base, pos, runs = _pair_index(X, grp.Y, ax)[:3]
         listed = np.full(int(runs.sum()), -1, dtype=np.int64)
-        cf, cs = cross.link[ax]
-        listed[base[cf] + pos[cs]] = np.arange(cross.n, dtype=np.int64)
+        cf, cs = C.links(ax, X)
+        listed[base[cf] + pos[cs]] = np.arange(C.n)
         # each slab less its last line along o, and less its first
-        head, tail = slab.link[o]
-        p = listed[base[head[first]] + pos[head[second]]]
-        q = listed[base[tail[first]] + pos[tail[second]]]
-        cand.link[o] = (p, q)
+        Sf = (S if f1 - f0 == grp.g else S.tabs[f0] if f1 - f0 == 1
+              else _Stack(S.tabs[f0:f1]))
+        head, tail = Sf.links(o, X)
+        f, s = first[p0:p1], second[p0:p1]
+        if Sf is not S:
+            f, s = f - S.off[f0], s - S.off[f0]
+        p = listed[base[head[f]] + pos[head[s]]]
+        q = listed[base[tail[f]] + pos[tail[s]]]
         keep = (p >= 0) & (q >= 0)
+        if Sf is not S:
+            p, q = _padded(p, p0, cand.n, 0), _padded(q, p0, cand.n, 0)
+        cand.link[o] = (p, q)
         if keep.all():
             keep = None
         else:
+            if Sf is not S:
+                keep = _padded(keep, p0, cand.n, True)
             cand = _take(cand, keep)
-            p, q = cand.link[o]
         # the first cross slab starts with the candidate's first line, the
         # second ends with its last
-        cand.edge[o] = (cross.edge[o][0][p], cross.edge[o][1][q])
+        p, q = cand.link[o]
+        start, end = C.edges(o, grp.U)
+        cand.edge[o] = (start[p], end[q])
         return cand, keep
 
-    # ---- full path ----
+    # ---- group build ----
 
-    def _full(self, k, l) -> None:
-        """Build size (k, l).  The join runs along the axis with fewer slab
-        pairs, ties to columns; that choice is for speed only, as either
-        join gives the same candidates, sorted to the native key.
-
-        It stays because it pays.  Encoder walks, forced column joins against
-        this choice, interleaved, best of 5 per grid, unscaled (2-vCPU x86
-        VM, Python 3.11, numpy 2.4): 5.19 s vs 0.10 s on a 64x64
-        Bernoulli(0.2) grid, 0.65 s vs 0.095 s on three 32x32 markov2d
-        textures, 0.98 s vs 0.89 s on 200 grids of sides 4..16; only three
-        near-periodic 32x32 tiles walk faster forced, 0.48 s vs 0.52 s."""
-        near = self._near(k, l)
-        if near[0] is None:
-            ax = 1
-        elif near[1] is None:
-            ax = 0
-        else:
-            ax = 0 if self._join_cost(0, near) < self._join_cost(1, near) else 1
-        first, second, base, pos = self._pairs(ax, near)
-        cand, keep = self._fields(k, l, ax, near, first, second)
+    def _build(self, sizes, ax) -> None:
+        """Build the group `sizes`, ascending in k, all joined along `ax`,
+        and sorted to the native key: columns, except for a strip one
+        column wide, which comes last in a row group."""
+        self.building = sizes
+        grp = _Group(self.tabs, sizes, ax)
+        base, pos, runs, perm, grp.second = _pair_index(grp.S, grp.O, ax)
+        first, member = _expand_runs(base, runs)
+        second = member if perm is None else perm[member]
+        grp.po = [0, len(first)] if grp.g == 1 else np.cumsum(
+            np.concatenate(([0], np.add.reduceat(runs, grp.S.off[:-1]))))
+        cand, keep = self._fields(grp, first, second)
         # past here only the encoder's anchors read the join, so the rest
         # of it is let go before the build's peak
-        del first, second
+        del first, second, member
         if self.truth is None:
             base = pos = keep = None
-        nat = _native(l)
-        probe = cand.link[nat][0] * _KEY + cand.edge[nat][1]
+        # a size's candidates are the ones whose first slab is its slab;
+        # the join lists them by first slab, so they run size by size
+        grp.cof = ([0, cand.n] if grp.g == 1 else
+                   np.searchsorted(cand.link[ax][0], grp.S.off))
         order = None
-        if ax != nat:
+        if ax == 0 and grp.full is not None:
+            c1 = int(grp.cof[grp.full[1]])
+            probe = cand.link[1][0][:c1] * _KEY + cand.edge[1][1][:c1]
             order = np.argsort(probe, kind="stable")
+            if c1 < cand.n:
+                order = np.concatenate((order, np.arange(c1, cand.n)))
             cand = _take(cand, order)
-            probe = probe[order]
 
-        lo, hi, transmit = self._dispositions(k, l, cand, near)
+        lo, hi, transmit = self._dispositions(grp, cand)
         at = None
         if self.truth is not None:
-            at = self._anchors(k, l, ax, near, cand, base, pos, keep, order)
-        values = self._resolve(k, l, cand, near, at, lo, hi, transmit)
+            at = self._anchors(grp, cand, base, pos, keep, order)
+        values = self._resolve(grp, cand, at, lo, hi, transmit)
+        self._split(grp, cand, values, at)
 
-        mask = values > 0
-        tab = _take(cand, mask)
-        tab.count = values[mask]
-        tab.keys[nat] = (probe[mask], None)
-        self._finish_table(k, l, tab, near)
-        if at is not None:
-            tab.at = (np.cumsum(mask, dtype=np.int32) - 1)[at]
-            # no later build reads (k-1, l)'s ids, nor, once (k, l+2) is
-            # settled, those of row k-1 right of l+1
-            right = range(l + 2, self.n + 1) if self.max1[(k, l)] else ()
-            for r in (l, *right):
-                if (k - 1, r) in self.tabs:
-                    self.tabs[(k - 1, r)].at = None
-
-    def _anchors(self, k, l, ax, near, cand, base, pos, keep,
-                 order) -> np.ndarray:
-        """Each anchor's candidate index at (k, l), read off the join.
+    def _anchors(self, grp, cand, base, pos, keep, order) -> np.ndarray:
+        """Each anchor's candidate index, the group's sizes one after
+        another, read off the join.
 
         The anchor's window joins its slab `a` along `ax` with `b`, the
         slab one step further along `ax`, and the join lists that pair at
@@ -471,9 +890,16 @@ class Walk:
         was dropped, or whose place falls off a range, lands (clipped) on
         some other candidate, so the same check catches it.
         """
+        ax, S = grp.ax, grp.S
         # the ids are kept as int32, but int64 indices gather faster
-        a = near[ax][0].at.ravel().astype(np.int64)
-        b = a[self.step[ax]]
+        if grp.g == 1:
+            a = S.at.ravel().astype(np.int64)
+            b = a[self.step[ax]]
+        else:
+            a = np.stack([t.at.ravel() for t in S.tabs]).astype(np.int64)
+            a += S.off[:-1, None]
+            b = np.take(a, self.step[ax], axis=1).ravel()
+            a = a.ravel()
         at = base[a] + pos[b]
         if keep is not None:
             at = np.take(np.cumsum(keep) - 1, at, mode="clip")
@@ -482,12 +908,14 @@ class Walk:
         else:
             at = np.clip(at, 0, cand.n - 1)
         first, second = cand.link[ax]
-        if not ((first[at] == a) & (second[at] == b)).all():
+        made = (first[at] == a) & (second[at] == b)
+        if not made.all():
+            k, l = grp.sizes[int(np.argmin(made)) // self.mn]
             raise InconsistentCountsError(
                 f"walked table diverges from the grid at size ({k},{l})")
-        return at.reshape(self.m, self.n)
+        return at
 
-    def _dispositions(self, k, l, cand, near):
+    def _dispositions(self, grp, cand):
         """Each candidate's interval [lo, hi] and whether it is transmitted.
 
         Per axis, two slabs with counts a and b and an overlap with count w
@@ -499,25 +927,44 @@ class Walk:
         column or row is its strip's extremal line: J-1 at both ends around
         the largest interior that occurs, the strip's largest id if it occurs.
         """
-        if cand.n == 0:
+        if grp.g == 1:
+            empty = [0] if cand.n == 0 else []
+        else:
+            empty = np.flatnonzero(np.diff(grp.cof) == 0)
+        if len(empty):
+            k, l = grp.sizes[int(empty[0])]
             raise InconsistentCountsError(f"no candidates at size ({k},{l})")
-        # every size built here has slabs along one axis at least
-        lo, hi, transmit = 0, self.mn, True
-        for ax in (1, 0):
-            if near[ax] is None:
-                continue
-            slab, overlap, strip = near[ax]
-            first, second = cand.link[ax]
-            ax_lo, ax_hi, open_ = slab_bounds(
-                slab.count[first], slab.count[second],
-                overlap.count[slab.link[ax][1][first]])
-            lo = np.maximum(lo, ax_lo)
-            hi = np.minimum(hi, ax_hi)
-            transmit &= (open_ & ~strip.is_extremal[cand.edge[ax][0]]
-                         & ~strip.is_extremal[cand.edge[ax][1]])
+        ax, o = grp.ax, 1 - grp.ax
+        # every size has slabs along its join axis, and all but a strip
+        # along the other
+        count = grp.S.count
+        first, second = cand.link[ax]
+        lo, hi, transmit = slab_bounds(
+            count[first], count[second], grp.O.count[grp.second[first]])
+        top = grp.T.is_extremal
+        transmit &= ~top[cand.edge[ax][0]] & ~top[cand.edge[ax][1]]
+        if grp.full is not None:
+            C = grp.C
+            c0, c1 = int(grp.cof[grp.full[0]]), int(grp.cof[grp.full[1]])
+            part = slice(c0, c1) if c1 - c0 < cand.n else slice(None)
+            first, second = cand.link[o]
+            start, end = cand.edge[o]
+            if c1 - c0 < cand.n:
+                first, second, start, end = (first[part], second[part],
+                                             start[part], end[part])
+            count = C.count
+            o_lo, o_hi, open_ = slab_bounds(
+                count[first], count[second],
+                grp.W.count[C.cat(lambda t: t.link[o][1], grp.W)[first]])
+            top = grp.U.is_extremal
+            np.maximum(lo[part], o_lo, out=lo[part])
+            np.minimum(hi[part], o_hi, out=hi[part])
+            transmit[part] &= open_ & ~top[start] & ~top[end]
         # true counts sit inside [lo, hi], so crossed bounds mean corrupt
         # counts; pulling a crossed interval would ask the coder for width <= 0
-        if (lo > hi).any():
+        crossed = lo > hi
+        if crossed.any():
+            k, l = grp.size_of(int(np.argmax(crossed)))
             raise InconsistentCountsError(
                 f"interval bounds crossed at size ({k},{l})")
         return lo, hi, transmit
@@ -533,12 +980,13 @@ class Walk:
                 f"decoded count outside its interval at size ({k},{l})")
         return values
 
-    def _resolve(self, k, l, cand, near, at, lo, hi, transmit):
+    def _resolve(self, grp, cand, at, lo, hi, transmit):
         """Fill in every candidate count; code the ones marked `transmit`.
 
-        The encoder counts the candidate positions `at` of its anchors.
-        The decoder starts from the counts whose interval is one point and
-        the pulled ones.  One sweep over the four slab families derives the
+        The encoder counts the candidate positions `at` of its anchors and
+        holds each size's batch for `_flush`.  The decoder, one size at a
+        time, starts from the counts whose interval is one point and the
+        pulled ones.  One sweep over the four slab families derives the
         rest on a consistent stream.  Only when the sweep leaves a count
         unknown or out of its interval, or the family sums then fail, does
         the narrowing of `_derive` run, from the counts known before the
@@ -550,23 +998,35 @@ class Walk:
 
         lo_t, hi_t = lo[t_idx], hi[t_idx]
         if at is not None:
-            true_vals = np.bincount(at.ravel(), minlength=cand.n)
+            true_vals = np.bincount(at, minlength=cand.n)
+            if not len(t_idx):
+                return true_vals
             sent = true_vals[t_idx]
-            if ((sent < lo_t) | (sent > hi_t)).any():
+            out = (sent < lo_t) | (sent > hi_t)
+            if out.any():
+                k, l = grp.size_of(int(t_idx[np.argmax(out)]))
                 raise InconsistentCountsError(
                     f"true count escapes its interval at size ({k},{l})")
-            if len(t_idx):
-                self.sink(k, l, lo_t, hi_t, sent)
+            # held in the narrowest type that holds mn
+            batch = np.array((lo_t, hi_t, sent),
+                             dtype=self._count_type)
+            cuts = ([0, len(t_idx)] if grp.g == 1 else
+                    np.searchsorted(t_idx, grp.cof).tolist())
+            for size, a, b in zip(grp.sizes, cuts, cuts[1:]):
+                if a < b:
+                    self._held[size] = batch[:, a:b]
             return true_vals
 
+        [(k, l)] = grp.sizes
         values = np.where(lo == hi, lo, np.int64(-1))
         if len(t_idx):
             values[t_idx] = self._pulled(k, l, lo_t, hi_t)
 
         fams = []
         for ax in (1, 0):
-            if near[ax] is not None:
-                count = near[ax][0].count
+            slabs = grp.S if ax == grp.ax else grp.full and grp.C
+            if slabs:
+                count = slabs.count
                 fams += [(cand.link[ax][0], count), (cand.link[ax][1], count)]
 
         u = np.flatnonzero(values < 0)
@@ -625,29 +1085,52 @@ class Walk:
         raise UnderdeterminedCountsError(
             f"{len(u)} counts unresolved at size ({k},{l})")
 
-    # ---- table finishing ----
+    # ---- splitting into tables ----
 
-    def _finish_table(self, k, l, tab: _Table, near) -> None:
-        """Link a one-wide table, mark a strip's extremal line, install.
+    def _split(self, grp, cand, values, at) -> None:
+        """Make one table per size of the group from its positive counts
+        and install them.
 
+        The encoder's anchor ids follow each candidate to its table id.
         Counts need no area check: the encoder's are a bincount of the mn
         anchors.  The decoder's first-slab families sum to their slabs'
         counts (`_resolve`), and its values are >= 0, so a table sums to its
         slab table, and by induction from (1, 1) and the empty table to mn.
         """
-        for ax in (1, 0):
-            if near[ax] is not None:
-                continue
-            _one_wide(tab, ax)
-            # a strip's extremal line has J-1 as its first and last cell
-            # and the last id of the strip two shorter between them
-            o = 1 - ax
-            slab, overlap, _ = near[o]
-            top = self.tabs[(1, 1)].is_extremal
-            mid = slab.link[o][0][tab.link[o][1]]
-            tab.is_extremal = (top[tab.edge[o][0]] & top[tab.edge[o][1]]
-                               & (mid == overlap.n - 1))
-        self._install((k, l), tab)
+        ax, o = grp.ax, 1 - grp.ax
+        mask = values > 0
+        tab = _take(cand, mask)
+        tab.count = values[mask]
+        tabs = [tab] if grp.g == 1 else _unstack(grp, tab)
+        if at is not None:
+            ids = np.cumsum(mask, dtype=np.int32) - 1
+            at = ids[at].reshape(grp.g, self.m, self.n)
+            if grp.g > 1:
+                # each table's ids start at 0: less the ids before it
+                at -= np.cumsum([0] + [t.n for t in tabs[:-1]],
+                                dtype=np.int32)[:, None, None]
+        for i, (size, t) in enumerate(zip(grp.sizes, tabs)):
+            t.perm[_native(size[1])] = None
+            if at is not None:
+                t.at = at[i]
+            if size[o] < 2:
+                self._finish_strip(size, t, ax)
+            self._install(size, t)
+
+    def _finish_strip(self, size, tab: _Table, ax) -> None:
+        """Link a strip along the axis it is one wide on, the one that is
+        not `ax`, and mark its extremal line.
+
+        A strip's extremal line has J-1 as its first and last cell and the
+        last id of the strip two shorter between them.
+        """
+        _one_wide(tab, 1 - ax)
+        slab = self.tabs[_less(size, ax, 1)]
+        overlap = self.tabs[_less(size, ax, 2)]
+        top = self.tabs[(1, 1)].is_extremal
+        mid = slab.link[ax][0][tab.link[ax][1]]
+        tab.is_extremal = (top[tab.edge[ax][0]] & top[tab.edge[ax][1]]
+                           & (mid == overlap.n - 1))
 
     # ---- final reconstruction (decoder) ----
 

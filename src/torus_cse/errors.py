@@ -6,7 +6,13 @@ catch one base class at the CLI boundary.
 
 
 class TorusCseError(Exception):
-    pass
+    """Base class.  An error that `decompress` raises from a coded stream's
+    walk or rank also carries where it broke: `size`, the (k, l) the walk
+    was building or None past the walk, and `offset`, the bytes the range
+    decoder had used; both are None on any other error."""
+
+    size = None
+    offset = None
 
 
 # -- block construction / access ------------------------------------------

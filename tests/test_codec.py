@@ -343,6 +343,47 @@ def test_truncations_fail_loudly():
                 decompress(c[:cut])
 
 
+def _coded_stream_errors():
+    """Every error the flip and truncation corpora raise once a flip or a
+    cut leaves the header and dims whole, so that the coded walk or the
+    rank raises it."""
+    for p in _flip_corpus() + _truncation_corpus():
+        c = compress(p)
+        if c[7] & FLAG_ESCAPE:
+            continue
+        head = 8 * HEADER_LEN + len(delta_code(p.m)) + len(delta_code(p.n))
+        bad = []
+        for bit in range(head, 8 * len(c)):
+            flipped = bytearray(c)
+            flipped[bit // 8] ^= 1 << (7 - bit % 8)
+            bad.append(bytes(flipped))
+        bad += [c[:cut] for cut in range(-(-head // 8), len(c))]
+        for data in bad:
+            try:
+                decompress(data)
+            except TorusCseError as e:
+                yield e
+
+
+def test_coded_stream_errors_name_size_and_offset():
+    # each carries the size the walk was building (None past the walk)
+    # and the bytes the range decoder had used, and names both
+    seen = collections.Counter()
+    for e in _coded_stream_errors():
+        assert isinstance(e.offset, int) and e.offset >= 0, e
+        assert f"stream offset {e.offset} bytes" in str(e), e
+        if e.size is None:
+            assert "past the walk" in str(e), e
+        else:
+            k, l = e.size
+            assert f"walk size ({k},{l})" in str(e), e
+            # a message that names a size names the one being built
+            named = re.search(r"at size \((\d+),(\d+)\)", str(e))
+            assert named is None or named.groups() == (str(k), str(l)), e
+        seen["past" if e.size is None else "walk"] += 1
+    assert seen["walk"] > 100 and seen["past"] > 10, seen
+
+
 @pytest.mark.parametrize("extra", [
     0x00, 0xFF, int(np.random.default_rng(61).integers(1, 255))],
     ids=["0x00", "0xff", "seeded"])

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from shared import decode_grid, is_shift, near_periodic_tile, pull_from
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
 from torus_cse.codec import B1, B2, B3, _encode, compress, decompress, stats
+from torus_cse import engine
 from torus_cse.engine import Walk, _lookup, _sweep, _take
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
 from torus_cse.oracle import (DERIVE, _schedule, primitive_blocks,
@@ -172,11 +173,12 @@ def test_encoder_catches_a_missing_window():
     class DropsOne(Walk):
         dropped = False
 
-        def _fields(self, k, l, ax, near, first, second):
-            cand, keep = super()._fields(k, l, ax, near, first, second)
+        def _fields(self, grp, first, second):
+            cand, keep = super()._fields(grp, first, second)
             if self.dropped:
                 return cand, keep
-            self.dropped = True  # the first join is size (1,2)'s
+            self.dropped = True  # the first join is size (1,2)'s alone
+            assert grp.sizes == [(1, 2)]
             return _take(cand, np.arange(1, cand.n)), keep
 
     with pytest.raises(InconsistentCountsError,
@@ -186,12 +188,13 @@ def test_encoder_catches_a_missing_window():
 
 
 class JoinLogWalk(Walk):
-    """An encoder walk that notes the join axis of every size it builds,
-    and calls `built(k, l)` after each."""
+    """An encoder walk that notes the join axis of every size it builds
+    and each group it builds, and calls `built(k, l)` after each size."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.joins = {}
+        self.groups = []
 
     def built(self, k, l):
         pass
@@ -200,14 +203,18 @@ class JoinLogWalk(Walk):
         super()._build_11()
         self.built(1, 1)
 
-    def _full(self, k, l):
-        self.building = (k, l)
-        super()._full(k, l)
-        self.built(k, l)
+    def _build(self, sizes, ax):
+        self.joins.update(dict.fromkeys(sizes, ax))
+        self.groups.append((list(sizes), ax))
+        super()._build(sizes, ax)
+        for k, l in sizes:
+            self.built(k, l)
 
-    def _pairs(self, ax, near):
-        self.joins[self.building] = ax
-        return super()._pairs(ax, near)
+
+def slab_of(grp, i):
+    """The slab table of the group's size i along its join axis, and the
+    shift of its ids in the group's stacked ids."""
+    return grp.S.tabs[i], int(grp.S.off[i])
 
 
 class LosesAnchorWindow(JoinLogWalk):
@@ -215,11 +222,13 @@ class LosesAnchorWindow(JoinLogWalk):
 
     target = None
 
-    def _fields(self, k, l, ax, near, first, second):
-        cand, keep = super()._fields(k, l, ax, near, first, second)
-        if (k, l) != self.target:
+    def _fields(self, grp, first, second):
+        cand, keep = super()._fields(grp, first, second)
+        if self.target not in grp.sizes:
             return cand, keep
-        ids = near[ax][0].at
+        ax = grp.ax
+        slab, shift = slab_of(grp, grp.sizes.index(self.target))
+        ids = slab.at + shift
         lost = ((cand.link[ax][0] == ids[0, 0])
                 & (cand.link[ax][1] == ids[1 - ax, ax]))
         assert lost.sum() == 1
@@ -265,16 +274,21 @@ def held_ids(walk):
 
 
 class RetentionWalk(JoinLogWalk):
-    """Checks after each build of (k, l) that only the tables of rows k-1
-    and k hold anchor ids, as int32; and that (k-1, l) holds none, nor,
-    once (k, l) has every window once, any size of row k-1 right of l+1."""
+    """Checks before each group that the tables holding anchor ids, as
+    int32, are exactly the slabs that this group and the later groups of
+    its diagonal join, and the sizes its earlier groups built: a table
+    keeps its ids for the next diagonal, and lets go of them after the
+    last group that reads them."""
 
-    def built(self, k, l):
+    def _build(self, sizes, ax):
         held = held_ids(self)
-        assert {r for r, _ in held} <= {k - 1, k}, (k, l)
         assert all(ids.dtype == np.int32 for ids in held.values())
-        done = range(l + 2, self.n + 1) if self.max1[(k, l)] else ()
-        assert not {(k - 1, r) for r in (l, *done)} & set(held), (k, l)
+        read = {(k - 1, l) if a == 0 else (k, l - 1)
+                for (k, l), a in self._axes.items() if (k, l) not in self.max1}
+        # the diagonal's sizes built so far keep theirs for the next one
+        built = {size for size in self._axes if size in self.max1}
+        assert set(held) == read | built, sizes
+        super()._build(sizes, ax)
 
 
 def seeded_grids(count=20):
@@ -302,9 +316,10 @@ def test_walk_ids_match_the_census():
 
 
 def test_walk_holds_two_rows_of_anchor_ids():
+    # the ids of one diagonal and the next at most; none once the walk ends
     for g, alphabet in seeded_grids() + [(near_periodic_tile(), 2)]:
         walk = encode_walk(g, alphabet, RetentionWalk)[1]
-        assert walk.joins and held_ids(walk)
+        assert walk.joins and not held_ids(walk)
 
 
 class CrossParityWalk(Walk):
@@ -316,26 +331,41 @@ class CrossParityWalk(Walk):
         super().__init__(*args, **kwargs)
         self.kinds = set()
 
-    def _fields(self, k, l, ax, near, first, second):
-        cand, keep = super()._fields(k, l, ax, near, first, second)
+    def _fields(self, grp, first, second):
+        cand, keep = super()._fields(grp, first, second)
+        ax = grp.ax
         o = 1 - ax
-        if near[o] is None:
-            self.kinds.add("strip")
-            return cand, keep
-        slab, _, strip = near[ax]
-        last = slab.edge[ax][1][second]
-        (p, ok_p), (q, ok_q) = (
-            _lookup(near[o][0], ax, slab.link[o][i][first],
-                    strip.link[o][i][last]) for i in (0, 1))
-        found = ok_p & ok_q
-        assert found.all() if keep is None else np.array_equal(found, keep)
-        assert np.array_equal(cand.link[o][0], p[found]), (k, l)
-        assert np.array_equal(cand.link[o][1], q[found]), (k, l)
-        # (k-1, l-1) is one wide at k or l = 2; where it is one wide along
-        # the join, its overlap along it is the empty window
-        self.kinds |= {("rows", "columns")[ax],
-                       *(["one-wide"] if min(k, l) == 2 else []),
-                       *(["empty overlap"] if (k, l)[ax] == 2 else [])}
+        for i, (k, l) in enumerate(grp.sizes):
+            if (k, l)[o] < 2:
+                self.kinds.add("strip")
+                continue
+            # this size's pairs and candidates, in its tables' own ids
+            slab, shift = slab_of(grp, i)
+            j = i - grp.full[0]
+            cross, cross_shift = grp.C.tabs[j], int(grp.C.off[j])
+            inner = grp.X.tabs[j]  # (k-1, l-1)
+            pairs = (first >= shift) & (first < shift + slab.n)
+            f, s = first[pairs] - shift, second[pairs] - shift
+            rows = cand.link[ax][0] - shift
+            rows = (rows >= 0) & (rows < slab.n)
+            # a cross slab's last edge along ax is that of the second slab
+            # less the same line
+            (p, ok_p), (q, ok_q) = (
+                _lookup(cross, ax, slab.link[o][h][f],
+                        inner.edge[ax][1][slab.link[o][h][s]])
+                for h in (0, 1))
+            found = ok_p & ok_q
+            assert (found.all() if keep is None
+                    else np.array_equal(found, keep[pairs]))
+            assert np.array_equal(cand.link[o][0][rows] - cross_shift,
+                                  p[found]), (k, l)
+            assert np.array_equal(cand.link[o][1][rows] - cross_shift,
+                                  q[found]), (k, l)
+            # (k-1, l-1) is one wide at k or l = 2; where it is one wide
+            # along the join, its overlap along it is the empty window
+            self.kinds |= {("rows", "columns")[ax],
+                           *(["one-wide"] if min(k, l) == 2 else []),
+                           *(["empty overlap"] if (k, l)[ax] == 2 else [])}
         return cand, keep
 
 
@@ -423,14 +453,14 @@ class TableWalk(Walk):
 class RowJoinWalk(TableWalk):
     """Joins slab pairs along the rows wherever both axes are open."""
 
-    def _join_cost(self, ax, near):
+    def _join_cost(self, ax, k, l):
         return ax
 
 
 class ColumnJoinWalk(TableWalk):
     """Joins slab pairs along the columns wherever both axes are open."""
 
-    def _join_cost(self, ax, near):
+    def _join_cost(self, ax, k, l):
         return 1 - ax
 
 
@@ -460,6 +490,48 @@ def test_join_axis_does_not_matter():
         assert walk_both_ways(g, alphabet, RowJoinWalk) == want
         assert walk_both_ways(g, alphabet, ColumnJoinWalk) == want
         checked += 1
+
+
+class GroupLogWalk(TableWalk):
+    """A walk that keeps its tables and notes each group it builds, with
+    the slab pairs each size's join expands."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.groups = []
+
+    def _build(self, sizes, ax):
+        self.groups.append(
+            (list(sizes), ax, [self._join_cost(ax, k, l) for k, l in sizes]))
+        super()._build(sizes, ax)
+
+
+def test_grouped_encoder_matches_one_size_decoder(monkeypatch):
+    # the encoder builds a diagonal's sizes in groups and the decoder one
+    # size at a time in row-major order; both must build the same tables,
+    # code the same records in the same order and read out the same size.
+    # A lowered cap cuts groups on these small grids.
+    monkeypatch.setattr(engine, "_PAIR_CAP", 1 << 10)
+    dot = np.zeros((16, 16), dtype=np.int64)
+    dot[5, 9] = 1
+    widest = cuts = 0
+    for g, alphabet in [(near_periodic_tile(), 2), (dot, 2)] + seeded_grids():
+        records, enc = encode_walk(g, alphabet, GroupLogWalk)
+        stream, pull = pull_from(records)
+        dec = GroupLogWalk(*g.shape, alphabet, pull=pull)
+        dec.run()
+        assert next(stream, None) is None
+        assert sorted(enc.tables) == sorted(dec.tables)
+        assert enc.readout[0] == dec.readout[0]
+        assert {len(sizes) for sizes, _, _ in dec.groups} == {1}
+        widest = max([widest] + [len(sizes) for sizes, _, _ in enc.groups])
+        # a cut by the cap: the next group of the same diagonal and axis
+        # starts with a size that would not fit, and not for its own size
+        for (s1, a1, c1), (s2, a2, c2) in zip(enc.groups, enc.groups[1:]):
+            cuts += (sum(s1[0]) == sum(s2[0]) and a1 == a2
+                     and sum(c1) + c2[0] > enc.pair_cap
+                     and 8 * c2[0] <= enc.pair_cap)
+    assert widest >= 8 and cuts
 
 
 def lie_outcomes():
