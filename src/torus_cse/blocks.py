@@ -138,7 +138,9 @@ def slab_bounds(a: np.ndarray, b: np.ndarray, w: np.ndarray):
     """(lo, hi, open) of a count joined from occurring slabs counted a and
     b over an overlap counted w: it lies in [max(0, a + b - w), min(a, b)],
     which holds one point at most unless it is open: neither slab fills w."""
-    return (np.maximum(0, a + b - w), np.minimum(a, b), (a < w) & (b < w))
+    hi, top = np.minimum(a, b), np.maximum(a, b)
+    lo = hi + top - w
+    return np.maximum(lo, 0, out=lo), hi, top < w
 
 
 def _find(sorted_keys: np.ndarray, probe: np.ndarray):
@@ -156,21 +158,23 @@ def _find(sorted_keys: np.ndarray, probe: np.ndarray):
 def _run_bases(group_of: np.ndarray, probes: np.ndarray, ngroups: int):
     """Where a join lists, per probe, the positions of its group.
 
-    Positions are numbered group by group, the groups ascending, so a
-    group's positions start at the exclusive cumsum of the group sizes;
+    Positions are numbered group by group, the groups ascending, and
     `group_of` gives each position's group, in any order.  The join lays
-    the probes' runs out in probe order, each run in position order.
+    the probes' runs out in probe order, each run in position order, so a
+    probe's run ends where its group's positions end, at the cumsums.
     Returns per probe (base, run length): its match at position g is listed
     at base + g.
     """
     sizes = np.bincount(group_of, minlength=ngroups)
     runs = sizes[probes]
-    return np.cumsum(runs) - runs - (np.cumsum(sizes) - sizes)[probes], runs
+    base = np.add.accumulate(runs)
+    base -= np.add.accumulate(sizes)[probes]
+    return base, runs
 
 
 def _expand_runs(base: np.ndarray, runs: np.ndarray):
     """The join `_run_bases` lays out: (probe, matched position) per pair."""
-    left = np.repeat(np.arange(len(runs), dtype=np.int64), runs)
+    left = np.arange(len(runs), dtype=np.int64).repeat(runs)
     return left, np.arange(len(left), dtype=np.int64) - base[left]
 
 

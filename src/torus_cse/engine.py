@@ -37,6 +37,13 @@ holds each size's batch until every size before it in row-major order has
 been sunk, so the sink sees the v1 order.  The decoder reads the v1
 stream, so its groups are single sizes in row-major order.
 
+Small grids and never-settling tiles make thousands of builds of a few
+hundred ids, so a build's fixed cost sets their speed.  Every per-build
+step calls numpy's C entry points, never its Python-level wrappers:
+np.maximum/np.minimum for np.clip (3.2 against 7.9 us on 300 ids), a
+read-only zero-stride view for np.broadcast_to (1.2 against 6.4 us), ufunc
+reductions and ndarray methods for the rest (tests/test_imports.py).
+
 The empty window is a size too: one shared table with a single id, counted
 at all m*n anchors, stands for every (k, 0) and (0, l).  A table one wide
 along an axis links both its slabs along that axis to it, so a width-2 or
@@ -90,6 +97,8 @@ catches a lie at any size.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+
 import numpy as np
 
 from .blocks import _expand_runs, _find, _run_bases, slab_bounds
@@ -120,6 +129,9 @@ _READERS = ((2, 0, None), (0, 2, None), (2, 1, 0), (1, 2, 1), (1, 0, None),
             (0, 1, None), (1, 1, None))
 
 _UNKEYED = object()  # a table axis whose key order is not known yet
+
+# the int64 zero that every one-wide link views at stride 0, read-only
+_ZERO = bytes(8)
 
 
 class _Table:
@@ -161,10 +173,7 @@ class _Table:
 
     @property
     def off(self):
-        return np.array([0, self.n])
-
-    def cat(self, get, ids_of=None):
-        return get(self)
+        return (0, self.n)
 
     def links(self, ax, ids_of=None):
         return self.link[ax]
@@ -174,11 +183,6 @@ class _Table:
 
     def sorter(self, ax):
         return _perm(self, ax)
-
-
-def _native(l: int) -> int:
-    """The axis whose key numbers the ids of a table l columns wide."""
-    return 1 if l >= 2 else 0
 
 
 def _less(size, ax: int, d: int):
@@ -192,7 +196,7 @@ def _one_wide(tab: _Table, ax: int) -> None:
     window, reached by zero-stride links, and each id is its own edge
     strip, so it is keyed by itself."""
     ar = np.arange(tab.n, dtype=np.int64)
-    empty = np.broadcast_to(np.int64(0), (tab.n,))
+    empty = np.ndarray((tab.n,), np.int64, _ZERO, 0, (0,))
     tab.link[ax] = (empty, empty)
     tab.edge[ax] = (ar, ar)
     tab.perm[ax] = None
@@ -212,7 +216,8 @@ def _marks(strip: _Table, column: bool) -> _Table:
 
 def _inverse(perm: np.ndarray) -> np.ndarray:
     """Inverse of an id permutation; -1 where an id is never hit."""
-    inv = np.full(len(perm), -1, dtype=np.int64)
+    inv = np.empty(len(perm), dtype=np.int64)
+    inv.fill(-1)
     inv[perm] = np.arange(len(perm), dtype=np.int64)
     return inv
 
@@ -224,25 +229,20 @@ def _key(tab: _Table, ax: int) -> np.ndarray:
 def _perm(tab: _Table, ax: int):
     """`tab.perm[ax]`, found on first use."""
     if tab.perm[ax] is _UNKEYED:
-        tab.perm[ax] = np.argsort(_key(tab, ax), kind="stable")
+        tab.perm[ax] = _key(tab, ax).argsort(kind="stable")
     return tab.perm[ax]
 
 
-def _tables(tabs, sizes, dk, dl):
-    """The tables of `sizes` less (dk, dl), stacked."""
-    if len(sizes) == 1:
-        k, l = sizes[0]
-        return tabs[k - dk, l - dl]
-    return _Stack([tabs[k - dk, l - dl] for k, l in sizes])
-
-
-def _strips(tabs, sizes, ax):
-    """The edge strips of `sizes` along `ax`, stacked: rows (1, l) for ax
-    0, columns (k, 1) for ax 1."""
-    if len(sizes) == 1:
-        k, l = sizes[0]
-        return tabs[(1, l) if ax == 0 else (k, 1)]
-    return _Stack([tabs[(1, l) if ax == 0 else (k, 1)] for k, l in sizes])
+def _roles(tabs, sizes, ax: int, strip: bool = True):
+    """The slabs of `sizes` along `ax`, their overlaps and, with `strip`,
+    their edge strips (rows (1, l) for ax 0, columns (k, 1) for ax 1): the
+    tables themselves for one size, each role's tables stacked for more."""
+    keys = [((k - 1, l), (k - 2, l), (1, l)) if ax == 0 else
+            ((k, l - 1), (k, l - 2), (k, 1)) for k, l in sizes]
+    if len(keys) == 1:
+        return [tabs[s] for s in keys[0][:2 + strip]]
+    return [_Stack([tabs[s] for s in role])
+            for role in list(zip(*keys))[:2 + strip]]
 
 
 class _Stack:
@@ -254,7 +254,7 @@ class _Stack:
 
     def __init__(self, tabs) -> None:
         self.tabs = tabs
-        self.off = np.cumsum([0] + [t.n for t in tabs])
+        self.off = np.array([0] + [t.n for t in tabs]).cumsum()
         self.n = int(self.off[-1])
         self._owner = None
         self._shift = {}
@@ -262,8 +262,8 @@ class _Stack:
     def owner(self) -> np.ndarray:
         """The table of each stacked id."""
         if self._owner is None:
-            self._owner = np.repeat(np.arange(len(self.tabs)),
-                                    np.diff(self.off))
+            self._owner = np.arange(len(self.tabs)).repeat(
+                [t.n for t in self.tabs])
         return self._owner
 
     def cat(self, get, ids_of=None) -> np.ndarray:
@@ -321,26 +321,23 @@ class _Group:
         self.sizes = sizes
         self.g = g = len(sizes)
         self.ax = ax
-        # one line less along ax is (-i, -j), along the other (-j, -i)
-        i, j = (1, 0) if ax == 0 else (0, 1)
-        f0 = 1 if sizes[0][1 - ax] == 1 else 0
-        f1 = g - 1 if sizes[-1][1 - ax] == 1 else g
+        o = 1 - ax
+        f0 = 1 if sizes[0][o] == 1 else 0
+        f1 = g - 1 if sizes[-1][o] == 1 else g
         self.full = (f0, f1) if f0 < f1 else None
-        self.S = _tables(tabs, sizes, i, j)
-        self.O = _tables(tabs, sizes, 2 * i, 2 * j)
-        self.T = _strips(tabs, sizes, ax)
+        self.S, self.O, self.T = _roles(tabs, sizes, ax)
         if f0 < f1:
             cross = sizes[f0:f1]
-            self.C = _tables(tabs, cross, j, i)
-            self.W = _tables(tabs, cross, 2 * j, 2 * i)
-            self.U = _strips(tabs, cross, 1 - ax)
-            self.X = _tables(tabs, cross, 1, 1)
-            self.Y = _tables(tabs, cross, 1 + i, 1 + j)
+            self.C, self.W, self.U = _roles(tabs, cross, o)
+            # (k-1, l-1) and its overlap are the cross slabs' own slab and
+            # overlap along ax
+            self.X, self.Y = _roles(tabs, [_less(s, o, 1) for s in cross],
+                                    ax, strip=False)
         self.po = self.cof = None
 
     def size_of(self, c: int):
         """The size of candidate `c`."""
-        return self.sizes[int(np.searchsorted(self.cof, c, side="right")) - 1]
+        return self.sizes[bisect_right(self.cof, c) - 1]
 
 
 def _pair_index(slab, overlap, ax: int):
@@ -350,16 +347,24 @@ def _pair_index(slab, overlap, ax: int):
     The join lists the (first, second) slab pairs that agree on their
     overlap in one run per first slab, the first slabs ascending and each
     run in its second slabs' sorted order.  So pair (f, s) sits at
-    `base[f] + pos[s]`, where `pos` is each slab's sorted position along
-    `ax`; `runs` holds each first slab's pair count and `perm` the sort.
-    A stack's join is its tables' joins end to end.
+    `base[f] + pos[s]` (`_place`), where `pos` is each slab's sorted
+    position along `ax`, None where the slabs already run sorted; `runs`
+    holds each first slab's pair count and `perm` the sort.  A stack's join
+    is its tables' joins end to end.
     """
     first, second = slab.links(ax, overlap)
     perm = slab.sorter(ax)
     # the slabs' sorted positions run by first slab, as `_run_bases` asks
     base, runs = _run_bases(first, second, overlap.n)
-    pos = np.arange(slab.n, dtype=np.int64) if perm is None else _inverse(perm)
+    pos = None if perm is None else _inverse(perm)
     return base, pos, runs, perm, second
+
+
+def _place(base, pos, f, s):
+    """Where a join lists the slab pairs (f, s) (`_pair_index`)."""
+    at = base[f]
+    at += s if pos is None else pos[s]
+    return at
 
 
 def _pair_counts(links, slabs) -> list[int]:
@@ -384,7 +389,7 @@ def _unstack(grp: _Group, tab: _Table) -> list[_Table]:
     """
     ax, o, g = grp.ax, 1 - grp.ax, grp.g
     # a size's tables run from its first slab on
-    cut = np.searchsorted(tab.link[ax][0], grp.S.off).tolist()
+    cut = tab.link[ax][0].searchsorted(grp.S.off).tolist()
     pairs = [[None] * g, [None] * g]
     pairs[ax] = _pair_counts(tab.link[ax], grp.S)
     shift = {ax: (grp.S.off, grp.T.off)}
@@ -395,7 +400,7 @@ def _unstack(grp: _Group, tab: _Table) -> list[_Table]:
         # the strip's placeholder ids along o stay as they are
         shift[o] = tuple(np.concatenate(([0] * f0, x.off[:-1], [0] * (g - f1)))
                          for x in (grp.C, grp.U))
-    own = np.repeat(np.arange(g), np.diff(cut))
+    own = np.arange(g).repeat([b - a for a, b in zip(cut, cut[1:])])
     for x, (links, edges) in shift.items():
         for y in tab.link[x]:
             y -= links[own].astype(y.dtype)
@@ -429,22 +434,22 @@ def _lookup(tab: _Table, ax: int, first: np.ndarray, last: np.ndarray):
 
 
 def _take(tab: _Table, idx) -> _Table:
-    """A table of the links and edges of `tab` at `idx`, without counts."""
-    out = _Table(0)
-    for ax in (0, 1):
-        if tab.link[ax] is not None:
-            first, second = tab.link[ax]
-            out.link[ax] = (first[idx], second[idx])
-            out.n = len(out.link[ax][0])
-        if tab.edge[ax] is not None:
-            first, last = tab.edge[ax]
-            out.edge[ax] = (first[idx], last[idx])
+    """A table of the links and edges of `tab` at `idx`, without counts; a
+    mask is made ids once, as ids gather some 3x faster than a mask."""
+    if idx.dtype == bool:
+        idx = idx.nonzero()[0]
+    out = _Table(len(idx))
+    for pairs, into in ((tab.link, out.link), (tab.edge, out.edge)):
+        for ax, pair in enumerate(pairs):
+            if pair is not None:
+                into[ax] = (pair[0][idx], pair[1][idx])
     return out
 
 
 def _padded(a: np.ndarray, at: int, n: int, fill) -> np.ndarray:
     """`a` placed at `at` in an array of `n` values `fill`."""
-    out = np.full(n, fill, dtype=a.dtype)
+    out = np.empty(n, dtype=a.dtype)
+    out.fill(fill)
     out[at:at + len(a)] = a
     return out
 
@@ -461,7 +466,7 @@ def _sweep(fams, values, u):
         gu = g[u]
         unknown = np.bincount(gu, minlength=len(targets))
         alone = unknown[gu] == 1
-        if alone.any():
+        if np.logical_or.reduce(alone):
             # an unknown weighs -1 in the sum, so add their number back
             known = np.bincount(g, weights=values,
                                 minlength=len(targets)).astype(np.int64)
@@ -475,8 +480,8 @@ def _sweep(fams, values, u):
 
 def _sums_hold(fams, values) -> bool:
     """Whether every slab family's counts sum to its slab counts."""
-    return all((np.bincount(g, weights=values, minlength=len(targets))
-                == targets).all() for g, targets in fams)
+    return all(np.logical_and.reduce(np.bincount(g, values, len(t)) == t)
+               for g, t in fams)
 
 
 class Walk:
@@ -711,11 +716,11 @@ class Walk:
     def _build_11(self) -> None:
         mn, J = self.mn, self.J
         lo = np.zeros(J - 1, dtype=np.int64)
-        hi = np.full(J - 1, mn - 1, dtype=np.int64)
+        hi = lo + (mn - 1)
         at = None
         if self.truth is not None:
             counts = np.bincount(self.truth.ravel(), minlength=J)
-            at = (np.cumsum(counts > 0, dtype=np.int32) - 1)[self.truth]
+            at = ((counts > 0).cumsum(dtype=np.int32) - 1)[self.truth]
             self.sink(1, 1, lo, hi, counts[:-1])
         else:
             counts = np.zeros(J, dtype=np.int64)
@@ -723,7 +728,7 @@ class Walk:
             counts[J - 1] = mn - counts[:-1].sum()
         if counts[J - 1] < 0 or counts[J - 1] > mn - 1:
             raise InconsistentCountsError("single counts do not sum to the area")
-        pos = np.flatnonzero(counts > 0)
+        pos = (counts > 0).nonzero()[0]
         if len(pos) < 2:
             raise InconsistentCountsError("fewer than two symbols present")
         t = _Table(len(pos))
@@ -737,7 +742,7 @@ class Walk:
 
     def _install(self, size, tab: _Table) -> None:
         self.tabs[size] = tab
-        self.max1[size] = distinct = bool(tab.count.max() == 1)
+        self.max1[size] = distinct = bool(np.maximum.reduce(tab.count) == 1)
         k, l = size
         self.height[l] = k
         if l >= 2 or k >= 2:
@@ -809,9 +814,10 @@ class Walk:
         p0, p1 = grp.po[f0], grp.po[f1]
         C, X = grp.C, grp.X
         base, pos, runs = _pair_index(X, grp.Y, ax)[:3]
-        listed = np.full(int(runs.sum()), -1, dtype=np.int64)
+        listed = np.empty(int(np.add.reduce(runs)), dtype=np.int64)
+        listed.fill(-1)
         cf, cs = C.links(ax, X)
-        listed[base[cf] + pos[cs]] = np.arange(C.n)
+        listed[_place(base, pos, cf, cs)] = np.arange(C.n)
         # each slab less its last line along o, and less its first
         Sf = (S if f1 - f0 == grp.g else S.tabs[f0] if f1 - f0 == 1
               else _Stack(S.tabs[f0:f1]))
@@ -819,13 +825,13 @@ class Walk:
         f, s = first[p0:p1], second[p0:p1]
         if Sf is not S:
             f, s = f - S.off[f0], s - S.off[f0]
-        p = listed[base[head[f]] + pos[head[s]]]
-        q = listed[base[tail[f]] + pos[tail[s]]]
-        keep = (p >= 0) & (q >= 0)
+        p = listed[_place(base, pos, head[f], head[s])]
+        q = listed[_place(base, pos, tail[f], tail[s])]
+        keep = np.minimum(p, q) >= 0
         if Sf is not S:
             p, q = _padded(p, p0, cand.n, 0), _padded(q, p0, cand.n, 0)
         cand.link[o] = (p, q)
-        if keep.all():
+        if np.logical_and.reduce(keep):
             keep = None
         else:
             if Sf is not S:
@@ -849,8 +855,8 @@ class Walk:
         base, pos, runs, perm, grp.second = _pair_index(grp.S, grp.O, ax)
         first, member = _expand_runs(base, runs)
         second = member if perm is None else perm[member]
-        grp.po = [0, len(first)] if grp.g == 1 else np.cumsum(
-            np.concatenate(([0], np.add.reduceat(runs, grp.S.off[:-1]))))
+        grp.po = [0, len(first)] if grp.g == 1 else np.concatenate(
+            ([0], np.add.reduceat(runs, grp.S.off[:-1]))).cumsum()
         cand, keep = self._fields(grp, first, second)
         # past here only the encoder's anchors read the join, so the rest
         # of it is let go before the build's peak
@@ -860,12 +866,12 @@ class Walk:
         # a size's candidates are the ones whose first slab is its slab;
         # the join lists them by first slab, so they run size by size
         grp.cof = ([0, cand.n] if grp.g == 1 else
-                   np.searchsorted(cand.link[ax][0], grp.S.off))
+                   cand.link[ax][0].searchsorted(grp.S.off))
         order = None
         if ax == 0 and grp.full is not None:
             c1 = int(grp.cof[grp.full[1]])
             probe = cand.link[1][0][:c1] * _KEY + cand.edge[1][1][:c1]
-            order = np.argsort(probe, kind="stable")
+            order = probe.argsort(kind="stable")
             if c1 < cand.n:
                 order = np.concatenate((order, np.arange(c1, cand.n)))
             cand = _take(cand, order)
@@ -883,7 +889,7 @@ class Walk:
 
         The anchor's window joins its slab `a` along `ax` with `b`, the
         slab one step further along `ax`, and the join lists that pair at
-        `base[a] + pos[b]` (`_pair_index`).  The `keep` mask
+        `base[a] + pos[b]` (`_place`).  The `keep` mask
         of `_fields` and the reorder to native `order` then carry that place
         to the candidate.  Each candidate must be made of its anchors' two
         slabs: that is the encoder's one table check.  An anchor whose pair
@@ -898,18 +904,19 @@ class Walk:
         else:
             a = np.stack([t.at.ravel() for t in S.tabs]).astype(np.int64)
             a += S.off[:-1, None]
-            b = np.take(a, self.step[ax], axis=1).ravel()
+            b = a.take(self.step[ax], axis=1).ravel()
             a = a.ravel()
-        at = base[a] + pos[b]
+        at = _place(base, pos, a, b)
         if keep is not None:
-            at = np.take(np.cumsum(keep) - 1, at, mode="clip")
+            at = (np.add.accumulate(keep, dtype=np.int64) - 1).take(
+                at, mode="clip")
         if order is not None:  # a permutation of the candidates
-            at = np.take(_inverse(order), at, mode="clip")
+            at = _inverse(order).take(at, mode="clip")
         else:
-            at = np.clip(at, 0, cand.n - 1)
+            np.minimum(np.maximum(at, 0, out=at), cand.n - 1, out=at)
         first, second = cand.link[ax]
         made = (first[at] == a) & (second[at] == b)
-        if not made.all():
+        if not np.logical_and.reduce(made):
             k, l = grp.sizes[int(np.argmin(made)) // self.mn]
             raise InconsistentCountsError(
                 f"walked table diverges from the grid at size ({k},{l})")
@@ -930,7 +937,7 @@ class Walk:
         if grp.g == 1:
             empty = [0] if cand.n == 0 else []
         else:
-            empty = np.flatnonzero(np.diff(grp.cof) == 0)
+            empty = (grp.cof[1:] == grp.cof[:-1]).nonzero()[0]
         if len(empty):
             k, l = grp.sizes[int(empty[0])]
             raise InconsistentCountsError(f"no candidates at size ({k},{l})")
@@ -942,7 +949,7 @@ class Walk:
         lo, hi, transmit = slab_bounds(
             count[first], count[second], grp.O.count[grp.second[first]])
         top = grp.T.is_extremal
-        transmit &= ~top[cand.edge[ax][0]] & ~top[cand.edge[ax][1]]
+        transmit &= ~(top[cand.edge[ax][0]] | top[cand.edge[ax][1]])
         if grp.full is not None:
             C = grp.C
             c0, c1 = int(grp.cof[grp.full[0]]), int(grp.cof[grp.full[1]])
@@ -955,15 +962,16 @@ class Walk:
             count = C.count
             o_lo, o_hi, open_ = slab_bounds(
                 count[first], count[second],
-                grp.W.count[C.cat(lambda t: t.link[o][1], grp.W)[first]])
+                grp.W.count[C.links(o, grp.W)[1][first]])
             top = grp.U.is_extremal
             np.maximum(lo[part], o_lo, out=lo[part])
             np.minimum(hi[part], o_hi, out=hi[part])
-            transmit[part] &= open_ & ~top[start] & ~top[end]
+            open_ &= ~(top[start] | top[end])
+            transmit[part] &= open_
         # true counts sit inside [lo, hi], so crossed bounds mean corrupt
         # counts; pulling a crossed interval would ask the coder for width <= 0
         crossed = lo > hi
-        if crossed.any():
+        if np.logical_or.reduce(crossed):
             k, l = grp.size_of(int(np.argmax(crossed)))
             raise InconsistentCountsError(
                 f"interval bounds crossed at size ({k},{l})")
@@ -975,7 +983,7 @@ class Walk:
         if values.shape != lo.shape:
             raise InconsistentCountsError(
                 f"pulled {values.size} counts for {lo.size} at size ({k},{l})")
-        if ((values < lo) | (values > hi)).any():
+        if np.logical_or.reduce((values < lo) | (values > hi)):
             raise InconsistentCountsError(
                 f"decoded count outside its interval at size ({k},{l})")
         return values
@@ -994,16 +1002,14 @@ class Walk:
         candidate, checked last, are the consistency gate; they alone cover
         a size with nothing to derive.
         """
-        t_idx = np.flatnonzero(transmit)
-
-        lo_t, hi_t = lo[t_idx], hi[t_idx]
+        t_idx = transmit.nonzero()[0]
         if at is not None:
             true_vals = np.bincount(at, minlength=cand.n)
             if not len(t_idx):
                 return true_vals
-            sent = true_vals[t_idx]
+            lo_t, hi_t, sent = lo[t_idx], hi[t_idx], true_vals[t_idx]
             out = (sent < lo_t) | (sent > hi_t)
-            if out.any():
+            if np.logical_or.reduce(out):
                 k, l = grp.size_of(int(t_idx[np.argmax(out)]))
                 raise InconsistentCountsError(
                     f"true count escapes its interval at size ({k},{l})")
@@ -1011,7 +1017,7 @@ class Walk:
             batch = np.array((lo_t, hi_t, sent),
                              dtype=self._count_type)
             cuts = ([0, len(t_idx)] if grp.g == 1 else
-                    np.searchsorted(t_idx, grp.cof).tolist())
+                    t_idx.searchsorted(grp.cof).tolist())
             for size, a, b in zip(grp.sizes, cuts, cuts[1:]):
                 if a < b:
                     self._held[size] = batch[:, a:b]
@@ -1020,7 +1026,7 @@ class Walk:
         [(k, l)] = grp.sizes
         values = np.where(lo == hi, lo, np.int64(-1))
         if len(t_idx):
-            values[t_idx] = self._pulled(k, l, lo_t, hi_t)
+            values[t_idx] = self._pulled(k, l, lo[t_idx], hi[t_idx])
 
         fams = []
         for ax in (1, 0):
@@ -1029,10 +1035,11 @@ class Walk:
                 count = slabs.count
                 fams += [(cand.link[ax][0], count), (cand.link[ax][1], count)]
 
-        u = np.flatnonzero(values < 0)
+        u = (values < 0).nonzero()[0]
         if len(u):
             swept = _sweep(fams, values, u)
-            if (swept is not None and not ((swept < lo) | (swept > hi)).any()
+            if (swept is not None
+                    and not np.logical_or.reduce((swept < lo) | (swept > hi))
                     and _sums_hold(fams, swept)):
                 return swept
             self._derive(k, l, fams, values, u, lo[u], hi[u])
@@ -1099,18 +1106,24 @@ class Walk:
         """
         ax, o = grp.ax, 1 - grp.ax
         mask = values > 0
-        tab = _take(cand, mask)
-        tab.count = values[mask]
+        kept = mask.nonzero()[0]
+        if len(kept) == cand.n:  # every candidate occurs
+            tab = cand
+            tab.count = values
+        else:
+            tab = _take(cand, kept)
+            tab.count = values[kept]
+            if at is not None:
+                at = (np.add.accumulate(mask, dtype=np.int32) - 1)[at]
         tabs = [tab] if grp.g == 1 else _unstack(grp, tab)
         if at is not None:
-            ids = np.cumsum(mask, dtype=np.int32) - 1
-            at = ids[at].reshape(grp.g, self.m, self.n)
+            at = at.astype(np.int32, copy=False).reshape(grp.g, self.m, self.n)
             if grp.g > 1:
                 # each table's ids start at 0: less the ids before it
-                at -= np.cumsum([0] + [t.n for t in tabs[:-1]],
-                                dtype=np.int32)[:, None, None]
+                at -= np.array([0] + [t.n for t in tabs[:-1]],
+                               dtype=np.int32).cumsum()[:, None, None]
         for i, (size, t) in enumerate(zip(grp.sizes, tabs)):
-            t.perm[_native(size[1])] = None
+            t.perm[1 if size[1] >= 2 else 0] = None  # the native key
             if at is not None:
                 t.at = at[i]
             if size[o] < 2:

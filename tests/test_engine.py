@@ -386,6 +386,40 @@ def test_cross_links_match_the_search_on_both_walks():
     assert kinds == {"columns", "rows", "strip", "one-wide", "empty overlap"}
 
 
+class PlaceholderWalk(Walk):
+    """Notes, per strip it installs, the links along the axis it is one
+    wide on: the placeholders that stand for the empty window."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.placeholders = []
+
+    def _install(self, size, tab):
+        self.placeholders += [(size, links) for ax in (0, 1) if size[ax] == 1
+                              for links in tab.link[ax]]
+        super()._install(size, tab)
+
+
+def test_strip_placeholder_links_are_read_only():
+    # every strip's placeholders view one shared zero at stride 0, so an
+    # in-place op on any of them must fail rather than move every strip's
+    # empty-window link at once
+    dot = np.zeros((16, 16), dtype=np.int64)
+    dot[5, 9] = 1
+    for g in (dot, near_periodic_tile()):
+        records, enc = encode_walk(g, 2, PlaceholderWalk)
+        stream, pull = pull_from(records)
+        dec = PlaceholderWalk(*g.shape, 2, pull=pull)
+        dec.run()
+        assert next(stream, None) is None
+        for walk in (enc, dec):
+            strips = {size for size, _ in walk.placeholders}
+            assert (1, 1) in strips and (1, 2) in strips and (2, 1) in strips
+            for size, links in walk.placeholders:
+                assert not links.flags.writeable, size
+                assert links.strides == (0,) and not np.any(links), size
+
+
 def test_corrupt_value_handled_gracefully():
     # Replacing one transmitted value with another in-interval one must
     # never make the walk crash in an uncontrolled way: either the family
