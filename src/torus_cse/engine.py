@@ -55,14 +55,20 @@ every larger size extend uniquely and carry no transmissions: the walk stops
 at this settled frontier and builds no table beyond it.  The sizes it does
 build form a down-set, so no built size ever reads a skipped one, and the
 sizes that may still be built are the ones under a per-column height
-(`Walk.reach`) that each settled size lowers.  A table is dropped once no
-size still to be built reads it (`Walk._drop_unread`): the decoder looks
-after each row, the encoder before each diagonal and, for the tables three
-diagonals back that a diagonal reads last, after each group.  An edge
-strip is kept as its extremal marks while its column or row may still
-grow, and a column strip (k, 1) for good.  The encoder's anchor ids are
-read only by the joins of the next diagonal, so each table lets go of
-them right after the last group that joins its slabs.
+(`Walk.reach`) that each settled size lowers.  A table keeps only the
+fields that a size still to be built reads (`Walk._drop_unread`), in
+stages: whole while (k+1, l) or (k, l+1), which read it as a slab, may
+still be built; then, while (k+1, l+1) may, the links and key order along
+that size's join axis, as the slab its cross join lays out; then its
+counts, while (k+2, l) or (k, l+2) reads them as an overlap; then its id
+count alone, as the overlap of a cross join; then nothing.  An edge strip
+also keeps its extremal marks while its column or row may still grow, and
+a column strip (k, 1) its marks and first row ids for good.  Each stage is
+a new table, as the readout keeps its size's table whole.  The decoder
+cuts its tables at each row's end, the encoder before each diagonal and
+after each group.  The encoder's anchor ids are read only by the joins of
+the next diagonal, so each table lets go of them right after the last
+group that joins its slabs.
 
 The decoder reads the grid off one built size instead, the readout size: the
 row-major first (K, L) with K, L >= 2 whose windows are all distinct and
@@ -114,19 +120,18 @@ _KEY = np.int64(1 << 31)
 # stay those of the largest single build; below it a group saves the
 # per-build fixed cost.  Set by walk-only encode timings of cli32's seed-1
 # grids against the per-size build (2 vCPUs): 2^12 took 0.87x on the
-# near-periodic tiles, 6 * 2^10 0.79-0.84x and 2^13 0.79-0.81x, but 2^13
-# lifted a tile's encoder peak to 1.24x its decoder's, where
-# tests/test_codec.py allows 1.2x; the markov textures took 1.13-1.29x at
-# any of them.
+# near-periodic tiles, 6 * 2^10 0.79-0.84x and 2^13 0.79-0.81x; the markov
+# textures took 1.13-1.29x at any of them.  The tile's encoder peak
+# (tracemalloc, tests/shared.py's tile) is 1.08x its decoder's at
+# 6 * 2^10 (3.23 against 2.99 MB) but 1.23x at 2^13, where
+# tests/test_codec.py allows 1.2x.
 _PAIR_CAP = 6 << 10
 
-# offsets from a table's size to the sizes that read it: as a slab, as an
-# overlap, as the (k-1, l-1) table a cross slab's join lays out, and as
-# that join's overlap, which only a size joined along the given axis reads;
-# the ones two lines further come first, as they are the likeliest to be
-# still unbuilt
-_READERS = ((2, 0, None), (0, 2, None), (2, 1, 0), (1, 2, 1), (1, 0, None),
-            (0, 1, None), (1, 1, None))
+# what sizes read of a table that is still some size's slab: every field
+# (`Walk._reads`)
+_WHOLE = ((0, 1), True, True)
+# and of a strip that only its column's or row's sizes read
+_MARKS = ((), False, True)
 
 _UNKEYED = object()  # a table axis whose key order is not known yet
 
@@ -148,8 +153,10 @@ class _Table:
     or rows for a table one column wide.  `pairs[ax]` counts the slab pairs
     that a join of this table along `ax` expands, None until counted.  The
     encoder's `at` holds the (m, n) int32 id of the window at every anchor.
-    An edge strip that no size reads as a slab any more is cut to its
-    marks (`_marks`).
+    A table that no size reads as a slab any more is cut to the fields
+    that later sizes read (`_stage`): `link[ax]` and `perm[ax]` along its
+    cross join's axis, `count`, and a strip's `is_extremal`, with `edge[0]`
+    for a column; fields that no size reads are None.
     """
 
     __slots__ = ("n", "count", "link", "edge", "perm", "pairs",
@@ -203,14 +210,24 @@ def _one_wide(tab: _Table, ax: int) -> None:
     tab.pairs[ax] = tab.n * tab.n
 
 
-def _marks(strip: _Table, column: bool) -> _Table:
-    """What sizes read of an edge strip once none reads it as a slab: its
-    extremal marks, and for a column (k, 1) its first row ids too, which
-    lay out the readout."""
-    out = _Table(strip.n)
-    out.is_extremal = strip.is_extremal
-    if column:
-        out.edge[0] = strip.edge[0]
+def _stage(tab: _Table, axes, counts: bool, marks: bool,
+           column: bool) -> _Table:
+    """A new table of the fields of `tab` that sizes still read
+    (`Walk._reads`): the links and key order along `axes`, the counts, and
+    a strip's extremal marks, with for a column (k, 1) its first row ids,
+    which lay out the readout.  Both axes mean the whole table."""
+    if len(axes) == 2:
+        return tab
+    out = _Table(tab.n)
+    for ax in axes:
+        out.link[ax] = tab.link[ax]
+        out.perm[ax] = _perm(tab, ax)
+    if counts:
+        out.count = tab.count
+    if marks:
+        out.is_extremal = tab.is_extremal
+        if column:
+            out.edge[0] = tab.edge[0]
     return out
 
 
@@ -398,14 +415,15 @@ def _unstack(grp: _Group, tab: _Table) -> list[_Table]:
         pairs[o][f0:f1] = _pair_counts(
             [x[cut[f0]:cut[f1]] for x in tab.link[o]], grp.C)
         # the strip's placeholder ids along o stay as they are
-        shift[o] = tuple(np.concatenate(([0] * f0, x.off[:-1], [0] * (g - f1)))
-                         for x in (grp.C, grp.U))
+        shift[o] = [_padded(np.asarray(x.off[:-1], dtype=np.int64), f0, g, 0)
+                    for x in (grp.C, grp.U)]
     own = np.arange(g).repeat([b - a for a, b in zip(cut, cut[1:])])
-    for x, (links, edges) in shift.items():
-        for y in tab.link[x]:
-            y -= links[own].astype(y.dtype)
-        for y in tab.edge[x]:
-            y -= edges[own].astype(y.dtype)
+    # each shift is gathered once, for both arrays of its link or edge pair
+    for x, shifts in shift.items():
+        for pair, s in zip((tab.link[x], tab.edge[x]), shifts):
+            s = s[own]
+            for y in pair:
+                y -= s
     out = []
     for i, size in enumerate(grp.sizes):
         a, b = cut[i], cut[i + 1]
@@ -435,14 +453,21 @@ def _lookup(tab: _Table, ax: int, first: np.ndarray, last: np.ndarray):
 
 def _take(tab: _Table, idx) -> _Table:
     """A table of the links and edges of `tab` at `idx`, without counts; a
-    mask is made ids once, as ids gather some 3x faster than a mask."""
+    mask is made ids once, as ids gather some 3x faster than a mask.
+
+    `tab` lets go of each field as it fills the output, so the two never
+    hold every field at once: `tab` is spent."""
     if idx.dtype == bool:
         idx = idx.nonzero()[0]
     out = _Table(len(idx))
     for pairs, into in ((tab.link, out.link), (tab.edge, out.edge)):
-        for ax, pair in enumerate(pairs):
-            if pair is not None:
-                into[ax] = (pair[0][idx], pair[1][idx])
+        for ax in (0, 1):
+            if pairs[ax] is not None:
+                a, b = pairs[ax]
+                pairs[ax] = None
+                a = a[idx]
+                b = b[idx]
+                into[ax] = (a, b)
     return out
 
 
@@ -519,7 +544,9 @@ class Walk:
         # are known
         self.readout: tuple[tuple[int, int], _Table] | None = None
         self.building = [(1, 1)]
-        self._droppable: set[tuple[int, int]] = set()
+        # what sizes still read of each table that may yet be cut: all held
+        # but the (1, 1) and empty ones and the columns' marks (`_reads`)
+        self._kept: dict[tuple[int, int], tuple] = {}
         self._axes = {}  # join axis of each size of the diagonal under way
         # encoder: batches held until every size before them in row-major
         # order has been sunk, and the next row-major size to sink
@@ -546,7 +573,7 @@ class Walk:
                     break  # so is every size right of it in row k
                 yield [(k, l)], self._join(k, l)[0]
             # a table of row k is read by rows k+1 and k+2 still
-            self._drop_unread([s for s in self._droppable
+            self._drop_unread([s for s in self._kept
                                if s[0] < k or s[0] == 1])
             if k > self.reach[1]:
                 return  # so is every row below it
@@ -557,10 +584,14 @@ class Walk:
 
         Before a diagonal builds, each table of the one before lets go of
         its anchor ids unless a join of the diagonal reads them, and after
-        each group the ones whose last such join it was.  A table three
-        diagonals back is read by this diagonal at most, as the overlap of
-        a cross join, so it is dropped before the diagonal or after the
-        last group that reads it.
+        each group the ones whose last such join it was.  A table two
+        diagonals back is read by this diagonal at most, as a cross join's
+        slab or an overlap, and one three back as a cross join's overlap,
+        so before the diagonal each is cut to what its joins read, and
+        after each group to what the later groups read (`_drop_unread`).
+        A table of the one before that no join reads as a slab is cut
+        before the diagonal too, as the sizes that would read it may have
+        settled.
         """
         m, n = self.m, self.n
         last = [(1, 1)]
@@ -580,22 +611,24 @@ class Walk:
             reader = {_less(s, ax, 1): i
                       for i, (group, ax) in enumerate(groups) for s in group}
             done = [[] for _ in groups]
+            unread = []  # the last diagonal's tables that no join reads
             for size in last:
-                tab = self.tabs.get(size)  # a dropped table holds no ids
-                if tab is None:
-                    continue
                 if size in reader:
-                    done[reader[size]].append(tab)
+                    done[reader[size]].append(size)
                 else:
-                    tab.at = None
-            self._drop_unread([s for s in self._droppable
-                               if s[0] == 1 or s[0] + s[1] <= d - 3])
-            for (group, ax), tabs in zip(groups, done):
+                    self.tabs[size].at = None
+                    unread.append(size)
+            self._drop_unread(unread + [s for s in self._kept
+                                        if s[0] == 1 or s[0] + s[1] <= d - 2])
+            for i, (group, ax) in enumerate(groups):
                 yield group, ax
-                for tab in tabs:
-                    tab.at = None
-                self._drop_unread([_less((k - 1, l - 1), ax, 1)
-                                   for k, l in group])
+                for size in done[i]:
+                    self.tabs[size].at = None
+                if i + 1 < len(groups):  # else the next diagonal's cut
+                    # the cross join's slab and overlap, and the overlaps
+                    self._drop_unread([r for k, l in group for r in (
+                        (k - 1, l - 1), _less((k - 1, l - 1), ax, 1),
+                        (k - 2, l), (k, l - 2))])
             if not sizes:
                 break
             last = sizes
@@ -651,49 +684,68 @@ class Walk:
             reach[j] = k - 1
 
     def _drop_unread(self, sizes=None) -> None:
-        """Drop each of `sizes`, by default every table held, that no size
-        still to be built reads.
+        """Cut each of `sizes`, by default every table held, to what the
+        sizes still to be built read of it (`_reads`), or drop it.
+
+        Each cut makes a new table (`_stage`), as the readout keeps its
+        size's table whole; that table lets go of its anchor ids, which
+        only its slab joins read.
+        """
+        kept, tabs, reads = self._kept, self.tabs, self._reads
+        for size in list(kept) if sizes is None else sizes:
+            was = kept.get(size)
+            if was is None:
+                continue
+            now = reads(size)
+            if now == was:
+                continue
+            tab = tabs[size]
+            tab.at = None
+            if now is None:
+                del kept[size], tabs[size]
+                continue
+            tabs[size] = _stage(tab, *now, column=size[1] == 1)
+            if size[1] == 1 and now == _MARKS:
+                del kept[size]  # a column's marks stay for good
+            else:
+                kept[size] = now
+
+    def _reads(self, size):
+        """What the sizes still to be built read of table `size`, (k, l),
+        as (axes, counts, marks) (`_stage`), or None if none reads it.
 
         A size is still to be built while it is unbuilt and under its
-        column's `reach`; once scheduled, its join axis says whether it
-        reads a table as its cross join's overlap (`_READERS`).  An edge
-        strip is also read for its extremal marks by every size of its
-        column (1, l) or row (k, 1), so it is cut to those (`_marks`): a
-        row's go once its column is closed, a column's stay, as the readout
-        lays out the grid through them.  A dropped table lets go of its
-        anchor ids too, since the readout may still refer to it.
+        column's `reach`.  (k+1, l) and (k, l+1) read the table whole, as
+        a slab; (k+1, l+1) its links and key order along its join axis
+        alone, as the slab its cross join lays out, or whole while that
+        axis is not known; (k+2, l) and (k, l+2) its counts, as an overlap;
+        and (k+2, l+1) joined along the rows or (k+1, l+2) along the
+        columns only its id count, as that join's overlap.  Every size of
+        its column (1, l) or row (k, 1) reads a strip's extremal marks: a
+        row's while its column may still grow, a column's for good, as the
+        readout lays out the grid through them.
         """
-        reach, tabs = self.reach, self.tabs
-        for size in list(self._droppable if sizes is None else sizes):
-            if size not in self._droppable:
-                continue
-            k, l = size
-            tab = tabs[size]
-            if tab.count is not None:  # a whole table
-                if self._read_later(k, l):
-                    continue
-                tab.at = None
-                if k >= 2 and l >= 2:
-                    self._droppable.discard(size)
-                    del tabs[size]
-                    continue
-                tabs[size] = _marks(tab, l == 1)
-            # a column's marks stay for good, a row's while its column grows
-            if l == 1:
-                self._droppable.discard(size)
-            elif reach[l] <= self.height[l]:
-                self._droppable.discard(size)
-                del tabs[size]
-
-    def _read_later(self, k, l) -> bool:
-        """Whether a size still to be built reads table (k, l)."""
+        k, l = size
         reach, built, axes = self.reach, self.max1, self._axes
-        for i, j, ax in _READERS:
-            r = (k + i, l + j)
-            if (r not in built and k + i <= reach[l + j]
-                    and (ax is None or axes.get(r, ax) == ax)):
-                return True
-        return False
+        if ((k < reach[l] and (k + 1, l) not in built)
+                or (k <= reach[l + 1] and (k, l + 1) not in built)):
+            return _WHOLE
+        links = ()
+        if k < reach[l + 1] and (k + 1, l + 1) not in built:
+            ax = axes.get((k + 1, l + 1))
+            if ax is None:
+                return _WHOLE
+            links = (ax,)
+        counts = ((k + 2 <= reach[l] and (k + 2, l) not in built)
+                  or (k <= reach[l + 2] and (k, l + 2) not in built))
+        marks = l == 1 or (k == 1 and reach[l] > self.height[l])
+        if (links or counts or marks
+                or (k + 2 <= reach[l + 1] and (k + 2, l + 1) not in built
+                    and axes.get((k + 2, l + 1), 0) == 0)
+                or (k < reach[l + 2] and (k + 1, l + 2) not in built
+                    and axes.get((k + 1, l + 2), 1) == 1)):
+            return links, counts, marks
+        return None
 
     def _flush(self) -> None:
         """Sink the held batches, in row-major order, up to the first size
@@ -746,7 +798,7 @@ class Walk:
         k, l = size
         self.height[l] = k
         if l >= 2 or k >= 2:
-            self._droppable.add(size)
+            self._kept[size] = _WHOLE
         if (distinct and k >= 2 and l >= 2
                 and (self.readout is None or size < self.readout[0])
                 and (l == self.n or self.max1[(k, l - 1)])

@@ -20,6 +20,14 @@ def near_periodic_tile():
     return g
 
 
+def one_dot(side):
+    """A side x side binary grid of zeros with a single 1: every window
+    size up to the full one repeats a window, so the walk never settles."""
+    g = np.zeros((side, side), dtype=np.int64)
+    g[5, 9] = 1
+    return g
+
+
 def grids(max_m=4, max_n=4, alphabet=2):
     return st.integers(1, max_m).flatmap(
         lambda m: st.integers(1, max_n).flatmap(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shared import P2, near_periodic_tile
+from shared import P2, near_periodic_tile, one_dot
 from torus_cse import codec
 from torus_cse.blocks import (Block, Census, from_numpy, is_primitive,
                               make_block)
@@ -573,7 +573,8 @@ def traced_peak(fn, *args):
 @pytest.mark.parametrize("grid", [
     (np.random.default_rng(1).random((64, 64)) < 0.2).astype(np.uint8),
     near_periodic_tile(),
-], ids=["bernoulli64", "tile32"])
+    one_dot(32),
+], ids=["bernoulli64", "tile32", "dot32"])
 def test_encoder_peak_stays_near_the_decoders(grid):
     # both sides build the same tables; the encoder adds only the anchor
     # ids of the few sizes its next build reads

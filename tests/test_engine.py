@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shared import decode_grid, is_shift, near_periodic_tile, pull_from
+from shared import (decode_grid, is_shift, near_periodic_tile, one_dot,
+                    pull_from)
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
 from torus_cse.codec import B1, B2, B3, _encode, compress, decompress, stats
 from torus_cse import engine
@@ -322,14 +323,83 @@ def test_walk_holds_two_rows_of_anchor_ids():
         assert walk.joins and not held_ids(walk)
 
 
-class CrossParityWalk(Walk):
-    """Checks at every size built with both axes that the cross links read
-    off the pair index are the ones a search of the cross table's sorted
-    (first slab, last edge) keys finds, and notes the kinds of size seen."""
+class FieldRetentionWalk(Walk):
+    """Checks at the start of each decoder row and each encoder diagonal
+    that every field of every table held has a reader still to be built:
+    both axes' links while (k+1, l) or (k, l+1), which read it whole, may
+    still be built; one axis's links for a (k+1, l+1) joined along that
+    axis; counts for one of those or an overlap (k+2, l) or (k, l+2).  It
+    notes the kinds of table held."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.kinds = set()
+        self.line = None
+
+    def _build(self, sizes, ax):
+        k, l = sizes[0]
+        line = k if self.truth is None else k + l
+        if line != self.line:
+            self.line = line
+            self.check()
+        super()._build(sizes, ax)
+
+    def later(self, k, l):
+        return (k, l) not in self.max1 and k <= self.reach[l]
+
+    def check(self):
+        for (k, l), tab in self.tabs.items():
+            if k == 0 or l == 0 or (k, l) == (1, 1):
+                continue
+            whole = self.later(k + 1, l) or self.later(k, l + 1)
+            links = [ax for ax in (0, 1) if tab.link[ax] is not None]
+            if len(links) == 2:
+                assert whole, (k, l)
+                self.kinds.add("whole")
+            elif links:
+                [ax] = links
+                cross = (k + 1, l + 1)
+                assert self.later(*cross) and self._axes[cross] == ax, (k, l)
+                self.kinds.add(("rows", "columns")[ax])
+            if tab.count is not None:
+                assert (whole or links or self.later(k + 2, l)
+                        or self.later(k, l + 2)), (k, l)
+                if not links:
+                    self.kinds.add("counts")
+
+
+def test_walks_hold_only_the_fields_later_sizes_read():
+    enc_kinds, dec_kinds = set(), set()
+    for g, alphabet in seeded_grids() + [(near_periodic_tile(), 2),
+                                         (one_dot(16), 2)]:
+        records, enc = encode_walk(g, alphabet, FieldRetentionWalk)
+        stream, pull = pull_from(records)
+        dec = FieldRetentionWalk(*g.shape, alphabet, pull=pull)
+        dec.run()
+        assert next(stream, None) is None
+        enc_kinds |= enc.kinds
+        dec_kinds |= dec.kinds
+    # the encoder cuts a table to its cross join's links two diagonals on;
+    # the decoder's (k+1, l+1) builds in the same row as (k+1, l)
+    assert enc_kinds == {"whole", "rows", "columns", "counts"}
+    assert dec_kinds == {"whole", "counts"}
+
+
+class CrossParityWalk(Walk):
+    """Checks at every size built with both axes that the cross links read
+    off the pair index are the ones a search of the cross table's sorted
+    (first slab, last edge) keys finds, and notes the kinds of size seen.
+    It keeps every table whole, as the walk cuts (k-1, l-1) to its join
+    fields before (k, l) builds."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.kinds = set()
+        self.whole = {}
+
+    def _install(self, size, tab):
+        self.whole[size] = tab
+        super()._install(size, tab)
 
     def _fields(self, grp, first, second):
         cand, keep = super()._fields(grp, first, second)
@@ -343,7 +413,7 @@ class CrossParityWalk(Walk):
             slab, shift = slab_of(grp, i)
             j = i - grp.full[0]
             cross, cross_shift = grp.C.tabs[j], int(grp.C.off[j])
-            inner = grp.X.tabs[j]  # (k-1, l-1)
+            inner = self.whole[(k - 1, l - 1)]
             pairs = (first >= shift) & (first < shift + slab.n)
             f, s = first[pairs] - shift, second[pairs] - shift
             rows = cand.link[ax][0] - shift
@@ -372,9 +442,7 @@ class CrossParityWalk(Walk):
 def test_cross_links_match_the_search_on_both_walks():
     grids = [(g, 2) for m, n in ((3, 3), (3, 4))
              for g in all_primitive_grids(m, n)]
-    dot = np.zeros((16, 16), dtype=np.int64)
-    dot[5, 9] = 1
-    grids += seeded_grids() + [(near_periodic_tile(), 2), (dot, 2)]
+    grids += seeded_grids() + [(near_periodic_tile(), 2), (one_dot(16), 2)]
     kinds = set()
     for g, alphabet in grids:
         records, enc = encode_walk(g, alphabet, CrossParityWalk)
@@ -404,9 +472,7 @@ def test_strip_placeholder_links_are_read_only():
     # every strip's placeholders view one shared zero at stride 0, so an
     # in-place op on any of them must fail rather than move every strip's
     # empty-window link at once
-    dot = np.zeros((16, 16), dtype=np.int64)
-    dot[5, 9] = 1
-    for g in (dot, near_periodic_tile()):
+    for g in (one_dot(16), near_periodic_tile()):
         records, enc = encode_walk(g, 2, PlaceholderWalk)
         stream, pull = pull_from(records)
         dec = PlaceholderWalk(*g.shape, 2, pull=pull)
@@ -546,10 +612,9 @@ def test_grouped_encoder_matches_one_size_decoder(monkeypatch):
     # code the same records in the same order and read out the same size.
     # A lowered cap cuts groups on these small grids.
     monkeypatch.setattr(engine, "_PAIR_CAP", 1 << 10)
-    dot = np.zeros((16, 16), dtype=np.int64)
-    dot[5, 9] = 1
     widest = cuts = 0
-    for g, alphabet in [(near_periodic_tile(), 2), (dot, 2)] + seeded_grids():
+    for g, alphabet in ([(near_periodic_tile(), 2), (one_dot(16), 2)]
+                        + seeded_grids()):
         records, enc = encode_walk(g, alphabet, GroupLogWalk)
         stream, pull = pull_from(records)
         dec = GroupLogWalk(*g.shape, alphabet, pull=pull)
