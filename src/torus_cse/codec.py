@@ -288,7 +288,7 @@ def decompress(data: bytes) -> Block:
     try:
         walk.run()
     except TorusCseError as e:
-        _locate(e, walk.building[0], dec.used)
+        _locate(e, walk.building, dec.used)
         raise
     try:
         [rank] = dec.decode([_rank_width(m * n)])

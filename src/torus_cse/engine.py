@@ -23,19 +23,15 @@ encoder's counts are the anchors per candidate, so its tables are the
 grid's census by construction, and checking that each anchor's candidate
 is made of its two slabs is its table check.
 
-One build makes a group of sizes that join along the same axis, in one
-pass of numpy steps: the tables each role reads are laid end to end
-(`_Stack`), each table's ids shifted past those of the tables before it,
-so the join, the cross slabs, the reorder to the native key, the
-dispositions and the encoder's anchors and counts each run once over the
-whole group, and the result is split into one table per size at the end.
-The walk's mode is its schedule.  Every size on anti-diagonal k + l reads
-only sizes on earlier diagonals, so the encoder builds a diagonal at a
-time: its groups are the diagonal's sizes that join along one axis, cut
-where their joins together would pass a pair cap (`Walk._groups`).  It
-holds each size's batch until every size before it in row-major order has
-been sunk, so the sink sees the v1 order.  The decoder reads the v1
-stream, so its groups are single sizes in row-major order.
+One build makes one size.  The walk's mode is its schedule.  Every size on
+anti-diagonal k + l reads only sizes on earlier diagonals, so the encoder
+builds a diagonal at a time, and it holds each size's batch until every
+size before it in row-major order has been sunk, so the sink sees the v1
+order.  The decoder reads the v1 stream, so it builds in row-major order.
+The encoder keeps the diagonal order for its peak: at (2, 25) of a 64x64
+Bernoulli(0.2) grid the row-major order holds the whole of row 2 (24 tables
+of about 0.31 MB), the diagonal order two short diagonals, and a row-major
+encoder peaked at 10.39 MB against 7.76 MB.
 
 Small grids and never-settling tiles make thousands of builds of a few
 hundred ids, so a build's fixed cost sets their speed.  Every per-build
@@ -62,13 +58,13 @@ still be built; then, while (k+1, l+1) may, the links and key order along
 that size's join axis, as the slab its cross join lays out; then its
 counts, while (k+2, l) or (k, l+2) reads them as an overlap; then its id
 count alone, as the overlap of a cross join; then nothing.  An edge strip
-also keeps its extremal marks while its column or row may still grow, and
-a column strip (k, 1) its marks and first row ids for good.  Each stage is
-a new table, as the readout keeps its size's table whole.  The decoder
-cuts its tables at each row's end, the encoder before each diagonal and
-after each group.  The encoder's anchor ids are read only by the joins of
-the next diagonal, so each table lets go of them right after the last
-group that joins its slabs.
+also keeps its extremal marks: a row strip (1, l) while its column may
+still grow, a column strip (k, 1) for good, with its first row ids.  Each
+stage is a new table, as the readout keeps its size's table whole.  The
+decoder cuts its tables at each row's end, the encoder before each
+diagonal and after each size.  The encoder's anchor ids are read only by
+the joins of the next diagonal, so each table lets go of them right after
+the last size that joins it as a slab.
 
 The decoder reads the grid off one built size instead, the readout size: the
 row-major first (K, L) with K, L >= 2 whose windows are all distinct and
@@ -103,8 +99,6 @@ catches a lie at any size.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 from .blocks import _expand_runs, _find, _run_bases, slab_bounds
@@ -114,23 +108,10 @@ from .errors import InconsistentCountsError, UnderdeterminedCountsError
 # are int32, so first * _KEY + last orders (first, last) pairs
 _KEY = np.int64(1 << 31)
 
-# most slab pairs the joins of one encoder group expand together
-# (`Walk._groups`).  A size whose join alone passes an eighth of it builds
-# alone, as iid64's large sizes (4.5k-10.6k pairs each) do, so the peaks
-# stay those of the largest single build; below it a group saves the
-# per-build fixed cost.  Set by walk-only encode timings of cli32's seed-1
-# grids against the per-size build (2 vCPUs): 2^12 took 0.87x on the
-# near-periodic tiles, 6 * 2^10 0.79-0.84x and 2^13 0.79-0.81x; the markov
-# textures took 1.13-1.29x at any of them.  The tile's encoder peak
-# (tracemalloc, tests/shared.py's tile) is 1.08x its decoder's at
-# 6 * 2^10 (3.23 against 2.99 MB) but 1.23x at 2^13, where
-# tests/test_codec.py allows 1.2x.
-_PAIR_CAP = 6 << 10
-
 # what sizes read of a table that is still some size's slab: every field
 # (`Walk._reads`)
 _WHOLE = ((0, 1), True, True)
-# and of a strip that only its column's or row's sizes read
+# and of a strip that sizes read only as their edge strip
 _MARKS = ((), False, True)
 
 _UNKEYED = object()  # a table axis whose key order is not known yet
@@ -171,25 +152,6 @@ class _Table:
         self.pairs = [None, None]
         self.is_extremal = None  # strips: the extremal line, if it occurs
         self.at = None
-
-    # a table is the stack (`_Stack`) of itself, with its ids unshifted
-
-    @property
-    def tabs(self):
-        return (self,)
-
-    @property
-    def off(self):
-        return (0, self.n)
-
-    def links(self, ax, ids_of=None):
-        return self.link[ax]
-
-    def edges(self, ax, ids_of=None):
-        return self.edge[ax]
-
-    def sorter(self, ax):
-        return _perm(self, ax)
 
 
 def _less(size, ax: int, d: int):
@@ -250,131 +212,54 @@ def _perm(tab: _Table, ax: int):
     return tab.perm[ax]
 
 
-def _roles(tabs, sizes, ax: int, strip: bool = True):
-    """The slabs of `sizes` along `ax`, their overlaps and, with `strip`,
-    their edge strips (rows (1, l) for ax 0, columns (k, 1) for ax 1): the
-    tables themselves for one size, each role's tables stacked for more."""
-    keys = [((k - 1, l), (k - 2, l), (1, l)) if ax == 0 else
-            ((k, l - 1), (k, l - 2), (k, 1)) for k, l in sizes]
-    if len(keys) == 1:
-        return [tabs[s] for s in keys[0][:2 + strip]]
-    return [_Stack([tabs[s] for s in role])
-            for role in list(zip(*keys))[:2 + strip]]
-
-
-class _Stack:
-    """Two or more tables, one per size of a group, laid end to end, so
-    that they read as one table: table i's ids are shifted by `off[i]`,
-    the number of ids before it."""
-
-    __slots__ = ("tabs", "n", "off", "_owner", "_shift")
-
-    def __init__(self, tabs) -> None:
-        self.tabs = tabs
-        self.off = np.array([0] + [t.n for t in tabs]).cumsum()
-        self.n = int(self.off[-1])
-        self._owner = None
-        self._shift = {}
-
-    def owner(self) -> np.ndarray:
-        """The table of each stacked id."""
-        if self._owner is None:
-            self._owner = np.arange(len(self.tabs)).repeat(
-                [t.n for t in self.tabs])
-        return self._owner
-
-    def cat(self, get, ids_of=None) -> np.ndarray:
-        """`get(tab)`, one value per id, of every table end to end; values
-        that are ids of the stack `ids_of` are shifted into it."""
-        out = np.concatenate([get(t) for t in self.tabs])
-        if ids_of is not None:
-            shift = self._shift.get(id(ids_of))
-            if shift is None:
-                shift = self._shift[id(ids_of)] = ids_of.off[self.owner()]
-            out += shift
-        return out
-
-    @property
-    def count(self) -> np.ndarray:
-        return self.cat(lambda t: t.count)
-
-    @property
-    def is_extremal(self) -> np.ndarray:
-        return self.cat(lambda t: t.is_extremal)
-
-    def links(self, ax, ids_of):
-        return tuple(self.cat(lambda t: t.link[ax][i], ids_of) for i in (0, 1))
-
-    def edges(self, ax, ids_of):
-        return tuple(self.cat(lambda t: t.edge[ax][i], ids_of) for i in (0, 1))
-
-    def sorter(self, ax: int):
-        """The stack's key permutation along `ax`, or None where its ids
-        run in key order: each table's, shifted, since each table's keys
-        all sort below the next one's."""
-        perms = [_perm(t, ax) for t in self.tabs]
-        if all(p is None for p in perms):
-            return None
-        out = np.concatenate([np.arange(t.n) if p is None else p
-                              for t, p in zip(self.tabs, perms)])
-        out += self.off[self.owner()]
-        return out
+def _roles(tabs, size, ax: int, strip: bool = True):
+    """The slab of `size` along `ax`, its overlap and, with `strip`, its
+    edge strip: a row (1, l) for ax 0, a column (k, 1) for ax 1."""
+    k, l = size
+    keys = (((k - 1, l), (k - 2, l), (1, l)) if ax == 0 else
+            ((k, l - 1), (k, l - 2), (k, 1)))
+    return [tabs[s] for s in keys[:2 + strip]]
 
 
 class _Group:
-    """The sizes one build makes, ascending in k and all joined along
-    `ax`, with the tables they read stacked per role (`_Stack`).
+    """The tables that the build of `size`, joined along `ax`, reads.
 
-    Along `ax`: the slabs `S`, their overlaps `O` and the edge strips `T`.
-    Along the other axis, for the sizes `sizes[f0:f1]` that have one (all
-    but a strip, which is one wide there and comes first in a column
-    group and last in a row group): the cross slabs `C`, their overlaps
-    `W` and edge strips `U`, and the (k-1, l-1) tables `X` with their
-    overlaps `Y` along `ax`, whose join places the cross slabs.  `po` and
-    `cof` hold where each size's pairs and candidates start, with the end.
+    Along `ax`: the slab `S`, its overlap `O` and the edge strip `T`.
+    Along the other axis, where the size is `full`, that is not a strip one
+    wide there: the cross slab `C`, its overlap `W` and edge strip `U`, and
+    the (k-1, l-1) table `X` with its overlap `Y` along `ax`, whose join
+    places the cross slabs.
     """
 
-    def __init__(self, tabs, sizes, ax: int) -> None:
-        self.sizes = sizes
-        self.g = g = len(sizes)
+    def __init__(self, tabs, size, ax: int) -> None:
+        self.size = size
         self.ax = ax
         o = 1 - ax
-        f0 = 1 if sizes[0][o] == 1 else 0
-        f1 = g - 1 if sizes[-1][o] == 1 else g
-        self.full = (f0, f1) if f0 < f1 else None
-        self.S, self.O, self.T = _roles(tabs, sizes, ax)
-        if f0 < f1:
-            cross = sizes[f0:f1]
-            self.C, self.W, self.U = _roles(tabs, cross, o)
-            # (k-1, l-1) and its overlap are the cross slabs' own slab and
+        self.full = size[o] >= 2
+        self.S, self.O, self.T = _roles(tabs, size, ax)
+        if self.full:
+            self.C, self.W, self.U = _roles(tabs, size, o)
+            # (k-1, l-1) and its overlap are the cross slab's own slab and
             # overlap along ax
-            self.X, self.Y = _roles(tabs, [_less(s, o, 1) for s in cross],
-                                    ax, strip=False)
-        self.po = self.cof = None
-
-    def size_of(self, c: int):
-        """The size of candidate `c`."""
-        return self.sizes[bisect_right(self.cof, c) - 1]
+            self.X, self.Y = _roles(tabs, _less(size, o, 1), ax, strip=False)
 
 
-def _pair_index(slab, overlap, ax: int):
-    """Where the join of the `slab` stack with itself along `ax` lists
-    each pair, and each slab's second slab as an `overlap` id.
+def _pair_index(slab: _Table, overlap: _Table, ax: int):
+    """Where the join of `slab` with itself along `ax` lists each pair.
 
     The join lists the (first, second) slab pairs that agree on their
     overlap in one run per first slab, the first slabs ascending and each
     run in its second slabs' sorted order.  So pair (f, s) sits at
     `base[f] + pos[s]` (`_place`), where `pos` is each slab's sorted
     position along `ax`, None where the slabs already run sorted; `runs`
-    holds each first slab's pair count and `perm` the sort.  A stack's join
-    is its tables' joins end to end.
+    holds each first slab's pair count and `perm` the sort.
     """
-    first, second = slab.links(ax, overlap)
-    perm = slab.sorter(ax)
+    first, second = slab.link[ax]
+    perm = _perm(slab, ax)
     # the slabs' sorted positions run by first slab, as `_run_bases` asks
     base, runs = _run_bases(first, second, overlap.n)
     pos = None if perm is None else _inverse(perm)
-    return base, pos, runs, perm, second
+    return base, pos, runs, perm
 
 
 def _place(base, pos, f, s):
@@ -384,59 +269,13 @@ def _place(base, pos, f, s):
     return at
 
 
-def _pair_counts(links, slabs) -> list[int]:
-    """Per table of a group, the slab pairs a join of it along the axis of
-    its `links` into `slabs` expands: per slab id, the ids that end with it
-    times the ids that start with it."""
+def _pair_count(links, slabs: _Table) -> int:
+    """The slab pairs that a join of a table along the axis of its `links`
+    into `slabs` expands: per slab id, the ids that end with it times the
+    ids that start with it."""
     ends = np.bincount(links[1], minlength=slabs.n)
     starts = np.bincount(links[0], minlength=slabs.n)
-    if isinstance(slabs, _Table):
-        return [int(np.dot(ends, starts))]
-    return np.add.reduceat(ends * starts, slabs.off[:-1]).tolist()
-
-
-def _unstack(grp: _Group, tab: _Table) -> list[_Table]:
-    """The group's table `tab`, in stacked ids, as one table per size in
-    its own ids, each with its slab pairs along both axes counted at once.
-
-    A strip, which stays as its marks for good, takes copies, not views
-    that would hold the group's arrays; copying every table instead lifted
-    the encoder's peak on a cli32 tile by a tenth, as the copies and the
-    group's arrays coexist while it splits.
-    """
-    ax, o, g = grp.ax, 1 - grp.ax, grp.g
-    # a size's tables run from its first slab on
-    cut = tab.link[ax][0].searchsorted(grp.S.off).tolist()
-    pairs = [[None] * g, [None] * g]
-    pairs[ax] = _pair_counts(tab.link[ax], grp.S)
-    shift = {ax: (grp.S.off, grp.T.off)}
-    if grp.full is not None:
-        f0, f1 = grp.full
-        pairs[o][f0:f1] = _pair_counts(
-            [x[cut[f0]:cut[f1]] for x in tab.link[o]], grp.C)
-        # the strip's placeholder ids along o stay as they are
-        shift[o] = [_padded(np.asarray(x.off[:-1], dtype=np.int64), f0, g, 0)
-                    for x in (grp.C, grp.U)]
-    own = np.arange(g).repeat([b - a for a, b in zip(cut, cut[1:])])
-    # each shift is gathered once, for both arrays of its link or edge pair
-    for x, shifts in shift.items():
-        for pair, s in zip((tab.link[x], tab.edge[x]), shifts):
-            s = s[own]
-            for y in pair:
-                y -= s
-    out = []
-    for i, size in enumerate(grp.sizes):
-        a, b = cut[i], cut[i + 1]
-        take = ((lambda y: y[a:b]) if size[o] >= 2 else
-                (lambda y: y[a:b].copy()))
-        t = _Table(b - a)
-        t.count = take(tab.count)
-        for x in (ax, o) if size[o] >= 2 else (ax,):
-            t.link[x] = tuple(map(take, tab.link[x]))
-            t.edge[x] = tuple(map(take, tab.edge[x]))
-        t.pairs = [pairs[0][i], pairs[1][i]]
-        out.append(t)
-    return out
+    return int(np.dot(ends, starts))
 
 
 def _lookup(tab: _Table, ax: int, first: np.ndarray, last: np.ndarray):
@@ -468,14 +307,6 @@ def _take(tab: _Table, idx) -> _Table:
                 a = a[idx]
                 b = b[idx]
                 into[ax] = (a, b)
-    return out
-
-
-def _padded(a: np.ndarray, at: int, n: int, fill) -> np.ndarray:
-    """`a` placed at `at` in an array of `n` values `fill`."""
-    out = np.empty(n, dtype=a.dtype)
-    out.fill(fill)
-    out[at:at + len(a)] = a
     return out
 
 
@@ -514,7 +345,7 @@ class Walk:
 
     `truth` is the grid in encoder mode and None in decoder mode.  `step`
     holds the flat index of each anchor's neighbour one row down and one
-    column right.  `building` holds the sizes of the build under way.
+    column right.  `building` holds the size under way.
     """
 
     def __init__(self, m, n, alphabet, *, grid=None, pull=None, sink=None):
@@ -535,17 +366,15 @@ class Walk:
             **{(k, 0): empty for k in range(1, m + 1)},
             **{(0, l): empty for l in range(1, n + 1)}}
         self.max1: dict[tuple[int, int], bool] = {}
-        # per column l, the tallest size (k, l) that may still be built,
-        # and the tallest built
+        # per column l, the tallest size (k, l) that may still be built
         self.reach = [0] + [m] * n + [0, 0]
-        self.height = [0] * (n + 1)
         self.sym = None  # (1,1) id -> symbol value
         # ((K, L), table) of the row-major first size whose shift links
         # are known
         self.readout: tuple[tuple[int, int], _Table] | None = None
-        self.building = [(1, 1)]
+        self.building = (1, 1)
         # what sizes still read of each table that may yet be cut: all held
-        # but the (1, 1) and empty ones and the columns' marks (`_reads`)
+        # but the (1, 1) and empty ones and the strips' marks (`_reads`)
         self._kept: dict[tuple[int, int], tuple] = {}
         self._axes = {}  # join axis of each size of the diagonal under way
         # encoder: batches held until every size before them in row-major
@@ -553,25 +382,23 @@ class Walk:
         self._held = {}
         self._next = (1, 2)
         self._count_type = np.min_scalar_type(self.mn)
-        # most slab pairs one encoder group expands (`_groups`)
-        self.pair_cap = min(_PAIR_CAP, self.mn * self.mn >> 7)
 
     # ---- driving ----
 
     def run(self) -> None:
         self._build_11()
         schedule = self._rows() if self.truth is None else self._diagonals()
-        for sizes, ax in schedule:
-            self._build(sizes, ax)
+        for size, ax in schedule:
+            self._build(size, ax)
 
     def _rows(self):
-        """The decoder's groups: one size each, row-major, the v1 order."""
+        """The decoder's builds: row-major, the v1 order."""
         for k in range(1, self.m + 1):
             for l in range(2 if k == 1 else 1, self.n + 1):
                 if self._settled(k, l):
                     self._cut(k, l)
                     break  # so is every size right of it in row k
-                yield [(k, l)], self._join(k, l)[0]
+                yield (k, l), self._join(k, l)[0]
             # a table of row k is read by rows k+1 and k+2 still
             self._drop_unread([s for s in self._kept
                                if s[0] < k or s[0] == 1])
@@ -579,16 +406,16 @@ class Walk:
                 return  # so is every row below it
 
     def _diagonals(self):
-        """The encoder's groups: anti-diagonal by anti-diagonal, per
-        diagonal the sizes that join along one axis (`_groups`).
+        """The encoder's builds: anti-diagonal by anti-diagonal, each
+        diagonal in k order.
 
         Before a diagonal builds, each table of the one before lets go of
         its anchor ids unless a join of the diagonal reads them, and after
-        each group the ones whose last such join it was.  A table two
+        each size the slab whose last such join it was.  A table two
         diagonals back is read by this diagonal at most, as a cross join's
         slab or an overlap, and one three back as a cross join's overlap,
         so before the diagonal each is cut to what its joins read, and
-        after each group to what the later groups read (`_drop_unread`).
+        after each size to what the later sizes read (`_drop_unread`).
         A table of the one before that no join reads as a slab is cut
         before the diagonal too, as the sizes that would read it may have
         settled.
@@ -605,64 +432,32 @@ class Walk:
                     self._cut(k, l)
                 else:
                     sizes.append((k, l))
-            groups = self._groups(sizes)
-            self._axes = {s: ax for group, ax in groups for s in group}
+            self._axes = axes = {s: self._join(*s)[0] for s in sizes}
             self._flush()
-            reader = {_less(s, ax, 1): i
-                      for i, (group, ax) in enumerate(groups) for s in group}
-            done = [[] for _ in groups]
-            unread = []  # the last diagonal's tables that no join reads
-            for size in last:
-                if size in reader:
-                    done[reader[size]].append(size)
-                else:
-                    self.tabs[size].at = None
-                    unread.append(size)
+            # each slab's last reader
+            reader = {_less(s, axes[s], 1): s for s in sizes}
+            unread = [s for s in last if s not in reader]
+            for size in unread:
+                self.tabs[size].at = None
             self._drop_unread(unread + [s for s in self._kept
                                         if s[0] == 1 or s[0] + s[1] <= d - 2])
-            for i, (group, ax) in enumerate(groups):
-                yield group, ax
-                for size in done[i]:
-                    self.tabs[size].at = None
-                if i + 1 < len(groups):  # else the next diagonal's cut
+            for size in sizes:
+                ax = axes[size]
+                yield size, ax
+                slab = _less(size, ax, 1)
+                if reader[slab] == size:
+                    self.tabs[slab].at = None
+                if size != sizes[-1]:  # else the next diagonal's cut
                     # the cross join's slab and overlap, and the overlaps
-                    self._drop_unread([r for k, l in group for r in (
-                        (k - 1, l - 1), _less((k - 1, l - 1), ax, 1),
-                        (k - 2, l), (k, l - 2))])
+                    k, l = size
+                    self._drop_unread([(k - 1, l - 1),
+                                       _less((k - 1, l - 1), ax, 1),
+                                       (k - 2, l), (k, l - 2)])
             if not sizes:
                 break
             last = sizes
         self._flush()
         self._drop_unread()
-
-    def _groups(self, sizes):
-        """`sizes` as (group, axis) builds: per join axis, columns first,
-        the sizes in k order, a new group begun where the joins would pass
-        the pair cap together.  A size whose join alone passes an eighth of
-        the cap builds alone, as its own array work outweighs the fixed
-        cost a group saves.  Below 2^10 cells the cap falls as the square
-        of the area, (mn)^2 / 2^7 pairs, since there the tables the walk
-        holds are small next to the arrays a group builds at once: on
-        mixed-small, groups under 2^12 pairs doubled the encoder's peak."""
-        cap = self.pair_cap
-        joins = [(s, *self._join(*s)) for s in sizes]
-        groups = []
-        for ax in (1, 0):
-            group, pairs = [], 0
-            for s, a, cost in joins:
-                if a != ax:
-                    continue
-                if group and (pairs + cost > cap or 8 * cost > cap):
-                    groups.append((group, ax))
-                    group, pairs = [], 0
-                group.append(s)
-                pairs += cost
-                if 8 * cost > cap:
-                    groups.append((group, ax))
-                    group, pairs = [], 0
-            if group:
-                groups.append((group, ax))
-        return groups
 
     def _settled(self, k: int, l: int) -> bool:
         """True when (k, l-2) or (k-2, l) has every window once.
@@ -682,6 +477,15 @@ class Walk:
             if reach[j] < k:
                 break  # nor any column right of it, as reach never grows
             reach[j] = k - 1
+            if (k - 1, j) in self.max1:
+                self._column_done(j)
+
+    def _column_done(self, l: int) -> None:
+        """Column l builds no more sizes, so none reads the extremal marks
+        of its row strip (1, l): if the strip was cut to its marks, which
+        are asked about no more, the next cut asks again (`_drop_unread`)."""
+        if l >= 2 and (1, l) in self.tabs and (1, l) not in self._kept:
+            self._kept[(1, l)] = _MARKS
 
     def _drop_unread(self, sizes=None) -> None:
         """Cut each of `sizes`, by default every table held, to what the
@@ -705,8 +509,8 @@ class Walk:
                 del kept[size], tabs[size]
                 continue
             tabs[size] = _stage(tab, *now, column=size[1] == 1)
-            if size[1] == 1 and now == _MARKS:
-                del kept[size]  # a column's marks stay for good
+            if now == _MARKS:
+                del kept[size]  # asked no more (`_column_done`)
             else:
                 kept[size] = now
 
@@ -723,7 +527,9 @@ class Walk:
         columns only its id count, as that join's overlap.  Every size of
         its column (1, l) or row (k, 1) reads a strip's extremal marks: a
         row's while its column may still grow, a column's for good, as the
-        readout lays out the grid through them.
+        readout lays out the grid through them.  A strip cut to its marks
+        is asked no more: a column keeps them, and a row lets go of them
+        once its column is done (`_column_done`).
         """
         k, l = size
         reach, built, axes = self.reach, self.max1, self._axes
@@ -738,7 +544,7 @@ class Walk:
             links = (ax,)
         counts = ((k + 2 <= reach[l] and (k + 2, l) not in built)
                   or (k <= reach[l + 2] and (k, l + 2) not in built))
-        marks = l == 1 or (k == 1 and reach[l] > self.height[l])
+        marks = l == 1 or (k == 1 and (reach[l], l) not in built)
         if (links or counts or marks
                 or (k + 2 <= reach[l + 1] and (k + 2, l + 1) not in built
                     and axes.get((k + 2, l + 1), 0) == 0)
@@ -796,9 +602,10 @@ class Walk:
         self.tabs[size] = tab
         self.max1[size] = distinct = bool(np.maximum.reduce(tab.count) == 1)
         k, l = size
-        self.height[l] = k
         if l >= 2 or k >= 2:
             self._kept[size] = _WHOLE
+        if k == self.reach[l]:
+            self._column_done(l)
         if (distinct and k >= 2 and l >= 2
                 and (self.readout is None or size < self.readout[0])
                 and (l == self.n or self.max1[(k, l - 1)])
@@ -809,11 +616,11 @@ class Walk:
 
     def _join_cost(self, ax, k, l) -> int:
         """How many slab pairs the join of size (k, l) along `ax` expands,
-        counted on first use where its slab's build left it open."""
+        counted on first use."""
         slab = self.tabs[(k - 1, l) if ax == 0 else (k, l - 1)]
         if slab.pairs[ax] is None:
             overlap = self.tabs[(k - 2, l) if ax == 0 else (k, l - 2)]
-            slab.pairs[ax] = _pair_counts(slab.link[ax], overlap)[0]
+            slab.pairs[ax] = _pair_count(slab.link[ax], overlap)
         return slab.pairs[ax]
 
     def _join(self, k, l):
@@ -835,11 +642,11 @@ class Walk:
         return (0, rows) if rows < columns else (1, columns)
 
     def _fields(self, grp: _Group, first, second):
-        """Links and edges of the group's candidates, joined along `ax`
-        from the stacked slab pairs; drops the ones whose slab along the
-        other axis, `o`, is absent.  Returns the candidates and the mask of
-        the pairs kept, or None where all are.  A strip's candidates get
-        placeholder links along `o`, where it is one wide.
+        """Links and edges of the candidates, joined along `ax` from the
+        slab pairs; drops the ones whose slab along the other axis, `o`, is
+        absent.  Returns the candidates and the mask of the pairs kept, or
+        None where all are.  A strip, one wide along `o`, gets its
+        placeholder links there once built (`_finish_strip`).
 
         The cross slabs are read off the cross table's own join along `ax`.
         Dropping a line along `o` commutes with dropping one along `ax`, so
@@ -858,74 +665,52 @@ class Walk:
         ax, o, S = grp.ax, 1 - grp.ax, grp.S
         cand = _Table(len(first))
         cand.link[ax] = (first, second)
-        start, end = S.edges(ax, grp.T)
+        start, end = S.edge[ax]
         cand.edge[ax] = (start[first], end[second])
-        if grp.full is None:
+        if not grp.full:
             return cand, None
-        f0, f1 = grp.full
-        p0, p1 = grp.po[f0], grp.po[f1]
-        C, X = grp.C, grp.X
-        base, pos, runs = _pair_index(X, grp.Y, ax)[:3]
+        C = grp.C
+        base, pos, runs = _pair_index(grp.X, grp.Y, ax)[:3]
         listed = np.empty(int(np.add.reduce(runs)), dtype=np.int64)
         listed.fill(-1)
-        cf, cs = C.links(ax, X)
+        cf, cs = C.link[ax]
         listed[_place(base, pos, cf, cs)] = np.arange(C.n)
         # each slab less its last line along o, and less its first
-        Sf = (S if f1 - f0 == grp.g else S.tabs[f0] if f1 - f0 == 1
-              else _Stack(S.tabs[f0:f1]))
-        head, tail = Sf.links(o, X)
-        f, s = first[p0:p1], second[p0:p1]
-        if Sf is not S:
-            f, s = f - S.off[f0], s - S.off[f0]
-        p = listed[_place(base, pos, head[f], head[s])]
-        q = listed[_place(base, pos, tail[f], tail[s])]
+        head, tail = S.link[o]
+        p = listed[_place(base, pos, head[first], head[second])]
+        q = listed[_place(base, pos, tail[first], tail[second])]
         keep = np.minimum(p, q) >= 0
-        if Sf is not S:
-            p, q = _padded(p, p0, cand.n, 0), _padded(q, p0, cand.n, 0)
         cand.link[o] = (p, q)
         if np.logical_and.reduce(keep):
             keep = None
         else:
-            if Sf is not S:
-                keep = _padded(keep, p0, cand.n, True)
             cand = _take(cand, keep)
         # the first cross slab starts with the candidate's first line, the
         # second ends with its last
         p, q = cand.link[o]
-        start, end = C.edges(o, grp.U)
+        start, end = C.edge[o]
         cand.edge[o] = (start[p], end[q])
         return cand, keep
 
-    # ---- group build ----
+    # ---- size build ----
 
-    def _build(self, sizes, ax) -> None:
-        """Build the group `sizes`, ascending in k, all joined along `ax`,
-        and sorted to the native key: columns, except for a strip one
-        column wide, which comes last in a row group."""
-        self.building = sizes
-        grp = _Group(self.tabs, sizes, ax)
-        base, pos, runs, perm, grp.second = _pair_index(grp.S, grp.O, ax)
+    def _build(self, size, ax) -> None:
+        """Build `size`, joined along `ax` and sorted to the native key:
+        columns, or rows for a strip one column wide."""
+        self.building = size
+        grp = _Group(self.tabs, size, ax)
+        base, pos, runs, perm = _pair_index(grp.S, grp.O, ax)
         first, member = _expand_runs(base, runs)
         second = member if perm is None else perm[member]
-        grp.po = [0, len(first)] if grp.g == 1 else np.concatenate(
-            ([0], np.add.reduceat(runs, grp.S.off[:-1]))).cumsum()
         cand, keep = self._fields(grp, first, second)
         # past here only the encoder's anchors read the join, so the rest
         # of it is let go before the build's peak
         del first, second, member
         if self.truth is None:
             base = pos = keep = None
-        # a size's candidates are the ones whose first slab is its slab;
-        # the join lists them by first slab, so they run size by size
-        grp.cof = ([0, cand.n] if grp.g == 1 else
-                   cand.link[ax][0].searchsorted(grp.S.off))
         order = None
-        if ax == 0 and grp.full is not None:
-            c1 = int(grp.cof[grp.full[1]])
-            probe = cand.link[1][0][:c1] * _KEY + cand.edge[1][1][:c1]
-            order = probe.argsort(kind="stable")
-            if c1 < cand.n:
-                order = np.concatenate((order, np.arange(c1, cand.n)))
+        if ax == 0 and grp.full:
+            order = _key(cand, 1).argsort(kind="stable")
             cand = _take(cand, order)
 
         lo, hi, transmit = self._dispositions(grp, cand)
@@ -936,8 +721,7 @@ class Walk:
         self._split(grp, cand, values, at)
 
     def _anchors(self, grp, cand, base, pos, keep, order) -> np.ndarray:
-        """Each anchor's candidate index, the group's sizes one after
-        another, read off the join.
+        """Each anchor's candidate index, read off the join.
 
         The anchor's window joins its slab `a` along `ax` with `b`, the
         slab one step further along `ax`, and the join lists that pair at
@@ -948,16 +732,10 @@ class Walk:
         was dropped, or whose place falls off a range, lands (clipped) on
         some other candidate, so the same check catches it.
         """
-        ax, S = grp.ax, grp.S
+        ax = grp.ax
         # the ids are kept as int32, but int64 indices gather faster
-        if grp.g == 1:
-            a = S.at.ravel().astype(np.int64)
-            b = a[self.step[ax]]
-        else:
-            a = np.stack([t.at.ravel() for t in S.tabs]).astype(np.int64)
-            a += S.off[:-1, None]
-            b = a.take(self.step[ax], axis=1).ravel()
-            a = a.ravel()
+        a = grp.S.at.ravel().astype(np.int64)
+        b = a[self.step[ax]]
         at = _place(base, pos, a, b)
         if keep is not None:
             at = (np.add.accumulate(keep, dtype=np.int64) - 1).take(
@@ -967,9 +745,8 @@ class Walk:
         else:
             np.minimum(np.maximum(at, 0, out=at), cand.n - 1, out=at)
         first, second = cand.link[ax]
-        made = (first[at] == a) & (second[at] == b)
-        if not np.logical_and.reduce(made):
-            k, l = grp.sizes[int(np.argmin(made)) // self.mn]
+        if not np.logical_and.reduce((first[at] == a) & (second[at] == b)):
+            k, l = grp.size
             raise InconsistentCountsError(
                 f"walked table diverges from the grid at size ({k},{l})")
         return at
@@ -986,45 +763,33 @@ class Walk:
         column or row is its strip's extremal line: J-1 at both ends around
         the largest interior that occurs, the strip's largest id if it occurs.
         """
-        if grp.g == 1:
-            empty = [0] if cand.n == 0 else []
-        else:
-            empty = (grp.cof[1:] == grp.cof[:-1]).nonzero()[0]
-        if len(empty):
-            k, l = grp.sizes[int(empty[0])]
+        k, l = grp.size
+        if cand.n == 0:
             raise InconsistentCountsError(f"no candidates at size ({k},{l})")
         ax, o = grp.ax, 1 - grp.ax
         # every size has slabs along its join axis, and all but a strip
         # along the other
-        count = grp.S.count
+        S = grp.S
         first, second = cand.link[ax]
         lo, hi, transmit = slab_bounds(
-            count[first], count[second], grp.O.count[grp.second[first]])
+            S.count[first], S.count[second], grp.O.count[S.link[ax][1][first]])
         top = grp.T.is_extremal
         transmit &= ~(top[cand.edge[ax][0]] | top[cand.edge[ax][1]])
-        if grp.full is not None:
+        if grp.full:
             C = grp.C
-            c0, c1 = int(grp.cof[grp.full[0]]), int(grp.cof[grp.full[1]])
-            part = slice(c0, c1) if c1 - c0 < cand.n else slice(None)
             first, second = cand.link[o]
             start, end = cand.edge[o]
-            if c1 - c0 < cand.n:
-                first, second, start, end = (first[part], second[part],
-                                             start[part], end[part])
-            count = C.count
             o_lo, o_hi, open_ = slab_bounds(
-                count[first], count[second],
-                grp.W.count[C.links(o, grp.W)[1][first]])
+                C.count[first], C.count[second],
+                grp.W.count[C.link[o][1][first]])
             top = grp.U.is_extremal
-            np.maximum(lo[part], o_lo, out=lo[part])
-            np.minimum(hi[part], o_hi, out=hi[part])
+            np.maximum(lo, o_lo, out=lo)
+            np.minimum(hi, o_hi, out=hi)
             open_ &= ~(top[start] | top[end])
-            transmit[part] &= open_
+            transmit &= open_
         # true counts sit inside [lo, hi], so crossed bounds mean corrupt
         # counts; pulling a crossed interval would ask the coder for width <= 0
-        crossed = lo > hi
-        if np.logical_or.reduce(crossed):
-            k, l = grp.size_of(int(np.argmax(crossed)))
+        if np.logical_or.reduce(lo > hi):
             raise InconsistentCountsError(
                 f"interval bounds crossed at size ({k},{l})")
         return lo, hi, transmit
@@ -1044,38 +809,31 @@ class Walk:
         """Fill in every candidate count; code the ones marked `transmit`.
 
         The encoder counts the candidate positions `at` of its anchors and
-        holds each size's batch for `_flush`.  The decoder, one size at a
-        time, starts from the counts whose interval is one point and the
-        pulled ones.  One sweep over the four slab families derives the
-        rest on a consistent stream.  Only when the sweep leaves a count
-        unknown or out of its interval, or the family sums then fail, does
-        the narrowing of `_derive` run, from the counts known before the
-        sweep, to name what is wrong.  The family sums over every
-        candidate, checked last, are the consistency gate; they alone cover
-        a size with nothing to derive.
+        holds the size's batch for `_flush`.  The decoder starts from the
+        counts whose interval is one point and the pulled ones.  One sweep
+        over the four slab families derives the rest on a consistent
+        stream.  Only when the sweep leaves a count unknown or out of its
+        interval, or the family sums then fail, does the narrowing of
+        `_derive` run, from the counts known before the sweep, to name what
+        is wrong.  The family sums over every candidate, checked last, are
+        the consistency gate; they alone cover a size with nothing to
+        derive.
         """
+        k, l = grp.size
         t_idx = transmit.nonzero()[0]
         if at is not None:
             true_vals = np.bincount(at, minlength=cand.n)
             if not len(t_idx):
                 return true_vals
             lo_t, hi_t, sent = lo[t_idx], hi[t_idx], true_vals[t_idx]
-            out = (sent < lo_t) | (sent > hi_t)
-            if np.logical_or.reduce(out):
-                k, l = grp.size_of(int(t_idx[np.argmax(out)]))
+            if np.logical_or.reduce((sent < lo_t) | (sent > hi_t)):
                 raise InconsistentCountsError(
                     f"true count escapes its interval at size ({k},{l})")
             # held in the narrowest type that holds mn
-            batch = np.array((lo_t, hi_t, sent),
-                             dtype=self._count_type)
-            cuts = ([0, len(t_idx)] if grp.g == 1 else
-                    t_idx.searchsorted(grp.cof).tolist())
-            for size, a, b in zip(grp.sizes, cuts, cuts[1:]):
-                if a < b:
-                    self._held[size] = batch[:, a:b]
+            self._held[grp.size] = np.array((lo_t, hi_t, sent),
+                                            dtype=self._count_type)
             return true_vals
 
-        [(k, l)] = grp.sizes
         values = np.where(lo == hi, lo, np.int64(-1))
         if len(t_idx):
             values[t_idx] = self._pulled(k, l, lo[t_idx], hi[t_idx])
@@ -1144,11 +902,10 @@ class Walk:
         raise UnderdeterminedCountsError(
             f"{len(u)} counts unresolved at size ({k},{l})")
 
-    # ---- splitting into tables ----
+    # ---- the size's table ----
 
     def _split(self, grp, cand, values, at) -> None:
-        """Make one table per size of the group from its positive counts
-        and install them.
+        """Make the size's table from its positive counts and install it.
 
         The encoder's anchor ids follow each candidate to its table id.
         Counts need no area check: the encoder's are a bincount of the mn
@@ -1156,7 +913,7 @@ class Walk:
         counts (`_resolve`), and its values are >= 0, so a table sums to its
         slab table, and by induction from (1, 1) and the empty table to mn.
         """
-        ax, o = grp.ax, 1 - grp.ax
+        size = grp.size
         mask = values > 0
         kept = mask.nonzero()[0]
         if len(kept) == cand.n:  # every candidate occurs
@@ -1167,20 +924,12 @@ class Walk:
             tab.count = values[kept]
             if at is not None:
                 at = (np.add.accumulate(mask, dtype=np.int32) - 1)[at]
-        tabs = [tab] if grp.g == 1 else _unstack(grp, tab)
+        tab.perm[1 if size[1] >= 2 else 0] = None  # the native key
         if at is not None:
-            at = at.astype(np.int32, copy=False).reshape(grp.g, self.m, self.n)
-            if grp.g > 1:
-                # each table's ids start at 0: less the ids before it
-                at -= np.array([0] + [t.n for t in tabs[:-1]],
-                               dtype=np.int32).cumsum()[:, None, None]
-        for i, (size, t) in enumerate(zip(grp.sizes, tabs)):
-            t.perm[1 if size[1] >= 2 else 0] = None  # the native key
-            if at is not None:
-                t.at = at[i]
-            if size[o] < 2:
-                self._finish_strip(size, t, ax)
-            self._install(size, t)
+            tab.at = at.astype(np.int32, copy=False).reshape(self.m, self.n)
+        if not grp.full:
+            self._finish_strip(size, tab, grp.ax)
+        self._install(size, tab)
 
     def _finish_strip(self, size, tab: _Table, ax) -> None:
         """Link a strip along the axis it is one wide on, the one that is

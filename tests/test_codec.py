@@ -576,13 +576,14 @@ def traced_peak(fn, *args):
     one_dot(32),
 ], ids=["bernoulli64", "tile32", "dot32"])
 def test_encoder_peak_stays_near_the_decoders(grid):
-    # both sides build the same tables; the encoder adds only the anchor
-    # ids of the few sizes its next build reads
+    # both sides build the same tables, one size at a time; the encoder
+    # adds the anchor ids of the few sizes its next builds read, but its
+    # diagonals hold fewer tables at once than the decoder's rows
     p = from_numpy(grid, 2)
     data, enc = traced_peak(compress, p)
     back, dec = traced_peak(decompress, data)
     assert back == p and not data[7] & FLAG_ESCAPE
-    assert enc <= 1.2 * dec, (enc, dec)
+    assert enc <= dec, (enc, dec)
 
 
 # ---- golden containers ----

@@ -12,8 +12,7 @@ from shared import (decode_grid, is_shift, near_periodic_tile, one_dot,
                     pull_from)
 from torus_cse.blocks import Census, from_numpy, is_primitive, rank_of
 from torus_cse.codec import B1, B2, B3, _encode, compress, decompress, stats
-from torus_cse import engine
-from torus_cse.engine import Walk, _lookup, _sweep, _take
+from torus_cse.engine import _MARKS, Walk, _lookup, _sweep, _take
 from torus_cse.errors import InconsistentCountsError, UnderdeterminedCountsError
 from torus_cse.oracle import (DERIVE, _schedule, primitive_blocks,
                               transmitted_records)
@@ -178,8 +177,8 @@ def test_encoder_catches_a_missing_window():
             cand, keep = super()._fields(grp, first, second)
             if self.dropped:
                 return cand, keep
-            self.dropped = True  # the first join is size (1,2)'s alone
-            assert grp.sizes == [(1, 2)]
+            self.dropped = True  # the first join is size (1,2)'s
+            assert grp.size == (1, 2)
             return _take(cand, np.arange(1, cand.n)), keep
 
     with pytest.raises(InconsistentCountsError,
@@ -189,13 +188,12 @@ def test_encoder_catches_a_missing_window():
 
 
 class JoinLogWalk(Walk):
-    """An encoder walk that notes the join axis of every size it builds
-    and each group it builds, and calls `built(k, l)` after each size."""
+    """An encoder walk that notes the join axis of every size it builds,
+    and calls `built(k, l)` after each size."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.joins = {}
-        self.groups = []
 
     def built(self, k, l):
         pass
@@ -204,18 +202,10 @@ class JoinLogWalk(Walk):
         super()._build_11()
         self.built(1, 1)
 
-    def _build(self, sizes, ax):
-        self.joins.update(dict.fromkeys(sizes, ax))
-        self.groups.append((list(sizes), ax))
-        super()._build(sizes, ax)
-        for k, l in sizes:
-            self.built(k, l)
-
-
-def slab_of(grp, i):
-    """The slab table of the group's size i along its join axis, and the
-    shift of its ids in the group's stacked ids."""
-    return grp.S.tabs[i], int(grp.S.off[i])
+    def _build(self, size, ax):
+        self.joins[size] = ax
+        super()._build(size, ax)
+        self.built(*size)
 
 
 class LosesAnchorWindow(JoinLogWalk):
@@ -225,11 +215,10 @@ class LosesAnchorWindow(JoinLogWalk):
 
     def _fields(self, grp, first, second):
         cand, keep = super()._fields(grp, first, second)
-        if self.target not in grp.sizes:
+        if grp.size != self.target:
             return cand, keep
         ax = grp.ax
-        slab, shift = slab_of(grp, grp.sizes.index(self.target))
-        ids = slab.at + shift
+        ids = grp.S.at
         lost = ((cand.link[ax][0] == ids[0, 0])
                 & (cand.link[ax][1] == ids[1 - ax, ax]))
         assert lost.sum() == 1
@@ -275,21 +264,21 @@ def held_ids(walk):
 
 
 class RetentionWalk(JoinLogWalk):
-    """Checks before each group that the tables holding anchor ids, as
-    int32, are exactly the slabs that this group and the later groups of
-    its diagonal join, and the sizes its earlier groups built: a table
+    """Checks before each size that the tables holding anchor ids, as
+    int32, are exactly the slabs that this size and the later sizes of its
+    diagonal join, and the sizes of the diagonal built so far: a table
     keeps its ids for the next diagonal, and lets go of them after the
-    last group that reads them."""
+    last size that reads them."""
 
-    def _build(self, sizes, ax):
+    def _build(self, size, ax):
         held = held_ids(self)
         assert all(ids.dtype == np.int32 for ids in held.values())
         read = {(k - 1, l) if a == 0 else (k, l - 1)
                 for (k, l), a in self._axes.items() if (k, l) not in self.max1}
         # the diagonal's sizes built so far keep theirs for the next one
-        built = {size for size in self._axes if size in self.max1}
-        assert set(held) == read | built, sizes
-        super()._build(sizes, ax)
+        built = {s for s in self._axes if s in self.max1}
+        assert set(held) == read | built, size
+        super()._build(size, ax)
 
 
 def seeded_grids(count=20):
@@ -316,7 +305,7 @@ def test_walk_ids_match_the_census():
     assert kinds == {"columns", "rows", "strip"}
 
 
-def test_walk_holds_two_rows_of_anchor_ids():
+def test_walk_holds_two_diagonals_of_anchor_ids():
     # the ids of one diagonal and the next at most; none once the walk ends
     for g, alphabet in seeded_grids() + [(near_periodic_tile(), 2)]:
         walk = encode_walk(g, alphabet, RetentionWalk)[1]
@@ -328,21 +317,23 @@ class FieldRetentionWalk(Walk):
     that every field of every table held has a reader still to be built:
     both axes' links while (k+1, l) or (k, l+1), which read it whole, may
     still be built; one axis's links for a (k+1, l+1) joined along that
-    axis; counts for one of those or an overlap (k+2, l) or (k, l+2).  It
-    notes the kinds of table held."""
+    axis; counts for one of those or an overlap (k+2, l) or (k, l+2); a
+    row strip's extremal marks alone while its column may still grow.  A
+    strip cut to its marks is asked about no more.  It notes the kinds of
+    table held."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.kinds = set()
         self.line = None
 
-    def _build(self, sizes, ax):
-        k, l = sizes[0]
+    def _build(self, size, ax):
+        k, l = size
         line = k if self.truth is None else k + l
         if line != self.line:
             self.line = line
             self.check()
-        super()._build(sizes, ax)
+        super()._build(size, ax)
 
     def later(self, k, l):
         return (k, l) not in self.max1 and k <= self.reach[l]
@@ -366,6 +357,11 @@ class FieldRetentionWalk(Walk):
                         or self.later(k, l + 2)), (k, l)
                 if not links:
                     self.kinds.add("counts")
+            elif k == 1 and not links and tab.is_extremal is not None:
+                assert any(self.later(i, l)
+                           for i in range(2, self.reach[l] + 1)), (k, l)
+                self.kinds.add("row marks")
+        assert _MARKS not in self._kept.values()
 
 
 def test_walks_hold_only_the_fields_later_sizes_read():
@@ -381,8 +377,8 @@ def test_walks_hold_only_the_fields_later_sizes_read():
         dec_kinds |= dec.kinds
     # the encoder cuts a table to its cross join's links two diagonals on;
     # the decoder's (k+1, l+1) builds in the same row as (k+1, l)
-    assert enc_kinds == {"whole", "rows", "columns", "counts"}
-    assert dec_kinds == {"whole", "counts"}
+    assert enc_kinds == {"whole", "rows", "columns", "counts", "row marks"}
+    assert dec_kinds == {"whole", "counts", "row marks"}
 
 
 class CrossParityWalk(Walk):
@@ -405,37 +401,26 @@ class CrossParityWalk(Walk):
         cand, keep = super()._fields(grp, first, second)
         ax = grp.ax
         o = 1 - ax
-        for i, (k, l) in enumerate(grp.sizes):
-            if (k, l)[o] < 2:
-                self.kinds.add("strip")
-                continue
-            # this size's pairs and candidates, in its tables' own ids
-            slab, shift = slab_of(grp, i)
-            j = i - grp.full[0]
-            cross, cross_shift = grp.C.tabs[j], int(grp.C.off[j])
-            inner = self.whole[(k - 1, l - 1)]
-            pairs = (first >= shift) & (first < shift + slab.n)
-            f, s = first[pairs] - shift, second[pairs] - shift
-            rows = cand.link[ax][0] - shift
-            rows = (rows >= 0) & (rows < slab.n)
-            # a cross slab's last edge along ax is that of the second slab
-            # less the same line
-            (p, ok_p), (q, ok_q) = (
-                _lookup(cross, ax, slab.link[o][h][f],
-                        inner.edge[ax][1][slab.link[o][h][s]])
-                for h in (0, 1))
-            found = ok_p & ok_q
-            assert (found.all() if keep is None
-                    else np.array_equal(found, keep[pairs]))
-            assert np.array_equal(cand.link[o][0][rows] - cross_shift,
-                                  p[found]), (k, l)
-            assert np.array_equal(cand.link[o][1][rows] - cross_shift,
-                                  q[found]), (k, l)
-            # (k-1, l-1) is one wide at k or l = 2; where it is one wide
-            # along the join, its overlap along it is the empty window
-            self.kinds |= {("rows", "columns")[ax],
-                           *(["one-wide"] if min(k, l) == 2 else []),
-                           *(["empty overlap"] if (k, l)[ax] == 2 else [])}
+        k, l = grp.size
+        if not grp.full:
+            self.kinds.add("strip")
+            return cand, keep
+        slab, inner = grp.S, self.whole[(k - 1, l - 1)]
+        # a cross slab's last edge along ax is that of the second slab
+        # less the same line
+        (p, ok_p), (q, ok_q) = (
+            _lookup(grp.C, ax, slab.link[o][h][first],
+                    inner.edge[ax][1][slab.link[o][h][second]])
+            for h in (0, 1))
+        found = ok_p & ok_q
+        assert found.all() if keep is None else np.array_equal(found, keep)
+        assert np.array_equal(cand.link[o][0], p[found]), (k, l)
+        assert np.array_equal(cand.link[o][1], q[found]), (k, l)
+        # (k-1, l-1) is one wide at k or l = 2; where it is one wide along
+        # the join, its overlap along it is the empty window
+        self.kinds |= {("rows", "columns")[ax],
+                       *(["one-wide"] if min(k, l) == 2 else []),
+                       *(["empty overlap"] if (k, l)[ax] == 2 else [])}
         return cand, keep
 
 
@@ -592,45 +577,36 @@ def test_join_axis_does_not_matter():
         checked += 1
 
 
-class GroupLogWalk(TableWalk):
-    """A walk that keeps its tables and notes each group it builds, with
-    the slab pairs each size's join expands."""
+class OrderLogWalk(TableWalk):
+    """A walk that keeps its tables and notes the sizes it builds, in the
+    order it builds them."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.groups = []
+        self.order = []
 
-    def _build(self, sizes, ax):
-        self.groups.append(
-            (list(sizes), ax, [self._join_cost(ax, k, l) for k, l in sizes]))
-        super()._build(sizes, ax)
+    def _build(self, size, ax):
+        self.order.append(size)
+        super()._build(size, ax)
 
 
-def test_grouped_encoder_matches_one_size_decoder(monkeypatch):
-    # the encoder builds a diagonal's sizes in groups and the decoder one
-    # size at a time in row-major order; both must build the same tables,
-    # code the same records in the same order and read out the same size.
-    # A lowered cap cuts groups on these small grids.
-    monkeypatch.setattr(engine, "_PAIR_CAP", 1 << 10)
-    widest = cuts = 0
+def test_diagonal_encoder_matches_row_decoder():
+    # the encoder builds one size at a time diagonal by diagonal, the
+    # decoder one size at a time in row-major order; both must build the
+    # same tables, sink and pull the same records in the same order and
+    # read out the same size
     for g, alphabet in ([(near_periodic_tile(), 2), (one_dot(16), 2)]
                         + seeded_grids()):
-        records, enc = encode_walk(g, alphabet, GroupLogWalk)
+        records, enc = encode_walk(g, alphabet, OrderLogWalk)
         stream, pull = pull_from(records)
-        dec = GroupLogWalk(*g.shape, alphabet, pull=pull)
+        dec = OrderLogWalk(*g.shape, alphabet, pull=pull)
         dec.run()
         assert next(stream, None) is None
         assert sorted(enc.tables) == sorted(dec.tables)
         assert enc.readout[0] == dec.readout[0]
-        assert {len(sizes) for sizes, _, _ in dec.groups} == {1}
-        widest = max([widest] + [len(sizes) for sizes, _, _ in enc.groups])
-        # a cut by the cap: the next group of the same diagonal and axis
-        # starts with a size that would not fit, and not for its own size
-        for (s1, a1, c1), (s2, a2, c2) in zip(enc.groups, enc.groups[1:]):
-            cuts += (sum(s1[0]) == sum(s2[0]) and a1 == a2
-                     and sum(c1) + c2[0] > enc.pair_cap
-                     and 8 * c2[0] <= enc.pair_cap)
-    assert widest >= 8 and cuts
+        assert enc.order == sorted(enc.order, key=sum)
+        assert dec.order == sorted(dec.order)
+        assert sorted(enc.order) == dec.order != enc.order
 
 
 def lie_outcomes():
